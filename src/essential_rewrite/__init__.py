@@ -56,7 +56,6 @@ from .parallel import (
     all_parallel_steps,
     derive,
     identity_derivation,
-    is_parallel_inessential,
     parallel_level,
     realize,
     selection_of,
@@ -76,6 +75,7 @@ from .engine import (
     check_subst_index,
     factorize,
     get_system,
+    is_parallel_inessential,
     merge,
     normalize,
     split,

@@ -7,7 +7,8 @@ Subcommands:
   check      run a property or normalization suite and report PASS/FAIL
 
 Exit codes: 0 success / normal form, 1 usage or parse error, 2 fuel
-exhausted, 3 property FAIL, 4 property INCONCLUSIVE.
+exhausted, 3 property FAIL, 4 property INCONCLUSIVE (a budget was hit or
+nothing was checked).
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ DEFAULTS = {
     "samples": 500,
 }
 
+# smallest accepted value of each numeric option the library bounds
+_MINIMUM = {"fuel": 1, "size": 1, "budget": 1, "depth": 1, "samples": 0}
+
 _BASE_ONLY = {"beta": Base.BETA, "betav": Base.BETAV}
 
 # term operations recurse on term depth, and reducts can grow deep well
@@ -66,19 +70,26 @@ _STACK_BYTES = 256 * 1024 * 1024
 _RECURSION_LIMIT = 150_000
 
 
+class UsageError(ValueError):
+    """An option value, from the command line or the config file, is invalid."""
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _load_config()
-    for key, fallback in DEFAULTS.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, config.get(key, fallback))
     try:
+        config = _load_config()
+        for key, fallback in DEFAULTS.items():
+            if getattr(args, key, None) is None and hasattr(args, key):
+                setattr(args, key, config.get(key, fallback))
+        for key, minimum in _MINIMUM.items():
+            if getattr(args, key, minimum) < minimum:
+                raise UsageError(f"{key} must be at least {minimum}, got {getattr(args, key)}")
         return _run_deep(args.handler, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (InvalidTraceError, InvalidPositionError, UnsupportedPropertyError,
+    except (UsageError, InvalidTraceError, InvalidPositionError, UnsupportedPropertyError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -125,7 +136,11 @@ def _load_config() -> dict:
             key, value = line.split("=", 1)
             key, value = key.strip(), value.strip()
             if key in ("fuel", "size", "budget", "depth", "seed", "parallel", "samples"):
-                config[key] = int(value)
+                try:
+                    config[key] = int(value)
+                except ValueError:
+                    raise UsageError(
+                        f"{CONFIG_ENV}: {key} must be an integer, got {value!r}") from None
             elif key == "output":
                 config[key] = value
     return config

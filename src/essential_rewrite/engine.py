@@ -22,7 +22,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .enumeration import EnumSpec, enumerate_terms, random_term
 from .graphs import Decision, explore, weakly_normalizing
@@ -31,11 +31,10 @@ from .parallel import (
     FlavorMismatchError,
     InvalidSelectionError,
     ParDerivation,
-    Rule,
     all_parallel_steps,
     base_of,
+    contracts,
     derive,
-    is_parallel_inessential,
     realize,
     selection_of,
     sequential_index,
@@ -46,17 +45,25 @@ from .reductions import (
     Step,
     StepKind,
     SystemId,
+    _head_positions,
+    _ll_positions,
+    _lo_positions,
+    _neg_head_positions,
+    _neg_ll_positions,
+    _neg_lo_positions,
+    _neg_weak_positions,
+    _weak_positions,
     beta_redexes,
     betav_redexes,
     head_steps,
     least_level,
     level_indexed_steps,
     ll_steps,
-    lo_steps,
-    neg_head_steps,
+    lo_steps,  # unused here; bench/tracing.py binds it
+    neg_head_steps,  # unused here; bench/tracing.py binds it
     neg_ll_steps,
-    neg_lo_steps,
-    neg_weak_steps,
+    neg_lo_steps,  # unused here; bench/tracing.py binds it
+    neg_weak_steps,  # unused here; bench/tracing.py binds it
     position_level,
     redexes,
     step_at,
@@ -71,7 +78,7 @@ from .terms import (
     alpha_eq,
     bound_positions,
     count_occurrences,
-    is_neutral,
+    is_neutral,  # unused here; bench/tracing.py binds it
     is_normal,
     is_value,
     show,
@@ -102,52 +109,54 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class EssentialSystem:
-    """A base reduction split into essential and inessential steps."""
+    """A base reduction split into essential and inessential steps.
+
+    `positions(t)` lists t's essential redexes in traversal order; everything
+    essential is derived from it.  `neg_positions(t)`, the inessential
+    redexes, is defined separately so that the decomposition check has teeth.
+    """
 
     id: SystemId
     base: Base
     flavor: Flavor
+    positions: Callable[[Term], list[Position]]
+    neg_positions: Callable[[Term], Iterable[Position]]
+
+    def _step(self, pos: Position, kind: StepKind) -> Step:
+        # leveled systems record the level of every step they take
+        level = position_level(pos) if self.flavor is Flavor.LEVELED else None
+        return Step(pos, kind, level)
 
     def base_steps(self, t: Term) -> list[tuple[Step, Term]]:
         return [(self.make_step(t, p), step_at(t, p, self.base)) for p in redexes(t, self.base)]
 
     def essential_steps(self, t: Term) -> list[tuple[Step, Term]]:
-        if self.id is SystemId.HEAD:
-            return head_steps(t)
-        if self.id is SystemId.LO:
-            return lo_steps(t)
-        if self.id is SystemId.WEAK_CBV:
-            return weak_cbv_steps(t)
-        return ll_steps(t)
+        return [(self._step(p, StepKind.ESSENTIAL), step_at(t, p, self.base))
+                for p in self.positions(t)]
 
     def inessential_steps(self, t: Term) -> list[tuple[Step, Term]]:
-        if self.id is SystemId.HEAD:
-            return neg_head_steps(t)
-        if self.id is SystemId.LO:
-            return neg_lo_steps(t)
-        if self.id is SystemId.WEAK_CBV:
-            return neg_weak_steps(t)
-        return neg_ll_steps(t)
-
-    def essential_positions(self, t: Term) -> frozenset[Position]:
-        return frozenset(s.position for s, _ in self.essential_steps(t))
+        return [(self._step(p, StepKind.INESSENTIAL), step_at(t, p, self.base))
+                for p in sorted(set(self.neg_positions(t)))]
 
     def classify(self, t: Term, pos: Position) -> StepKind:
-        return StepKind.ESSENTIAL if pos in self.essential_positions(t) else StepKind.INESSENTIAL
+        return StepKind.ESSENTIAL if pos in self.positions(t) else StepKind.INESSENTIAL
 
     def make_step(self, t: Term, pos: Position) -> Step:
-        level = position_level(pos) if self.id is SystemId.LEAST_LEVEL else None
-        return Step(pos, self.classify(t, pos), level)
+        return self._step(pos, self.classify(t, pos))
 
     def base_normal(self, t: Term) -> bool:
         return not redexes(t, self.base)
 
 
 SYSTEMS: dict[SystemId, EssentialSystem] = {
-    SystemId.HEAD: EssentialSystem(SystemId.HEAD, Base.BETA, Flavor.CBN),
-    SystemId.WEAK_CBV: EssentialSystem(SystemId.WEAK_CBV, Base.BETAV, Flavor.CBV),
-    SystemId.LO: EssentialSystem(SystemId.LO, Base.BETA, Flavor.CBN),
-    SystemId.LEAST_LEVEL: EssentialSystem(SystemId.LEAST_LEVEL, Base.BETA, Flavor.LEVELED),
+    SystemId.HEAD: EssentialSystem(SystemId.HEAD, Base.BETA, Flavor.CBN,
+                                   _head_positions, _neg_head_positions),
+    SystemId.WEAK_CBV: EssentialSystem(SystemId.WEAK_CBV, Base.BETAV, Flavor.CBV,
+                                       _weak_positions, _neg_weak_positions),
+    SystemId.LO: EssentialSystem(SystemId.LO, Base.BETA, Flavor.CBN,
+                                 _lo_positions, _neg_lo_positions),
+    SystemId.LEAST_LEVEL: EssentialSystem(SystemId.LEAST_LEVEL, Base.BETA, Flavor.LEVELED,
+                                          _ll_positions, _neg_ll_positions),
 }
 
 
@@ -211,77 +220,21 @@ class Factorization:
 # Split
 
 
-def _essential_redex(d: ParDerivation, system: SystemId) -> Optional[Position]:
-    """The essential redex a derivation contracts, or None if it is an
-    inessential parallel step.  Follows the same descent the indexed-split
-    argument makes, so peeling it decreases the sequential index by one."""
-    if system is SystemId.HEAD:
-        return _head_redex_of(d)
-    if system is SystemId.LO:
-        return _lo_redex_of(d)
-    if system is SystemId.WEAK_CBV:
-        return _weak_redex_of(d)
-    if d.index.is_infinite or d.index > least_level(d.source):
-        return None
-    return _ll_redex_of(d)
+def _essential_redex(d: ParDerivation, sys) -> Optional[Position]:
+    """The first essential redex of d's source that d contracts, or None if d
+    is an inessential parallel step.  Peeling it first decreases the
+    sequential index by exactly one (the indexed-split property)."""
+    return next((pos for pos in get_system(sys).positions(d.source) if contracts(d, pos)), None)
 
 
-def _head_redex_of(d: ParDerivation) -> Optional[Position]:
-    if d.rule is Rule.BETA:
-        return ()
-    if d.rule is Rule.ABS:
-        inner = _head_redex_of(d.children[0])
-        return None if inner is None else (BODY,) + inner
-    if d.rule is Rule.APP:
-        left = d.children[0]
-        if left.rule is Rule.ABS:
-            return None
-        inner = _head_redex_of(left)
-        return None if inner is None else (LEFT,) + inner
-    return None
-
-
-def _lo_redex_of(d: ParDerivation) -> Optional[Position]:
-    if d.rule is Rule.BETA:
-        return ()
-    if d.rule is Rule.ABS:
-        inner = _lo_redex_of(d.children[0])
-        return None if inner is None else (BODY,) + inner
-    if d.rule is Rule.APP:
-        left, right = d.children
-        if left.rule is Rule.ABS:
-            return None
-        if is_neutral(left.source):
-            inner = _lo_redex_of(right)
-            return None if inner is None else (RIGHT,) + inner
-        inner = _lo_redex_of(left)
-        return None if inner is None else (LEFT,) + inner
-    return None
-
-
-def _weak_redex_of(d: ParDerivation) -> Optional[Position]:
-    if d.rule is Rule.BETA:
-        return ()
-    if d.rule is Rule.APP:
-        inner = _weak_redex_of(d.children[0])
-        if inner is not None:
-            return (LEFT,) + inner
-        inner = _weak_redex_of(d.children[1])
-        if inner is not None:
-            return (RIGHT,) + inner
-    return None
-
-
-def _ll_redex_of(d: ParDerivation) -> Position:
-    # invariant: d's level equals the least level of its source, and is finite
-    if d.rule is Rule.BETA:
-        return ()
-    if d.rule is Rule.ABS:
-        return (BODY,) + _ll_redex_of(d.children[0])
-    left, right = d.children
-    if left.index <= right.index + 1:
-        return (LEFT,) + _ll_redex_of(left)
-    return (RIGHT,) + _ll_redex_of(right)
+def is_parallel_inessential(d: ParDerivation, sys) -> bool:
+    """Is the derivation an inessential parallel step of the given system,
+    that is, does it contract none of the essential redexes of its source?"""
+    system = get_system(sys)
+    if d.flavor is not system.flavor:
+        raise FlavorMismatchError(
+            f"{system.id.value} expects {system.flavor.value} derivations, got {d.flavor.value}")
+    return _essential_redex(d, system) is None
 
 
 def _residual(d: ParDerivation, pos: Position, flavor: Flavor) -> ParDerivation:
@@ -318,7 +271,7 @@ def split(d: ParDerivation, sys) -> tuple[Trace, ParDerivation]:
     steps: list[tuple[Step, Term]] = []
     current = d
     for _ in range(sequential_index(d) + 1):
-        pos = _essential_redex(current, system.id)
+        pos = _essential_redex(current, system)
         if pos is None:
             return Trace(d.source, steps), current
         target = step_at(current.source, pos, system.base)
@@ -338,7 +291,7 @@ def merge(d: ParDerivation, e: tuple[Step, Term], sys) -> ParDerivation:
     contracts the essential redex; its target is the essential step's target.
     """
     system = get_system(sys)
-    if not is_parallel_inessential(d, system.id):
+    if not is_parallel_inessential(d, system):
         raise NotInessentialError("merge needs an inessential parallel step")
     step, target = e
     following = {(s.position, u) for s, u in system.essential_steps(d.target)}
@@ -566,7 +519,7 @@ def _check_ll_invariant(system: EssentialSystem, t: Term) -> Optional[str]:
 
 def _check_merge(system: EssentialSystem, t: Term) -> Optional[str]:
     for d in all_parallel_steps(t, system.flavor):
-        if not is_parallel_inessential(d, system.id):
+        if not is_parallel_inessential(d, system):
             continue
         for s, u in system.essential_steps(d.target):
             try:
@@ -590,7 +543,7 @@ def _check_split(system: EssentialSystem, t: Term) -> Optional[str]:
             current = u
         if not alpha_eq(rest.source, current):
             return f"split prefix and residual do not meet on {show(t)}"
-        if not is_parallel_inessential(rest, system.id):
+        if not is_parallel_inessential(rest, system):
             return f"split residual is not inessential on {show(t)}"
         if not alpha_eq(rest.target, d.target):
             return f"split changed the target of {show(t)}"
@@ -602,7 +555,7 @@ def _check_indexed_split(system: EssentialSystem, t: Term) -> Optional[str]:
         current = d
         index = sequential_index(d)
         while True:
-            pos = _essential_redex(current, system.id)
+            pos = _essential_redex(current, system)
             if pos is None:
                 break
             current = _residual(current, pos, system.flavor)
@@ -694,7 +647,8 @@ def check_normalization(sys, size_bound: int = 8, fuel: int = 1000,
 
     For every enumerated term whose reduction graph certifies the relevant
     hypothesis, run the strategy (or search its whole essential graph) and
-    verify the claimed conclusion.  Budget hits yield INCONCLUSIVE, not PASS.
+    verify the claimed conclusion.  Budget hits (the first one is reported)
+    and sweeps where no term is relevant yield INCONCLUSIVE, not PASS.
     """
     system = get_system(sys)
     closed_only = system.id is SystemId.WEAK_CBV
@@ -706,17 +660,16 @@ def check_normalization(sys, size_bound: int = 8, fuel: int = 1000,
             relevant, failure = _check_normalization_one(system, t, fuel,
                                                          node_budget, depth_budget)
         except _Inconclusive as stop:
-            inconclusive = f"{show(t)}: {stop}"
+            if inconclusive is None:
+                inconclusive = f"{show(t)}: {stop}"
             continue
         if relevant:
             checked += 1
         if failure is not None:
             return Report("normalization", system.id.value, size_bound, checked,
                           "FAIL", failure)
-    if inconclusive is not None:
-        return Report("normalization", system.id.value, size_bound, checked,
-                      "INCONCLUSIVE", inconclusive)
-    return Report("normalization", system.id.value, size_bound, checked, "PASS")
+    result = "INCONCLUSIVE" if inconclusive is not None or checked == 0 else "PASS"
+    return Report("normalization", system.id.value, size_bound, checked, result, inconclusive)
 
 
 def _check_normalization_one(system: EssentialSystem, t: Term, fuel: int,
@@ -849,7 +802,8 @@ def check_subst_index(flavor: Flavor, samples: int = 500, seed: int = 0,
                            f"in {show(t)}")
         if failure is not None:
             return Report("subst-index", flavor.value, max_size, checked, "FAIL", failure)
-    return Report("subst-index", flavor.value, max_size, checked, "PASS")
+    return Report("subst-index", flavor.value, max_size, checked,
+                  "PASS" if checked else "INCONCLUSIVE")
 
 
 def _random_derivation(rng: random.Random, t: Term, flavor: Flavor) -> ParDerivation:

@@ -23,10 +23,9 @@ from .reductions import (
     Base,
     INFINITY,
     Level,
-    SystemId,
     beta_redexes,
     betav_redexes,
-    least_level,
+    least_level,  # unused here; bench/tracing.py binds it
 )
 from .terms import (
     App,
@@ -40,7 +39,7 @@ from .terms import (
     bound_positions,
     count_bound,
     instantiate,
-    is_neutral,
+    is_neutral,  # unused here; bench/tracing.py binds it
     is_value,
 )
 
@@ -199,6 +198,21 @@ def selection_of(d: ParDerivation) -> frozenset[Position]:
     return frozenset(out)
 
 
+def contracts(d: ParDerivation, pos: Position) -> bool:
+    """Does the derivation contract the redex of its source at `pos`?
+
+    `pos` must be a redex position of d.source; the walk follows it down the
+    tree without building the whole selection.
+    """
+    i = 0
+    while i < len(pos):
+        if d.rule is Rule.BETA and pos[i] == LEFT:
+            d, i = d.children[0], i + 2  # L.B steps into the contracted body
+        else:
+            d, i = d.children[pos[i] == RIGHT], i + 1
+    return d.rule is Rule.BETA
+
+
 def _collect_selection(d: ParDerivation, prefix: Position, out: set[Position]) -> None:
     if d.rule is Rule.ABS:
         _collect_selection(d.children[0], prefix + (BODY,), out)
@@ -276,81 +290,6 @@ def _graft(d: ParDerivation, name: str, d2: ParDerivation, flavor: Flavor) -> Pa
     if d.rule is Rule.APP:
         return _app(flavor, left, right)
     return _beta(flavor, d.source.fun.hint, left, right)
-
-
-# ---------------------------------------------------------------------------
-# Parallel-inessential recognizers
-
-
-def is_parallel_inessential(d: ParDerivation, system: SystemId) -> bool:
-    """Is the derivation an inessential parallel step of the given system?
-
-    For head, weak CbV and leftmost-outermost this checks the derivation tree
-    against the system's inessential congruence rules; for least-level it is
-    the index predicate (infinite, or above the least level of the source).
-    """
-    _require_flavor(d, system)
-    if system is SystemId.HEAD:
-        return _ines_head(d)
-    if system is SystemId.WEAK_CBV:
-        return _ines_weak(d)
-    if system is SystemId.LO:
-        return _ines_lo(d)
-    return d.index.is_infinite or d.index > least_level(d.source)
-
-
-def _require_flavor(d: ParDerivation, system: SystemId) -> None:
-    wanted = flavor_of(system)
-    if d.flavor is not wanted:
-        raise FlavorMismatchError(
-            f"{system.value} expects {wanted.value} derivations, got {d.flavor.value}")
-
-
-def flavor_of(system: SystemId) -> Flavor:
-    if system is SystemId.WEAK_CBV:
-        return Flavor.CBV
-    if system is SystemId.LEAST_LEVEL:
-        return Flavor.LEVELED
-    return Flavor.CBN
-
-
-def _ines_head(d: ParDerivation) -> bool:
-    # never contracts the head redex: fine under an applied abstraction,
-    # otherwise only the function side is constrained
-    if d.rule is Rule.VAR:
-        return True
-    if d.rule is Rule.BETA:
-        return False
-    if d.rule is Rule.ABS:
-        return _ines_head(d.children[0])
-    left = d.children[0]
-    return left.rule is Rule.ABS or _ines_head(left)
-
-
-def _ines_weak(d: ParDerivation) -> bool:
-    # contractions are free under abstractions; spines of applications must
-    # themselves be inessential on both sides
-    if d.rule is Rule.VAR or d.rule is Rule.ABS:
-        return True
-    if d.rule is Rule.BETA:
-        return False
-    return _ines_weak(d.children[0]) and _ines_weak(d.children[1])
-
-
-def _ines_lo(d: ParDerivation) -> bool:
-    if d.rule is Rule.VAR:
-        return True
-    if d.rule is Rule.BETA:
-        return False
-    if d.rule is Rule.ABS:
-        return _ines_lo(d.children[0])
-    left, right = d.children
-    if left.rule is Rule.ABS:
-        return True
-    if is_neutral(left.source):
-        # a neutral function side has no redexes, so the constraint moves right
-        return _ines_lo(right)
-    return _ines_lo(left)
 
 
 # ---------------------------------------------------------------------------

@@ -327,11 +327,22 @@ def level_indexed_steps(t: Term) -> list[tuple[Step, Term]]:
     return out
 
 
+def _ll_positions(t: Term) -> list[Position]:
+    ll = least_level(t)
+    return [pos for pos in beta_redexes(t) if position_level(pos) == ll]
+
+
 def ll_steps(t: Term) -> list[tuple[Step, Term]]:
     """Steps firing a redex of least level."""
-    return [(s, u) for (s, u) in level_indexed_steps(t) if s.kind is StepKind.ESSENTIAL]
+    return _sorted_steps(t, _ll_positions(t), Base.BETA, StepKind.ESSENTIAL, with_level=True)
+
+
+def _neg_ll_positions(t: Term) -> list[Position]:
+    ll = least_level(t)
+    return [pos for pos in beta_redexes(t) if position_level(pos) > ll]
 
 
 def neg_ll_steps(t: Term) -> list[tuple[Step, Term]]:
     """Steps firing a redex strictly above the least level."""
-    return [(s, u) for (s, u) in level_indexed_steps(t) if s.kind is StepKind.INESSENTIAL]
+    return _sorted_steps(t, _neg_ll_positions(t), Base.BETA, StepKind.INESSENTIAL,
+                         with_level=True)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from essential_rewrite.cli import main
 
 
@@ -171,6 +173,10 @@ class TestCheck:
         _, second, _ = run(capsys, *args)
         assert first.encode() == second.encode()
 
+    def test_no_samples_exits_4(self, capsys):
+        code, out, _ = run(capsys, "check", "subst-index", "--samples", "0")
+        assert code == 4 and "INCONCLUSIVE (0 checked)" in out
+
     def test_parallel_workers(self, capsys):
         code, out, _ = run(capsys, "check", "persistence", "--system", "head",
                            "--size", "5", "--parallel", "2")
@@ -195,3 +201,33 @@ class TestConfig:
                            "--system", "lo", "--fuel", "3")
         assert code == 2
         assert out.count("->") == 3
+
+    def test_malformed_config_value_exits_1(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.txt"
+        config.write_text("fuel = abc\n")
+        monkeypatch.setenv("ESSENTIAL_REWRITE_CONFIG", str(config))
+        code, _, err = run(capsys, "reduce", "x", "--system", "lo")
+        assert code == 1
+        assert err.startswith("error:") and "fuel" in err
+
+    def test_out_of_range_config_value_exits_1(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.txt"
+        config.write_text("fuel = 0\n")
+        monkeypatch.setenv("ESSENTIAL_REWRITE_CONFIG", str(config))
+        code, _, err = run(capsys, "reduce", "x", "--system", "lo")
+        assert code == 1 and err.startswith("error:")
+
+
+class TestBadOptionValues:
+    @pytest.mark.parametrize("argv", [
+        ("reduce", "x", "--system", "lo", "--fuel", "0"),
+        ("reduce", "x", "--system", "beta", "--fuel", "-1"),
+        ("check", "split", "--system", "head", "--size", "0"),
+        ("check", "normalization", "--system", "lo", "--budget", "0"),
+        ("check", "normalization", "--system", "lo", "--depth", "0"),
+        ("check", "subst-index", "--samples", "-1"),
+    ])
+    def test_exits_1_with_message(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err

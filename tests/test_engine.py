@@ -107,6 +107,20 @@ class TestSplit:
                         index -= 1
 
 
+class TestSystemRows:
+    def test_rows_agree_with_strategy_functions(self, small_terms):
+        from essential_rewrite import (
+            head_steps, ll_steps, lo_steps, neg_head_steps, neg_ll_steps, neg_lo_steps,
+            neg_weak_steps, weak_cbv_steps)
+        strategies = {HEAD: (head_steps, neg_head_steps), LO: (lo_steps, neg_lo_steps),
+                      WCBV: (weak_cbv_steps, neg_weak_steps), LL: (ll_steps, neg_ll_steps)}
+        for system_id, (essential, inessential) in strategies.items():
+            system = SYSTEMS[system_id]
+            for t in small_terms:
+                assert system.essential_steps(t) == essential(t), show(t)
+                assert system.inessential_steps(t) == inessential(t), show(t)
+
+
 class TestMerge:
     def test_identity_then_step_is_that_step(self):
         t = p(r"(\z.z) y")
@@ -335,6 +349,18 @@ class TestCheckNormalization:
         assert report.result == "PASS", report.counterexample
         assert report.checked_count > 0
 
+    def test_nothing_relevant_is_inconclusive(self):
+        # no closed term has size 1, so the weak CbV theorem is never exercised
+        report = check_normalization(WCBV, size_bound=1)
+        assert (report.result, report.checked_count) == ("INCONCLUSIVE", 0)
+
+    def test_first_inconclusive_term_is_reported(self):
+        # terms come smallest first, so a larger sweep must name the same term
+        small = check_normalization(LO, size_bound=7, fuel=1)
+        large = check_normalization(LO, size_bound=8, fuel=1)
+        assert small.result == large.result == "INCONCLUSIVE"
+        assert small.counterexample == large.counterexample
+
 
 class TestCheckSubstIndex:
     def test_cbn_and_cbv_pass(self):
@@ -346,3 +372,7 @@ class TestCheckSubstIndex:
     def test_leveled_rejected(self):
         with pytest.raises(UnsupportedPropertyError):
             check_subst_index(Flavor.LEVELED, samples=1)
+
+    def test_no_samples_is_inconclusive(self):
+        report = check_subst_index(Flavor.CBN, samples=0)
+        assert (report.result, report.checked_count) == ("INCONCLUSIVE", 0)

@@ -27,16 +27,20 @@ from essential_rewrite import (
     subst_parallel,
     substitute,
 )
+from essential_rewrite.engine import SYSTEMS, split
 from essential_rewrite.enumeration import EnumSpec, random_term
 from essential_rewrite.parallel import (
     Flavor,
     FlavorMismatchError,
     InvalidSelectionError,
     NonValueError,
+    Rule,
     base_of,
+    contracts,
 )
 from essential_rewrite.reductions import least_level, position_level, redexes
-from conftest import p
+from essential_rewrite.terms import is_neutral
+from conftest import p, terms_up_to
 
 
 class TestDerive:
@@ -88,6 +92,13 @@ class TestDerive:
                 sel = selection_of(d)
                 again = derive(t, sel, Flavor.CBN)
                 assert again.index == d.index and alpha_eq(again.target, d.target)
+
+    def test_contracts_agrees_with_selection(self):
+        # size 7 is the least size with a redex inside a contracted body
+        for t in terms_up_to(7):
+            for d in all_parallel_steps(t, Flavor.CBN):
+                sel = selection_of(d)
+                assert all(contracts(d, q) == (q in sel) for q in beta_redexes(t)), show(t)
 
     def test_flavors_agree_on_targets(self, small_terms):
         # the index decoration never changes what a selection contracts to
@@ -174,7 +185,76 @@ class TestSubstParallel:
             assert alpha_eq(again.target, combined.target)
 
 
+# Inductive definitions of the inessential parallel steps, written over the
+# derivation tree as the congruence rules of each system.  The library derives
+# the same predicate from the system's essential positions; these stay
+# independent of that so that the comparison below can fail.
+
+
+def _ines_head(d) -> bool:
+    # never contracts the head redex: fine under an applied abstraction,
+    # otherwise only the function side is constrained
+    if d.rule is Rule.VAR:
+        return True
+    if d.rule is Rule.BETA:
+        return False
+    if d.rule is Rule.ABS:
+        return _ines_head(d.children[0])
+    left = d.children[0]
+    return left.rule is Rule.ABS or _ines_head(left)
+
+
+def _ines_weak(d) -> bool:
+    # contractions are free under abstractions; spines of applications must
+    # themselves be inessential on both sides
+    if d.rule is Rule.VAR or d.rule is Rule.ABS:
+        return True
+    if d.rule is Rule.BETA:
+        return False
+    return _ines_weak(d.children[0]) and _ines_weak(d.children[1])
+
+
+def _ines_lo(d) -> bool:
+    if d.rule is Rule.VAR:
+        return True
+    if d.rule is Rule.BETA:
+        return False
+    if d.rule is Rule.ABS:
+        return _ines_lo(d.children[0])
+    left, right = d.children
+    if left.rule is Rule.ABS:
+        return True
+    if is_neutral(left.source):
+        # a neutral function side has no redexes, so the constraint moves right
+        return _ines_lo(right)
+    return _ines_lo(left)
+
+
+def _ines_ll(d) -> bool:
+    return d.index.is_infinite or d.index > least_level(d.source)
+
+
+INESSENTIAL_ORACLES = {
+    SystemId.HEAD: _ines_head,
+    SystemId.WEAK_CBV: _ines_weak,
+    SystemId.LO: _ines_lo,
+    SystemId.LEAST_LEVEL: _ines_ll,
+}
+
+
 class TestInessentialRecognizers:
+    def test_recognizer_matches_inductive_oracle(self):
+        # every parallel step of every term up to size 7, and every residual
+        # split leaves of one, for all four systems
+        terms = terms_up_to(7)
+        for system_id, oracle in INESSENTIAL_ORACLES.items():
+            flavor = SYSTEMS[system_id].flavor
+            for t in terms:
+                for d in all_parallel_steps(t, flavor):
+                    assert is_parallel_inessential(d, system_id) == oracle(d), show(t)
+                    _, rest = split(d, system_id)
+                    assert oracle(rest), f"split residual of {show(t)} is essential"
+
     def test_identity_is_inessential_everywhere(self, small_terms):
         for t in small_terms[::17]:
             assert is_parallel_inessential(identity_derivation(t, Flavor.CBN), SystemId.HEAD)
