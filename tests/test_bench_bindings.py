@@ -2,7 +2,6 @@
 
 import importlib.util
 import pathlib
-import sys
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -10,7 +9,6 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 def test_every_traced_binding_resolves():
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault(spec.name, tracing)
     spec.loader.exec_module(tracing)
     missing = [f"{module.__name__}.{attr}"
                for _, bindings, _ in tracing.BOUNDARIES
