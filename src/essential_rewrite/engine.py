@@ -52,6 +52,7 @@ from .reductions import (
     _neg_ll_positions,
     _neg_lo_positions,
     _neg_weak_positions,
+    _sorted_steps,
     _weak_positions,
     beta_redexes,
     betav_redexes,
@@ -122,27 +123,24 @@ class EssentialSystem:
     positions: Callable[[Term], list[Position]]
     neg_positions: Callable[[Term], Iterable[Position]]
 
-    def _step(self, pos: Position, kind: StepKind) -> Step:
-        # leveled systems record the level of every step they take
-        level = position_level(pos) if self.flavor is Flavor.LEVELED else None
-        return Step(pos, kind, level)
-
     def base_steps(self, t: Term) -> list[tuple[Step, Term]]:
         return [(self.make_step(t, p), step_at(t, p, self.base)) for p in redexes(t, self.base)]
 
     def essential_steps(self, t: Term) -> list[tuple[Step, Term]]:
-        return [(self._step(p, StepKind.ESSENTIAL), step_at(t, p, self.base))
-                for p in self.positions(t)]
+        return _sorted_steps(t, self.positions(t), self.base, StepKind.ESSENTIAL,
+                             with_level=self.flavor is Flavor.LEVELED)
 
     def inessential_steps(self, t: Term) -> list[tuple[Step, Term]]:
-        return [(self._step(p, StepKind.INESSENTIAL), step_at(t, p, self.base))
-                for p in sorted(set(self.neg_positions(t)))]
+        return _sorted_steps(t, self.neg_positions(t), self.base, StepKind.INESSENTIAL,
+                             with_level=self.flavor is Flavor.LEVELED)
 
     def classify(self, t: Term, pos: Position) -> StepKind:
         return StepKind.ESSENTIAL if pos in self.positions(t) else StepKind.INESSENTIAL
 
     def make_step(self, t: Term, pos: Position) -> Step:
-        return self._step(pos, self.classify(t, pos))
+        # leveled systems record the level of every step they take
+        level = position_level(pos) if self.flavor is Flavor.LEVELED else None
+        return Step(pos, self.classify(t, pos), level)
 
     def base_normal(self, t: Term) -> bool:
         return not redexes(t, self.base)
@@ -668,7 +666,9 @@ def check_normalization(sys, size_bound: int = 8, fuel: int = 1000,
         if failure is not None:
             return Report("normalization", system.id.value, size_bound, checked,
                           "FAIL", failure)
-    result = "INCONCLUSIVE" if inconclusive is not None or checked == 0 else "PASS"
+    if inconclusive is None and checked == 0:
+        inconclusive = "no term satisfied the theorem's hypothesis"
+    result = "PASS" if inconclusive is None else "INCONCLUSIVE"
     return Report("normalization", system.id.value, size_bound, checked, result, inconclusive)
 
 
@@ -802,8 +802,8 @@ def check_subst_index(flavor: Flavor, samples: int = 500, seed: int = 0,
                            f"in {show(t)}")
         if failure is not None:
             return Report("subst-index", flavor.value, max_size, checked, "FAIL", failure)
-    return Report("subst-index", flavor.value, max_size, checked,
-                  "PASS" if checked else "INCONCLUSIVE")
+    result, reason = ("PASS", None) if checked else ("INCONCLUSIVE", "no samples drawn")
+    return Report("subst-index", flavor.value, max_size, checked, result, reason)
 
 
 def _random_derivation(rng: random.Random, t: Term, flavor: Flavor) -> ParDerivation:

@@ -176,6 +176,7 @@ class TestCheck:
     def test_no_samples_exits_4(self, capsys):
         code, out, _ = run(capsys, "check", "subst-index", "--samples", "0")
         assert code == 4 and "INCONCLUSIVE (0 checked)" in out
+        assert "no samples drawn" in out
 
     def test_parallel_workers(self, capsys):
         code, out, _ = run(capsys, "check", "persistence", "--system", "head",
