@@ -22,6 +22,7 @@ import threading
 from .engine import (
     InvalidTraceError,
     Outcome,
+    SUBST_INDEX_MIN_SIZE,
     SYSTEMS,
     UnsupportedPropertyError,
     check_normalization,
@@ -142,6 +143,9 @@ def _load_config() -> dict:
                     raise UsageError(
                         f"{CONFIG_ENV}: {key} must be an integer, got {value!r}") from None
             elif key == "output":
+                if value not in ("text", "json"):
+                    raise UsageError(
+                        f"{CONFIG_ENV}: output must be text or json, got {value!r}")
                 config[key] = value
     return config
 
@@ -205,51 +209,51 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _step_line(step, term) -> str:
+def _step_line(step, text: str) -> str:
     pos = ".".join(step.position) or "root"
     extra = f" level={step.level}" if step.level is not None else ""
-    return f"  {step.kind.value} @ {pos}{extra} -> {show(term)}"
+    return f"  {step.kind.value} @ {pos}{extra} -> {text}"
 
 
 def cmd_reduce(args) -> int:
     term = parse(args.term)
     if args.system in _BASE_ONLY:
-        trace_steps = []
-        current = term
-        base = _BASE_ONLY[args.system]
-        outcome = Outcome.NORMAL_FORM
-        for _ in range(args.fuel):
-            positions = redexes(current, base)
-            if not positions:
-                break
-            nxt = step_at(current, positions[0], base)
-            trace_steps.append((Step(positions[0], StepKind.PLAIN), nxt))
-            current = nxt
-        if redexes(current, base):
-            outcome = Outcome.FUEL_EXHAUSTED
-        payload = {
-            "start": show(term),
-            "system": args.system,
-            "steps": [dict(s.to_json(), term=show(u)) for s, u in trace_steps],
-            "outcome": outcome.value,
-        }
-        lines = [show(term)] + [_step_line(s, u) for s, u in trace_steps]
-        lines.append(f"outcome: {outcome.value}")
-        _emit(args, payload, lines)
-        return 2 if outcome is Outcome.FUEL_EXHAUSTED else 0
+        steps, outcome = _reduce_base(term, _BASE_ONLY[args.system], args.fuel)
+    else:
+        trace, outcome = normalize(term, get_system(args.system), fuel=args.fuel)
+        steps = trace.steps
+    _emit_reduction(args, term, steps, outcome)
+    return 2 if outcome is Outcome.FUEL_EXHAUSTED else 0
 
-    system = get_system(args.system)
-    trace, outcome = normalize(term, system, fuel=args.fuel)
+
+def _reduce_base(term, base: Base, fuel: int):
+    """Plain beta / beta-value reduction, always firing the first redex."""
+    steps = []
+    current = term
+    positions = redexes(current, base)
+    for _ in range(fuel):
+        if not positions:
+            break
+        current = step_at(current, positions[0], base)
+        steps.append((Step(positions[0], StepKind.PLAIN), current))
+        positions = redexes(current, base)
+    return steps, Outcome.FUEL_EXHAUSTED if positions else Outcome.NORMAL_FORM
+
+
+def _emit_reduction(args, term, steps, outcome) -> None:
+    # every term is rendered once; reducts can be large, so rendering
+    # dominates a long trace
+    start = show(term)
+    texts = [show(u) for _, u in steps]
     payload = {
-        "start": show(term),
+        "start": start,
         "system": args.system,
-        "steps": [dict(s.to_json(), term=show(u)) for s, u in trace.steps],
+        "steps": [dict(s.to_json(), term=text) for (s, _), text in zip(steps, texts)],
         "outcome": outcome.value,
     }
-    lines = [show(term)] + [_step_line(s, u) for s, u in trace.steps]
+    lines = [start] + [_step_line(s, text) for (s, _), text in zip(steps, texts)]
     lines.append(f"outcome: {outcome.value}")
     _emit(args, payload, lines)
-    return 2 if outcome is Outcome.FUEL_EXHAUSTED else 0
 
 
 def _read_sequence_file(path: str) -> tuple:
@@ -293,9 +297,9 @@ def cmd_factorize(args) -> int:
     result = factorize(trace, system)
     payload = result.to_json()
     lines = [f"input: {show(term)} ({len(trace.steps)} steps)", "essential prefix:"]
-    lines += [_step_line(s, u) for s, u in result.essential.steps] or ["  (empty)"]
+    lines += [_step_line(s, show(u)) for s, u in result.essential.steps] or ["  (empty)"]
     lines.append("inessential suffix:")
-    lines += [_step_line(s, u) for s, u in result.inessential.steps] or ["  (empty)"]
+    lines += [_step_line(s, show(u)) for s, u in result.inessential.steps] or ["  (empty)"]
     _emit(args, payload, lines)
     return 0
 
@@ -319,8 +323,11 @@ def cmd_level(args) -> int:
 
 def cmd_check(args) -> int:
     if args.property == "subst-index":
+        if args.size < SUBST_INDEX_MIN_SIZE:
+            raise UsageError(f"subst-index needs size at least {SUBST_INDEX_MIN_SIZE}, "
+                             f"got {args.size}")
         report = check_subst_index(Flavor(args.flavor), samples=args.samples,
-                                   seed=args.seed)
+                                   seed=args.seed, max_size=args.size)
     else:
         if not args.system:
             print("error: this property needs --system", file=sys.stderr)

@@ -138,9 +138,11 @@ class EssentialSystem:
         return StepKind.ESSENTIAL if pos in self.positions(t) else StepKind.INESSENTIAL
 
     def make_step(self, t: Term, pos: Position) -> Step:
+        return Step(pos, self.classify(t, pos), self.level_of(pos))
+
+    def level_of(self, pos: Position):
         # leveled systems record the level of every step they take
-        level = position_level(pos) if self.flavor is Flavor.LEVELED else None
-        return Step(pos, self.classify(t, pos), level)
+        return position_level(pos) if self.flavor is Flavor.LEVELED else None
 
     def base_normal(self, t: Term) -> bool:
         return not redexes(t, self.base)
@@ -409,15 +411,19 @@ def normalize(t: Term, sys, fuel: int = 1000) -> tuple[Trace, Outcome]:
     system = get_system(sys)
     steps: list[tuple[Step, Term]] = []
     current = t
+    # only the step taken is contracted: the first essential position in
+    # traversal order, which is the least one
+    positions = system.positions(current)
     for _ in range(fuel):
-        available = system.essential_steps(current)
-        if not available:
+        if not positions:
             break
-        step, nxt = available[0]
-        steps.append((step, nxt))
+        pos = min(positions)
+        nxt = step_at(current, pos, system.base)
+        steps.append((Step(pos, StepKind.ESSENTIAL, system.level_of(pos)), nxt))
         current = nxt
+        positions = system.positions(current)
     trace = Trace(t, steps)
-    if system.essential_steps(current):
+    if positions:
         return trace, Outcome.FUEL_EXHAUSTED
     if system.base_normal(current):
         return trace, Outcome.NORMAL_FORM
@@ -765,6 +771,10 @@ def _uniform_terminal(t: Term, successors, terminal_ok, budget: int, what: str):
 # Substitutivity sweep
 
 
+# sampled terms have between 4 and `max_size` nodes
+SUBST_INDEX_MIN_SIZE = 4
+
+
 def check_subst_index(flavor: Flavor, samples: int = 500, seed: int = 0,
                       max_size: int = 9) -> Report:
     """Randomized check of the substitutivity index law.
@@ -775,11 +785,14 @@ def check_subst_index(flavor: Flavor, samples: int = 500, seed: int = 0,
     """
     if flavor not in (Flavor.CBN, Flavor.CBV):
         raise UnsupportedPropertyError("substitutivity indexes exist for CBN and CBV")
+    if max_size < SUBST_INDEX_MIN_SIZE:
+        raise ValueError(f"max_size must be at least {SUBST_INDEX_MIN_SIZE}, got {max_size}")
     rng = random.Random(seed)
     spec = EnumSpec(max_size=max_size)
     checked = 0
     for _ in range(samples):
-        t = random_term(rng.randrange(2 ** 30), rng.randint(4, max_size), spec)
+        t = random_term(rng.randrange(2 ** 30),
+                        rng.randint(SUBST_INDEX_MIN_SIZE, max_size), spec)
         d1 = _random_derivation(rng, t, flavor)
         s = _random_substituend(rng, flavor, spec, max_size)
         d2 = _random_derivation(rng, s, flavor)

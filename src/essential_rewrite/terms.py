@@ -106,18 +106,21 @@ def size(t: Term) -> int:
 
 def free_names(t: Term) -> frozenset[str]:
     out: set[str] = set()
-    _collect_free(t, out)
+    pending = [t]
+    while pending:
+        u = pending.pop()
+        while True:
+            kind = type(u)
+            if kind is App:
+                pending.append(u.arg)
+                u = u.fun
+            elif kind is Lam:
+                u = u.body
+            else:
+                if kind is Free:
+                    out.add(u.name)
+                break
     return frozenset(out)
-
-
-def _collect_free(t: Term, out: set[str]) -> None:
-    if isinstance(t, Free):
-        out.add(t.name)
-    elif isinstance(t, Lam):
-        _collect_free(t.body, out)
-    elif isinstance(t, App):
-        _collect_free(t.fun, out)
-        _collect_free(t.arg, out)
 
 
 def is_locally_closed(t: Term, depth: int = 0) -> bool:
@@ -420,63 +423,64 @@ def show(t: Term) -> str:
     Binder hints are kept where possible and primed when they would capture a
     free name of the body or shadow an enclosing binder.
     """
-    # one bottom-up pass for the free names of every subterm; shared subterms
-    # (common after duplication) are visited once
-    names: dict[int, frozenset[str]] = {}
-
-    def collect(u: Term) -> frozenset[str]:
-        got = names.get(id(u))
-        if got is not None:
-            return got
-        if isinstance(u, Free):
-            result = frozenset((u.name,))
-        elif isinstance(u, Var):
-            result = frozenset()
-        elif isinstance(u, Lam):
-            result = collect(u.body)
-        else:
-            result = collect(u.fun) | collect(u.arg)
-        names[id(u)] = result
-        return result
-
-    collect(t)
+    # A hint can only capture a free name of the whole term, so the free names
+    # of a body are needed only at a binder whose candidate name is one of
+    # those; closed terms never need them.  Binder names in scope are
+    # distinct (a clash is primed away), so one set tracks them.
+    term_free = free_names(t)
+    env: list[str] = []
+    in_scope: set[str] = set()
     out: list[str] = []
-    _emit(t, [], names, out)
+    append = out.append
+
+    def emit(u: Term) -> None:
+        kind = type(u)
+        if kind is Var:
+            i = u.index
+            # a dangling index appears in internal subterms only
+            append(env[-1 - i] if i < len(env) else f"?{i}")
+        elif kind is Free:
+            append(u.name)
+        elif kind is Lam:
+            name = u.hint or "x"
+            if name in in_scope or name in term_free:
+                name = _fresh(name, in_scope, term_free, u.body)
+            append(f"\\{name}.")
+            env.append(name)
+            in_scope.add(name)
+            emit(u.body)
+            env.pop()
+            in_scope.discard(name)
+        else:
+            fun, arg = u.fun, u.arg
+            if type(fun) is Lam:
+                append("(")
+                emit(fun)
+                append(") ")
+            else:
+                emit(fun)
+                append(" ")
+            kind = type(arg)
+            if kind is Lam or kind is App:
+                append("(")
+                emit(arg)
+                append(")")
+            else:
+                emit(arg)
+
+    emit(t)
     return "".join(out)
 
 
-def _fresh(hint: str, avoid) -> str:
-    name = hint if hint else "x"
-    while name in avoid:
+def _fresh(name: str, in_scope: set[str], term_free: frozenset[str], body: Term) -> str:
+    """First of name, name', name'', ... neither in scope nor free in `body`."""
+    body_free = None
+    while True:
+        if name not in in_scope:
+            if name not in term_free:
+                return name
+            if body_free is None:
+                body_free = free_names(body)
+            if name not in body_free:
+                return name
         name += "'"
-    return name
-
-
-def _emit(t: Term, env: list[str], names, out: list[str]) -> None:
-    if isinstance(t, Var):
-        if t.index < len(env):
-            out.append(env[-1 - t.index])
-        else:
-            out.append(f"?{t.index}")  # dangling index; internal subterms only
-    elif isinstance(t, Free):
-        out.append(t.name)
-    elif isinstance(t, Lam):
-        name = _fresh(t.hint, names[id(t.body)] | set(env))
-        out.append(f"\\{name}.")
-        env.append(name)
-        _emit(t.body, env, names, out)
-        env.pop()
-    else:
-        if isinstance(t.fun, Lam):
-            out.append("(")
-            _emit(t.fun, env, names, out)
-            out.append(")")
-        else:
-            _emit(t.fun, env, names, out)
-        out.append(" ")
-        if isinstance(t.arg, (Lam, App)):
-            out.append("(")
-            _emit(t.arg, env, names, out)
-            out.append(")")
-        else:
-            _emit(t.arg, env, names, out)

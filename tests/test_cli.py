@@ -154,6 +154,11 @@ class TestCheck:
                            "--samples", "25", "--seed", "1")
         assert code == 0 and "PASS" in out
 
+    def test_subst_index_honours_size(self, capsys):
+        code, out, _ = run(capsys, "check", "subst-index", "--size", "5",
+                           "--samples", "5")
+        assert code == 0 and out.startswith("subst-index [cbn] size<=5: PASS (5 checked)")
+
     def test_normalization(self, capsys):
         code, out, _ = run(capsys, "check", "normalization", "--system", "lo",
                            "--size", "5", "--fuel", "100", "--budget", "2000")
@@ -218,6 +223,14 @@ class TestConfig:
         code, _, err = run(capsys, "reduce", "x", "--system", "lo")
         assert code == 1 and err.startswith("error:")
 
+    def test_unknown_config_output_exits_1(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.txt"
+        config.write_text("output = xml\n")
+        monkeypatch.setenv("ESSENTIAL_REWRITE_CONFIG", str(config))
+        code, out, err = run(capsys, "reduce", "x", "--system", "lo")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "output" in err
+
 
 class TestBadOptionValues:
     @pytest.mark.parametrize("argv", [
@@ -227,6 +240,7 @@ class TestBadOptionValues:
         ("check", "normalization", "--system", "lo", "--budget", "0"),
         ("check", "normalization", "--system", "lo", "--depth", "0"),
         ("check", "subst-index", "--samples", "-1"),
+        ("check", "subst-index", "--size", "3", "--samples", "5"),
     ])
     def test_exits_1_with_message(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -37,7 +37,7 @@ from essential_rewrite.engine import (
 )
 from essential_rewrite.parallel import Flavor, all_parallel_steps
 from essential_rewrite.reductions import Step
-from conftest import OMEGA, p
+from conftest import OMEGA, p, terms_up_to
 
 
 HEAD, LO, WCBV, LL = (SystemId.HEAD, SystemId.LO, SystemId.WEAK_CBV,
@@ -279,6 +279,49 @@ class TestNormalize:
         assert not alpha_eq(trace.end, beta_end)
         seq = trace_from_positions(t, [("R", "R"), ()], HEAD)
         assert alpha_eq(seq.end, beta_end)
+
+
+def oracle_normalize(t, system_id, fuel):
+    """The strategy loop `normalize` must reproduce: build every essential
+    step and fire the first."""
+    system = SYSTEMS[system_id]
+    steps, current = [], t
+    for _ in range(fuel):
+        available = system.essential_steps(current)
+        if not available:
+            break
+        steps.append(available[0])
+        current = available[0][1]
+    if system.essential_steps(current):
+        return steps, Outcome.FUEL_EXHAUSTED
+    if system.base_normal(current):
+        return steps, Outcome.NORMAL_FORM
+    return steps, Outcome.ESSENTIAL_NORMAL
+
+
+def _church(k: int) -> str:
+    return r"(\f.\x." + "f (" * k + "x" + ")" * k + ")"
+
+
+class TestNormalizeOracle:
+    @staticmethod
+    def assert_agrees(t, system_id, fuel):
+        trace, outcome = normalize(t, system_id, fuel=fuel)
+        steps, expected = oracle_normalize(t, system_id, fuel)
+        assert outcome is expected
+        assert [(s, u, show(u)) for s, u in trace.steps] == \
+            [(s, u, show(u)) for s, u in steps]
+
+    @pytest.mark.parametrize("system_id", list(SystemId))
+    def test_every_small_term(self, system_id):
+        for t in terms_up_to(7):
+            for fuel in (1, 2, 50):
+                self.assert_agrees(t, system_id, fuel)
+
+    @pytest.mark.parametrize("system_id", list(SystemId))
+    @pytest.mark.parametrize("k", range(5))
+    def test_church_exponentials(self, system_id, k):
+        self.assert_agrees(p(f"{_church(k)} {_church(2)}"), system_id, 1000)
 
 
 class TestCheckProperty:

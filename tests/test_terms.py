@@ -1,6 +1,7 @@
 """Term syntax: parsing, printing, substitution and the structural predicates."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from essential_rewrite.terms import (
     App,
@@ -89,6 +90,112 @@ class TestShow:
             for pos in beta_redexes(t):
                 u = step_at(t, pos)
                 assert parse(show(u)) == u
+
+
+def oracle_show(t) -> str:
+    """The rendering `show` must reproduce: free names of every subterm are
+    collected up front, and each binder avoids the free names of its body
+    and every enclosing binder name."""
+    names: dict[int, frozenset[str]] = {}
+
+    def collect(u) -> frozenset[str]:
+        got = names.get(id(u))
+        if got is not None:
+            return got
+        if isinstance(u, Free):
+            result = frozenset((u.name,))
+        elif isinstance(u, Var):
+            result = frozenset()
+        elif isinstance(u, Lam):
+            result = collect(u.body)
+        else:
+            result = collect(u.fun) | collect(u.arg)
+        names[id(u)] = result
+        return result
+
+    collect(t)
+    out: list[str] = []
+    _oracle_emit(t, [], names, out)
+    return "".join(out)
+
+
+def _oracle_fresh(hint: str, avoid) -> str:
+    name = hint if hint else "x"
+    while name in avoid:
+        name += "'"
+    return name
+
+
+def _oracle_emit(t, env: list[str], names, out: list[str]) -> None:
+    if isinstance(t, Var):
+        if t.index < len(env):
+            out.append(env[-1 - t.index])
+        else:
+            out.append(f"?{t.index}")
+    elif isinstance(t, Free):
+        out.append(t.name)
+    elif isinstance(t, Lam):
+        name = _oracle_fresh(t.hint, names[id(t.body)] | set(env))
+        out.append(f"\\{name}.")
+        env.append(name)
+        _oracle_emit(t.body, env, names, out)
+        env.pop()
+    else:
+        if isinstance(t.fun, Lam):
+            out.append("(")
+            _oracle_emit(t.fun, env, names, out)
+            out.append(")")
+        else:
+            _oracle_emit(t.fun, env, names, out)
+        out.append(" ")
+        if isinstance(t.arg, (Lam, App)):
+            out.append("(")
+            _oracle_emit(t.arg, env, names, out)
+            out.append(")")
+        else:
+            _oracle_emit(t.arg, env, names, out)
+
+
+# binder hints that collide with a free name of the body, with a free name
+# elsewhere in the term only, or with an enclosing binder; dangling indices
+HINT_COLLISIONS = [
+    Lam(App(Var(0), Free("x")), "x"),
+    Lam(App(Var(0), Free("x'")), "x"),
+    Lam(Lam(App(Var(0), Free("x")), "x"), "x"),
+    App(Free("x"), Lam(Var(0), "x")),
+    App(App(Free("x"), Lam(Lam(Var(1), "x"), "y")), Free("y")),
+    Lam(Lam(Lam(App(Var(2), Var(0)), "x"), "x"), "x"),
+    Lam(Lam(App(App(Var(1), Var(0)), Free("x'")), "x"), "x"),
+    App(Lam(Lam(App(Var(1), Free("y")), "y"), "x"), Lam(Var(0), "y")),
+    Lam(Var(0), ""),
+    Lam(Lam(App(Var(0), Free("x")), ""), ""),
+    Lam(Var(3), "x"),
+    App(Var(0), Lam(App(Var(1), Var(0)), "y")),
+    Lam(App(Var(1), Lam(Var(2), "x")), "x"),
+]
+
+_hints = st.sampled_from(["x", "y", "z", ""])
+_leaves = st.one_of(st.builds(Var, st.integers(0, 3)),
+                    st.builds(Free, st.sampled_from(["x", "y", "z", "x'"])))
+_hinted_terms = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(st.builds(Lam, sub, _hints), st.builds(App, sub, sub)),
+    max_leaves=12)
+
+
+class TestShowOracle:
+    def test_every_small_term(self):
+        for t in terms_up_to(7):
+            assert show(t) == oracle_show(t)
+
+    @pytest.mark.parametrize("t", HINT_COLLISIONS, ids=oracle_show)
+    def test_hint_collisions(self, t):
+        assert show(t) == oracle_show(t)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_hinted_terms)
+    def test_random_hints(self, t):
+        assert show(t) == oracle_show(t)
 
 
 class TestSubstitute:
