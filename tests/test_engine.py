@@ -406,3 +406,7 @@ class TestCheckSubstIndex:
     def test_no_samples_is_inconclusive(self):
         report = check_subst_index(Flavor.CBN, samples=0)
         assert (report.result, report.checked_count) == ("INCONCLUSIVE", 0)
+
+    def test_size_below_sampled_sizes_rejected(self):
+        with pytest.raises(ValueError, match="at least 4"):
+            check_subst_index(Flavor.CBN, samples=0, max_size=3)
