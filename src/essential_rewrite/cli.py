@@ -35,14 +35,15 @@ from .engine import (
 )
 from .parallel import Flavor
 from .reductions import (
+    BASE_WALKS,
     Base,
     Step,
     StepKind,
     SystemId,
     least_level,
     level_indexed_steps,
-    redexes,
-    step_at,
+    redexes,  # unused here; bench/tracing.py binds it
+    step_at,  # unused here; bench/tracing.py binds it
 )
 from .terms import InvalidPositionError, ParseError, Position, parse, parse_position, show
 
@@ -227,17 +228,11 @@ def cmd_reduce(args) -> int:
 
 
 def _reduce_base(term, base: Base, fuel: int):
-    """Plain beta / beta-value reduction, always firing the first redex."""
-    steps = []
-    current = term
-    positions = redexes(current, base)
-    for _ in range(fuel):
-        if not positions:
-            break
-        current = step_at(current, positions[0], base)
-        steps.append((Step(positions[0], StepKind.PLAIN), current))
-        positions = redexes(current, base)
-    return steps, Outcome.FUEL_EXHAUSTED if positions else Outcome.NORMAL_FORM
+    """Plain beta / beta-value reduction, always firing the first redex in
+    preorder."""
+    fired, exhausted = BASE_WALKS[base].run(term, fuel)
+    steps = [(Step(pos, StepKind.PLAIN), u) for pos, u in fired]
+    return steps, Outcome.FUEL_EXHAUSTED if exhausted else Outcome.NORMAL_FORM
 
 
 def _emit_reduction(args, term, steps, outcome) -> None:
@@ -248,12 +243,16 @@ def _emit_reduction(args, term, steps, outcome) -> None:
     payload = {
         "start": start,
         "system": args.system,
-        "steps": [dict(s.to_json(), term=text) for (s, _), text in zip(steps, texts)],
+        "steps": _steps_json(steps, texts),
         "outcome": outcome.value,
     }
     lines = [start] + [_step_line(s, text) for (s, _), text in zip(steps, texts)]
     lines.append(f"outcome: {outcome.value}")
     _emit(args, payload, lines)
+
+
+def _steps_json(steps, texts) -> list[dict]:
+    return [dict(s.to_json(), term=text) for (s, _), text in zip(steps, texts)]
 
 
 def _read_sequence_file(path: str) -> tuple:
@@ -295,11 +294,22 @@ def cmd_factorize(args) -> int:
             raise InvalidTraceError(f"line {line_numbers[exc.index]}: {exc}") from exc
         raise
     result = factorize(trace, system)
-    payload = result.to_json()
-    lines = [f"input: {show(term)} ({len(trace.steps)} steps)", "essential prefix:"]
-    lines += [_step_line(s, show(u)) for s, u in result.essential.steps] or ["  (empty)"]
+    # every term is rendered once; the suffix starts where the prefix ends
+    start = show(term)
+    essential = [show(u) for _, u in result.essential.steps]
+    inessential = [show(u) for _, u in result.inessential.steps]
+    payload = {
+        "essential": {"start": start,
+                      "steps": _steps_json(result.essential.steps, essential)},
+        "inessential": {"start": essential[-1] if essential else start,
+                        "steps": _steps_json(result.inessential.steps, inessential)},
+    }
+    lines = [f"input: {start} ({len(trace.steps)} steps)", "essential prefix:"]
+    lines += [_step_line(s, text) for (s, _), text
+              in zip(result.essential.steps, essential)] or ["  (empty)"]
     lines.append("inessential suffix:")
-    lines += [_step_line(s, show(u)) for s, u in result.inessential.steps] or ["  (empty)"]
+    lines += [_step_line(s, text) for (s, _), text
+              in zip(result.inessential.steps, inessential)] or ["  (empty)"]
     _emit(args, payload, lines)
     return 0
 
@@ -308,15 +318,17 @@ def cmd_level(args) -> int:
     term = parse(args.term)
     level = least_level(term)
     steps = level_indexed_steps(term)
+    text = show(term)
+    texts = [show(u) for _, u in steps]
     payload = {
-        "term": show(term),
+        "term": text,
         "least_level": level.to_json(),
-        "steps": [dict(s.to_json(), term=show(u)) for s, u in steps],
+        "steps": _steps_json(steps, texts),
     }
-    lines = [f"least level of {show(term)}: {level}"]
-    for s, u in steps:
+    lines = [f"least level of {text}: {level}"]
+    for (s, _), reduct in zip(steps, texts):
         pos = ".".join(s.position) or "root"
-        lines.append(f"  level {s.level} @ {pos} [{s.kind.value}] -> {show(u)}")
+        lines.append(f"  level {s.level} @ {pos} [{s.kind.value}] -> {reduct}")
     _emit(args, payload, lines)
     return 0
 

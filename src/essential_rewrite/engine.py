@@ -41,10 +41,16 @@ from .parallel import (
     subst_parallel,
 )
 from .reductions import (
+    BASE_WALKS,
+    BETA_WALK,
     Base,
+    HEAD_WALK,
+    LEAST_LEVEL_WALK,
     Step,
     StepKind,
     SystemId,
+    WEAK_WALK,
+    Walk,
     _head_positions,
     _ll_positions,
     _lo_positions,
@@ -115,6 +121,8 @@ class EssentialSystem:
     `positions(t)` lists t's essential redexes in traversal order; everything
     essential is derived from it.  `neg_positions(t)`, the inessential
     redexes, is defined separately so that the decomposition check has teeth.
+    `walk` is the strategy's fast path: the redex it finds first is
+    `min(positions(t))`, and `normalize` steps with it.
     """
 
     id: SystemId
@@ -122,6 +130,7 @@ class EssentialSystem:
     flavor: Flavor
     positions: Callable[[Term], list[Position]]
     neg_positions: Callable[[Term], Iterable[Position]]
+    walk: Walk
 
     def base_steps(self, t: Term) -> list[tuple[Step, Term]]:
         return [(self.make_step(t, p), step_at(t, p, self.base)) for p in redexes(t, self.base)]
@@ -145,18 +154,19 @@ class EssentialSystem:
         return position_level(pos) if self.flavor is Flavor.LEVELED else None
 
     def base_normal(self, t: Term) -> bool:
-        return not redexes(t, self.base)
+        return BASE_WALKS[self.base].find(t, []) is None
 
 
 SYSTEMS: dict[SystemId, EssentialSystem] = {
     SystemId.HEAD: EssentialSystem(SystemId.HEAD, Base.BETA, Flavor.CBN,
-                                   _head_positions, _neg_head_positions),
+                                   _head_positions, _neg_head_positions, HEAD_WALK),
     SystemId.WEAK_CBV: EssentialSystem(SystemId.WEAK_CBV, Base.BETAV, Flavor.CBV,
-                                       _weak_positions, _neg_weak_positions),
+                                       _weak_positions, _neg_weak_positions, WEAK_WALK),
     SystemId.LO: EssentialSystem(SystemId.LO, Base.BETA, Flavor.CBN,
-                                 _lo_positions, _neg_lo_positions),
+                                 _lo_positions, _neg_lo_positions, BETA_WALK),
     SystemId.LEAST_LEVEL: EssentialSystem(SystemId.LEAST_LEVEL, Base.BETA, Flavor.LEVELED,
-                                          _ll_positions, _neg_ll_positions),
+                                          _ll_positions, _neg_ll_positions,
+                                          LEAST_LEVEL_WALK),
 }
 
 
@@ -409,23 +419,13 @@ def normalize(t: Term, sys, fuel: int = 1000) -> tuple[Trace, Outcome]:
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     system = get_system(sys)
-    steps: list[tuple[Step, Term]] = []
-    current = t
-    # only the step taken is contracted: the first essential position in
-    # traversal order, which is the least one
-    positions = system.positions(current)
-    for _ in range(fuel):
-        if not positions:
-            break
-        pos = min(positions)
-        nxt = step_at(current, pos, system.base)
-        steps.append((Step(pos, StepKind.ESSENTIAL, system.level_of(pos)), nxt))
-        current = nxt
-        positions = system.positions(current)
-    trace = Trace(t, steps)
-    if positions:
+    # each step fires the least essential position, found by the system's walk
+    fired, exhausted = system.walk.run(t, fuel)
+    trace = Trace(t, [(Step(pos, StepKind.ESSENTIAL, system.level_of(pos)), u)
+                      for pos, u in fired])
+    if exhausted:
         return trace, Outcome.FUEL_EXHAUSTED
-    if system.base_normal(current):
+    if system.base_normal(trace.end):
         return trace, Outcome.NORMAL_FORM
     return trace, Outcome.ESSENTIAL_NORMAL
 

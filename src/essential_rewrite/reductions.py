@@ -3,6 +3,7 @@
 Plain beta and beta-value contraction with redex enumeration, the four
 essential strategies (head, weak call-by-value, leftmost-outermost,
 least-level) and their inessential complements, and level arithmetic.
+A `Walk` finds and fires a strategy's steps one at a time on a zipper.
 
 Every enumerator returns steps sorted by position, which coincides with
 leftmost-outermost traversal order, so step lists and traces are reproducible.
@@ -10,6 +11,7 @@ leftmost-outermost traversal order, so step lists and traces are reproducible.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -160,6 +162,151 @@ def step_at(t: Term, pos: Position, base: Base = Base.BETA) -> Term:
     if base is Base.BETAV and not is_value(sub.arg):
         raise InvalidPositionError(f"argument at {'.'.join(pos) or 'root'} is not a value")
     return replace_at(t, pos, instantiate(sub.fun.body, sub.arg))
+
+
+# ---------------------------------------------------------------------------
+# One-pass strategy steps on a zipper
+#
+# A zipper (Huet, "The Zipper", JFP 1997) is a subterm plus its path from
+# the root, a list of (parent, tag) pairs: the subterm is parent.fun,
+# parent.arg or parent.body for tag LEFT, RIGHT or BODY.  A step contracts
+# the redex the path leads to and rebuilds only its ancestors, and none of
+# these loops recurses on the depth of the term.
+
+Path = list[tuple[Term, str]]
+
+
+@dataclass(frozen=True)
+class Walk:
+    """Which redex a strategy fires next, found by one preorder walk.
+
+    The redex found is the least position the strategy would list:
+    `value_arg` admits only beta-value redexes, `binders=False` never enters
+    an abstraction (weak reduction), `args=False` stays on the function
+    spine (head reduction), and `leveled` takes the first redex crossing the
+    fewest argument sides (least-level reduction).
+    """
+
+    value_arg: bool = False
+    binders: bool = True
+    args: bool = True
+    leveled: bool = False
+
+    def admits(self, t: Term) -> bool:
+        """Is `t` itself a redex this walk fires?"""
+        return (type(t) is App and type(t.fun) is Lam
+                and not (self.value_arg and type(t.arg) is App))
+
+    def find(self, node: Term, path: Path, level: int = 0,
+             least: int = 0) -> Optional[tuple[App, Path, int]]:
+        """The first admitted redex in `node`'s subtree or, failing that, in
+        the right siblings along `path`, with its path and level; None if
+        there is none.  `level` is the level of `node`, the number of RIGHT
+        tags on its path.  A leveled walk returns the first redex of least
+        level there; told that none lies below level `least`, it stops at
+        the first one at that level.  Consumes `path`."""
+        value_arg, binders, args, leveled = self.value_arg, self.binders, self.args, self.leveled
+        # a leveled walk prunes every subtree at or above the least level
+        # found so far
+        bound = sys.maxsize
+        best = None
+        while True:
+            if level < bound:
+                kind = type(node)
+                if kind is App:
+                    fun = node.fun
+                    if type(fun) is Lam and not (value_arg and type(node.arg) is App):
+                        if not leveled or level == least:
+                            return node, path, level
+                        best, bound = (node, path.copy(), level), level
+                    else:
+                        path.append((node, LEFT))
+                        node = fun
+                        continue
+                elif kind is Lam and binders:
+                    path.append((node, BODY))
+                    node = node.body
+                    continue
+            # climb to the nearest right sibling still to visit
+            while True:
+                if not path:
+                    return best
+                parent, tag = path.pop()
+                if tag is RIGHT:
+                    level -= 1
+                elif tag is LEFT and args and level + 1 < bound:
+                    path.append((parent, RIGHT))
+                    node = parent.arg
+                    level += 1
+                    break
+
+    def first(self, t: Term) -> Optional[Position]:
+        """Position of the redex this walk fires first in `t`, if any."""
+        found = self.find(t, [])
+        return None if found is None else _position(found[1])
+
+    def run(self, t: Term, fuel: int) -> tuple[list[tuple[Position, Term]], bool]:
+        """Fire up to `fuel` steps from `t`.  Returns each step's position
+        and reduct, and whether a redex is left when the fuel runs out."""
+        fired: list[tuple[Position, Term]] = []
+        found = self.find(t, [])
+        for _ in range(fuel):
+            if found is None:
+                break
+            redex, path, level = found
+            pos = _position(path)
+            root, reduct = _contract(redex, path)
+            fired.append((pos, root))
+            found = self._resume(root, reduct, path, level)
+        return fired, found is not None
+
+    def _resume(self, root: Term, reduct: Term, path: Path,
+                level: int) -> Optional[tuple[App, Path, int]]:
+        """The next redex after a step that left `reduct` at `level` along
+        `path` in the new term `root`."""
+        # Every node before the reduct in preorder is unchanged and no redex
+        # (for a leveled walk: none at the fired level or below), and an
+        # ancestor's redex status depends on its children's types only: of
+        # the ancestors, only the reduct's parent can have changed.
+        if path and self.admits(path[-1][0]):
+            parent, tag = path.pop()
+            return parent, path, level - (tag is RIGHT)
+        found = self.find(reduct, path, level, least=level)
+        if self.leveled and (found is None or found[2] > level):
+            # the least level grew, and its first redex may lie before the reduct
+            return self.find(root, [])
+        return found
+
+
+BETA_WALK = Walk()  # leftmost-outermost: the first beta-redex in preorder
+BETAV_WALK = Walk(value_arg=True)
+HEAD_WALK = Walk(args=False)
+WEAK_WALK = Walk(value_arg=True, binders=False)
+LEAST_LEVEL_WALK = Walk(leveled=True)
+
+BASE_WALKS = {Base.BETA: BETA_WALK, Base.BETAV: BETAV_WALK}
+
+
+def _position(path: Path) -> Position:
+    return tuple([tag for _, tag in path])
+
+
+def _contract(redex: App, path: Path) -> tuple[Term, Term]:
+    """Contract `redex` and rebuild its ancestors bottom-up, updating `path`
+    in place to lead from the new root to the reduct.  Returns the new root
+    and the reduct."""
+    reduct = instantiate(redex.fun.body, redex.arg)
+    node = reduct
+    for i in range(len(path) - 1, -1, -1):
+        parent, tag = path[i]
+        if tag is LEFT:
+            node = App(node, parent.arg)
+        elif tag is RIGHT:
+            node = App(parent.fun, node)
+        else:
+            node = Lam(node, parent.hint)
+        path[i] = (node, tag)
+    return node, reduct
 
 
 def _sorted_steps(t: Term, positions, base: Base, kind: StepKind,
@@ -313,7 +460,7 @@ def least_level(t: Term) -> Level:
 
 def position_level(pos: Position) -> Level:
     """Level of a redex: how many argument sides its position crosses."""
-    return Level(sum(1 for tag in pos if tag == RIGHT))
+    return Level(pos.count(RIGHT))
 
 
 def level_indexed_steps(t: Term) -> list[tuple[Step, Term]]:

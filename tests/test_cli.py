@@ -4,13 +4,29 @@ import json
 
 import pytest
 
+from essential_rewrite import cli, engine
 from essential_rewrite.cli import main
+from essential_rewrite.terms import show
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def show_calls(monkeypatch):
+    """Counts the calls to `show` by the CLI and by the traces it prints."""
+    calls = []
+
+    def counting_show(t):
+        calls.append(t)
+        return show(t)
+
+    monkeypatch.setattr(cli, "show", counting_show)
+    monkeypatch.setattr(engine, "show", counting_show)
+    return calls
 
 
 class TestReduce:
@@ -106,6 +122,14 @@ class TestFactorize:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_renders_each_term_once(self, capsys, tmp_path, show_calls, output):
+        path = self.write(tmp_path, [r"(\z.z) (x ((\z.z) (\z.z)))", "pos R.R", "pos"])
+        code, _, _ = run(capsys, "factorize", path, "--system", "head", "--output", output)
+        assert code == 0
+        # the start term and the two reducts
+        assert len(show_calls) == 3
+
 
 class TestLevel:
     def test_infinite_for_variable(self, capsys):
@@ -131,6 +155,14 @@ class TestLevel:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "level", "\\x")
         assert code == 1 and "parse error" in err
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_renders_each_term_once(self, capsys, show_calls, output):
+        code, _, _ = run(capsys, "level", r"x (x ((\w.w) (\w.w))) ((\w.w) (\w.w))",
+                         "--output", output)
+        assert code == 0
+        # the term and the reducts of its two redexes
+        assert len(show_calls) == 3
 
 
 class TestCheck:

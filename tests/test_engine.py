@@ -1,13 +1,21 @@
 """Split, merge, factorization, normalization and the report harness."""
 
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from essential_rewrite import (
+    App,
+    Base,
+    EnumSpec,
+    Free,
+    Lam,
     Outcome,
     StepKind,
     SystemId,
+    Var,
     alpha_eq,
     beta_redexes,
     check_normalization,
@@ -20,6 +28,7 @@ from essential_rewrite import (
     is_parallel_inessential,
     merge,
     normalize,
+    random_term,
     selection_of,
     sequential_index,
     show,
@@ -36,7 +45,7 @@ from essential_rewrite.engine import (
     _residual,
 )
 from essential_rewrite.parallel import Flavor, all_parallel_steps
-from essential_rewrite.reductions import Step
+from essential_rewrite.reductions import BASE_WALKS, Step, redexes
 from conftest import OMEGA, p, terms_up_to
 
 
@@ -322,6 +331,90 @@ class TestNormalizeOracle:
     @pytest.mark.parametrize("k", range(5))
     def test_church_exponentials(self, system_id, k):
         self.assert_agrees(p(f"{_church(k)} {_church(2)}"), system_id, 1000)
+
+
+class TestWalk:
+    """A walk is the fast path of its row's positions: it must find their
+    least one, and resuming after a step must reproduce the full loop."""
+
+    @pytest.fixture(scope="class")
+    def terms8(self):
+        return terms_up_to(8)
+
+    @pytest.mark.parametrize("system_id", list(SystemId))
+    def test_first_is_least_essential_position(self, terms8, system_id):
+        system = SYSTEMS[system_id]
+        for t in terms8:
+            positions = system.positions(t)
+            assert system.walk.first(t) == (min(positions) if positions else None), show(t)
+
+    @pytest.mark.parametrize("base", list(Base))
+    def test_base_walk_finds_first_redex(self, terms8, base):
+        for t in terms8:
+            found = redexes(t, base)
+            assert BASE_WALKS[base].first(t) == (found[0] if found else None), show(t)
+
+    @pytest.mark.parametrize("text, second", [
+        (r"y (z ((\a.a) c)) ((\b.b) d)", "L.R.R"),
+        (r"y (z (w ((\a.a) c))) (v ((\b.b) d))", "L.R.R.R"),
+    ])
+    def test_least_level_grows_past_an_earlier_redex(self, text, second):
+        # the only redex of least level fires, and the first redex of the
+        # next least level lies before its reduct in preorder
+        trace, _ = normalize(p(text), LL)
+        assert [".".join(s.position) for s, _ in trace.steps][1:] == [second]
+        TestNormalizeOracle.assert_agrees(p(text), LL, 10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 30), size=st.integers(1, 30),
+           fuel=st.integers(1, 30), system_id=st.sampled_from(list(SystemId)))
+    def test_random_runs_match_oracle(self, seed, size, fuel, system_id):
+        t = random_term(seed, size, EnumSpec(max_size=size))
+        TestNormalizeOracle.assert_agrees(t, system_id, fuel)
+
+
+# (\y.y) z, at the bottom of a tower of binders or of a right spine x (x (...))
+DEEP = 20_000
+
+
+def _deep_under_binders():
+    t = App(Lam(Var(0), "y"), Free("z"))
+    for _ in range(DEEP):
+        t = Lam(t, "w")
+    return t
+
+
+def _deep_right_spine():
+    t = App(Lam(Var(0), "y"), Free("z"))
+    for _ in range(DEEP):
+        t = App(Free("x"), t)
+    return t
+
+
+class TestDeepTerms:
+    """Search and rebuild never recurse on the depth of the term."""
+
+    @pytest.mark.parametrize("build, system_id, steps, outcome", [
+        (_deep_under_binders, HEAD, 1, Outcome.NORMAL_FORM),
+        (_deep_under_binders, WCBV, 0, Outcome.ESSENTIAL_NORMAL),
+        (_deep_under_binders, LO, 1, Outcome.NORMAL_FORM),
+        (_deep_under_binders, LL, 1, Outcome.NORMAL_FORM),
+        (_deep_right_spine, HEAD, 0, Outcome.ESSENTIAL_NORMAL),
+        (_deep_right_spine, WCBV, 1, Outcome.NORMAL_FORM),
+        (_deep_right_spine, LO, 1, Outcome.NORMAL_FORM),
+        (_deep_right_spine, LL, 1, Outcome.NORMAL_FORM),
+    ])
+    def test_normalize_at_default_recursion_limit(self, build, system_id, steps, outcome):
+        t = build()
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            trace, got = normalize(t, system_id, fuel=10)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert len(trace.steps) == steps and got is outcome
+        if steps:
+            assert len(trace.steps[0][0].position) == DEEP
 
 
 class TestCheckProperty:
