@@ -31,21 +31,30 @@ from .engine import (
     factorize,
     get_system,
     normalize,
+    steps_to_json,
     trace_from_positions,
 )
 from .parallel import Flavor
 from .reductions import (
-    BASE_WALKS,
     Base,
     Step,
     StepKind,
     SystemId,
+    Walk,
     least_level,
     level_indexed_steps,
     redexes,  # unused here; bench/tracing.py binds it
     step_at,  # unused here; bench/tracing.py binds it
 )
-from .terms import InvalidPositionError, ParseError, Position, parse, parse_position, show
+from .terms import (
+    InvalidPositionError,
+    ParseError,
+    Position,
+    Term,
+    parse,
+    parse_position,
+    show,
+)
 
 CONFIG_ENV = "ESSENTIAL_REWRITE_CONFIG"
 
@@ -230,29 +239,38 @@ def cmd_reduce(args) -> int:
 def _reduce_base(term, base: Base, fuel: int):
     """Plain beta / beta-value reduction, always firing the first redex in
     preorder."""
-    fired, exhausted = BASE_WALKS[base].run(term, fuel)
+    fired, exhausted = Walk(base).run(term, fuel)
     steps = [(Step(pos, StepKind.PLAIN), u) for pos, u in fired]
     return steps, Outcome.FUEL_EXHAUSTED if exhausted else Outcome.NORMAL_FORM
 
 
+def _renderer():
+    """`show` that renders each term once.  A command's JSON payload and its
+    text lines share the strings; reducts can be large, so rendering
+    dominates a long trace."""
+    # keyed by identity; each entry keeps its term alive, so ids stay unique
+    texts: dict[int, tuple[Term, str]] = {}
+
+    def render(t: Term) -> str:
+        entry = texts.get(id(t))
+        if entry is None:
+            entry = texts[id(t)] = (t, show(t))
+        return entry[1]
+
+    return render
+
+
 def _emit_reduction(args, term, steps, outcome) -> None:
-    # every term is rendered once; reducts can be large, so rendering
-    # dominates a long trace
-    start = show(term)
-    texts = [show(u) for _, u in steps]
+    render = _renderer()
     payload = {
-        "start": start,
+        "start": render(term),
         "system": args.system,
-        "steps": _steps_json(steps, texts),
+        "steps": steps_to_json(steps, render),
         "outcome": outcome.value,
     }
-    lines = [start] + [_step_line(s, text) for (s, _), text in zip(steps, texts)]
+    lines = [render(term)] + [_step_line(s, render(u)) for s, u in steps]
     lines.append(f"outcome: {outcome.value}")
     _emit(args, payload, lines)
-
-
-def _steps_json(steps, texts) -> list[dict]:
-    return [dict(s.to_json(), term=text) for (s, _), text in zip(steps, texts)]
 
 
 def _read_sequence_file(path: str) -> tuple:
@@ -294,22 +312,12 @@ def cmd_factorize(args) -> int:
             raise InvalidTraceError(f"line {line_numbers[exc.index]}: {exc}") from exc
         raise
     result = factorize(trace, system)
-    # every term is rendered once; the suffix starts where the prefix ends
-    start = show(term)
-    essential = [show(u) for _, u in result.essential.steps]
-    inessential = [show(u) for _, u in result.inessential.steps]
-    payload = {
-        "essential": {"start": start,
-                      "steps": _steps_json(result.essential.steps, essential)},
-        "inessential": {"start": essential[-1] if essential else start,
-                        "steps": _steps_json(result.inessential.steps, inessential)},
-    }
-    lines = [f"input: {start} ({len(trace.steps)} steps)", "essential prefix:"]
-    lines += [_step_line(s, text) for (s, _), text
-              in zip(result.essential.steps, essential)] or ["  (empty)"]
+    render = _renderer()
+    payload = result.to_json(render)
+    lines = [f"input: {render(term)} ({len(trace.steps)} steps)", "essential prefix:"]
+    lines += [_step_line(s, render(u)) for s, u in result.essential.steps] or ["  (empty)"]
     lines.append("inessential suffix:")
-    lines += [_step_line(s, text) for (s, _), text
-              in zip(result.inessential.steps, inessential)] or ["  (empty)"]
+    lines += [_step_line(s, render(u)) for s, u in result.inessential.steps] or ["  (empty)"]
     _emit(args, payload, lines)
     return 0
 
@@ -318,17 +326,16 @@ def cmd_level(args) -> int:
     term = parse(args.term)
     level = least_level(term)
     steps = level_indexed_steps(term)
-    text = show(term)
-    texts = [show(u) for _, u in steps]
+    render = _renderer()
     payload = {
-        "term": text,
+        "term": render(term),
         "least_level": level.to_json(),
-        "steps": _steps_json(steps, texts),
+        "steps": steps_to_json(steps, render),
     }
-    lines = [f"least level of {text}: {level}"]
-    for (s, _), reduct in zip(steps, texts):
+    lines = [f"least level of {render(term)}: {level}"]
+    for s, u in steps:
         pos = ".".join(s.position) or "root"
-        lines.append(f"  level {s.level} @ {pos} [{s.kind.value}] -> {reduct}")
+        lines.append(f"  level {s.level} @ {pos} [{s.kind.value}] -> {render(u)}")
     _emit(args, payload, lines)
     return 0
 

@@ -22,6 +22,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .enumeration import EnumSpec, enumerate_terms, random_term
@@ -41,15 +42,10 @@ from .parallel import (
     subst_parallel,
 )
 from .reductions import (
-    BASE_WALKS,
-    BETA_WALK,
     Base,
-    HEAD_WALK,
-    LEAST_LEVEL_WALK,
     Step,
     StepKind,
     SystemId,
-    WEAK_WALK,
     Walk,
     _head_positions,
     _ll_positions,
@@ -121,8 +117,9 @@ class EssentialSystem:
     `positions(t)` lists t's essential redexes in traversal order; everything
     essential is derived from it.  `neg_positions(t)`, the inessential
     redexes, is defined separately so that the decomposition check has teeth.
-    `walk` is the strategy's fast path: the redex it finds first is
-    `min(positions(t))`, and `normalize` steps with it.
+    `spine_only` marks a strategy that only contracts on the function spine
+    (head reduction); it is what tells head from leftmost-outermost to
+    `walk`.
     """
 
     id: SystemId
@@ -130,7 +127,19 @@ class EssentialSystem:
     flavor: Flavor
     positions: Callable[[Term], list[Position]]
     neg_positions: Callable[[Term], Iterable[Position]]
-    walk: Walk
+    spine_only: bool = False
+
+    @cached_property
+    def walk(self) -> Walk:
+        """The strategy's fast path, derived from the row: the redex it finds
+        first is `min(positions(t))`, and `normalize` steps with it."""
+        return Walk(self.base, weak=self.flavor is Flavor.CBV, spine_only=self.spine_only,
+                    leveled=self.flavor is Flavor.LEVELED)
+
+    @cached_property
+    def base_walk(self) -> Walk:
+        """Plain `base` reduction: fires the first redex in preorder."""
+        return Walk(self.base)
 
     def base_steps(self, t: Term) -> list[tuple[Step, Term]]:
         return [(self.make_step(t, p), step_at(t, p, self.base)) for p in redexes(t, self.base)]
@@ -154,19 +163,18 @@ class EssentialSystem:
         return position_level(pos) if self.flavor is Flavor.LEVELED else None
 
     def base_normal(self, t: Term) -> bool:
-        return BASE_WALKS[self.base].find(t, []) is None
+        return self.base_walk.find(t, []) is None
 
 
 SYSTEMS: dict[SystemId, EssentialSystem] = {
     SystemId.HEAD: EssentialSystem(SystemId.HEAD, Base.BETA, Flavor.CBN,
-                                   _head_positions, _neg_head_positions, HEAD_WALK),
+                                   _head_positions, _neg_head_positions, spine_only=True),
     SystemId.WEAK_CBV: EssentialSystem(SystemId.WEAK_CBV, Base.BETAV, Flavor.CBV,
-                                       _weak_positions, _neg_weak_positions, WEAK_WALK),
+                                       _weak_positions, _neg_weak_positions),
     SystemId.LO: EssentialSystem(SystemId.LO, Base.BETA, Flavor.CBN,
-                                 _lo_positions, _neg_lo_positions, BETA_WALK),
+                                 _lo_positions, _neg_lo_positions),
     SystemId.LEAST_LEVEL: EssentialSystem(SystemId.LEAST_LEVEL, Base.BETA, Flavor.LEVELED,
-                                          _ll_positions, _neg_ll_positions,
-                                          LEAST_LEVEL_WALK),
+                                          _ll_positions, _neg_ll_positions),
 }
 
 
@@ -198,11 +206,8 @@ class Trace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def to_json(self):
-        return {
-            "start": show(self.start),
-            "steps": [dict(step.to_json(), term=show(term)) for step, term in self.steps],
-        }
+    def to_json(self, render: Callable[[Term], str] = show) -> dict:
+        return {"start": render(self.start), "steps": steps_to_json(self.steps, render)}
 
 
 @dataclass
@@ -222,8 +227,14 @@ class Factorization:
             if step.kind is not StepKind.INESSENTIAL:
                 raise InvalidTraceError("suffix contains a non-inessential step")
 
-    def to_json(self):
-        return {"essential": self.essential.to_json(), "inessential": self.inessential.to_json()}
+    def to_json(self, render: Callable[[Term], str] = show) -> dict:
+        return {"essential": self.essential.to_json(render),
+                "inessential": self.inessential.to_json(render)}
+
+
+def steps_to_json(steps: list[tuple[Step, Term]], render: Callable[[Term], str]) -> list[dict]:
+    """Each step's JSON with its reduct rendered by `render`."""
+    return [dict(step.to_json(), term=render(term)) for step, term in steps]
 
 
 # ---------------------------------------------------------------------------

@@ -176,26 +176,31 @@ def step_at(t: Term, pos: Position, base: Base = Base.BETA) -> Term:
 Path = list[tuple[Term, str]]
 
 
+def admits(t: Term, base: Base) -> bool:
+    """Is `t` a redex of `base`: a beta-redex, whose argument is a value for
+    beta-value reduction?"""
+    return type(t) is App and type(t.fun) is Lam and (base is Base.BETA or is_value(t.arg))
+
+
 @dataclass(frozen=True)
 class Walk:
     """Which redex a strategy fires next, found by one preorder walk.
 
-    The redex found is the least position the strategy would list:
-    `value_arg` admits only beta-value redexes, `binders=False` never enters
-    an abstraction (weak reduction), `args=False` stays on the function
-    spine (head reduction), and `leveled` takes the first redex crossing the
-    fewest argument sides (least-level reduction).
+    The redex found is the least position the strategy would list: a walk
+    over `base` BETAV admits only beta-value redexes, a `weak` walk never
+    enters an abstraction (weak call-by-value), a `spine_only` walk stays on
+    the function spine (head reduction), and a `leveled` walk takes the
+    first redex crossing the fewest argument sides (least-level reduction).
+    With no flag set it fires the first redex in preorder: leftmost-outermost
+    reduction for BETA, plain beta-value reduction for BETAV.
+    `EssentialSystem.walk` (engine.py) derives each strategy's walk from its
+    row.
     """
 
-    value_arg: bool = False
-    binders: bool = True
-    args: bool = True
+    base: Base = Base.BETA
+    weak: bool = False
+    spine_only: bool = False
     leveled: bool = False
-
-    def admits(self, t: Term) -> bool:
-        """Is `t` itself a redex this walk fires?"""
-        return (type(t) is App and type(t.fun) is Lam
-                and not (self.value_arg and type(t.arg) is App))
 
     def find(self, node: Term, path: Path, level: int = 0,
              least: int = 0) -> Optional[tuple[App, Path, int]]:
@@ -205,7 +210,7 @@ class Walk:
         tags on its path.  A leveled walk returns the first redex of least
         level there; told that none lies below level `least`, it stops at
         the first one at that level.  Consumes `path`."""
-        value_arg, binders, args, leveled = self.value_arg, self.binders, self.args, self.leveled
+        base, binders, args, leveled = self.base, not self.weak, not self.spine_only, self.leveled
         # a leveled walk prunes every subtree at or above the least level
         # found so far
         bound = sys.maxsize
@@ -214,14 +219,13 @@ class Walk:
             if level < bound:
                 kind = type(node)
                 if kind is App:
-                    fun = node.fun
-                    if type(fun) is Lam and not (value_arg and type(node.arg) is App):
+                    if admits(node, base):
                         if not leveled or level == least:
                             return node, path, level
                         best, bound = (node, path.copy(), level), level
                     else:
                         path.append((node, LEFT))
-                        node = fun
+                        node = node.fun
                         continue
                 elif kind is Lam and binders:
                     path.append((node, BODY))
@@ -268,7 +272,7 @@ class Walk:
         # (for a leveled walk: none at the fired level or below), and an
         # ancestor's redex status depends on its children's types only: of
         # the ancestors, only the reduct's parent can have changed.
-        if path and self.admits(path[-1][0]):
+        if path and admits(path[-1][0], self.base):
             parent, tag = path.pop()
             return parent, path, level - (tag is RIGHT)
         found = self.find(reduct, path, level, least=level)
@@ -276,15 +280,6 @@ class Walk:
             # the least level grew, and its first redex may lie before the reduct
             return self.find(root, [])
         return found
-
-
-BETA_WALK = Walk()  # leftmost-outermost: the first beta-redex in preorder
-BETAV_WALK = Walk(value_arg=True)
-HEAD_WALK = Walk(args=False)
-WEAK_WALK = Walk(value_arg=True, binders=False)
-LEAST_LEVEL_WALK = Walk(leveled=True)
-
-BASE_WALKS = {Base.BETA: BETA_WALK, Base.BETAV: BETAV_WALK}
 
 
 def _position(path: Path) -> Position:

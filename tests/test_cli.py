@@ -6,7 +6,8 @@ import pytest
 
 from essential_rewrite import cli, engine
 from essential_rewrite.cli import main
-from essential_rewrite.terms import show
+from essential_rewrite.engine import factorize, trace_from_positions
+from essential_rewrite.terms import parse, show
 
 
 def run(capsys, *argv):
@@ -121,6 +122,16 @@ class TestFactorize:
         code, _, err = run(capsys, "factorize", path, "--system", "head")
         assert code == 1
         assert "line 2" in err
+
+    def test_json_is_the_library_factorization(self, capsys, tmp_path):
+        path = self.write(tmp_path, [r"(\z.z) (x ((\z.z) (\z.z)))", "pos R.R", "pos"])
+        code, out, _ = run(capsys, "factorize", path, "--system", "head", "--output", "json")
+        assert code == 0
+        trace = trace_from_positions(parse(r"(\z.z) (x ((\z.z) (\z.z)))"),
+                                     [("R", "R"), ()], "head")
+        result = factorize(trace, "head")
+        assert json.loads(out) == result.to_json()
+        assert result.to_json()["inessential"]["start"] == show(result.essential.end)
 
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_renders_each_term_once(self, capsys, tmp_path, show_calls, output):

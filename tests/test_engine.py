@@ -45,7 +45,7 @@ from essential_rewrite.engine import (
     _residual,
 )
 from essential_rewrite.parallel import Flavor, all_parallel_steps
-from essential_rewrite.reductions import BASE_WALKS, Step, redexes
+from essential_rewrite.reductions import Step, Walk, redexes
 from conftest import OMEGA, p, terms_up_to
 
 
@@ -352,7 +352,7 @@ class TestWalk:
     def test_base_walk_finds_first_redex(self, terms8, base):
         for t in terms8:
             found = redexes(t, base)
-            assert BASE_WALKS[base].first(t) == (found[0] if found else None), show(t)
+            assert Walk(base).first(t) == (found[0] if found else None), show(t)
 
     @pytest.mark.parametrize("text, second", [
         (r"y (z ((\a.a) c)) ((\b.b) d)", "L.R.R"),
