@@ -70,7 +70,7 @@ DEFAULTS = {
 }
 
 # smallest accepted value of each numeric option the library bounds
-_MINIMUM = {"fuel": 1, "size": 1, "budget": 1, "depth": 1, "samples": 0}
+_MINIMUM = {"fuel": 1, "size": 1, "budget": 1, "depth": 1, "samples": 0, "parallel": 1}
 
 _BASE_ONLY = {"beta": Base.BETA, "betav": Base.BETAV}
 

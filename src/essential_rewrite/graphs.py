@@ -12,7 +12,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .reductions import Base, Step, StepKind, redexes, step_at
+from .reductions import (
+    Base,
+    Step,
+    StepKind,
+    reducts,
+    redexes,  # unused here; bench/tracing.py binds it
+    step_at,  # unused here; bench/tracing.py binds it
+)
 from .terms import Term, show
 
 
@@ -65,8 +72,7 @@ def explore(t: Term, base: Base = Base.BETA, node_budget: int = 20000,
             g.truncated = True
             continue
         out = []
-        for pos in redexes(term, base):
-            target = step_at(term, pos, base)
+        for pos, target in reducts(term, base):
             out.append((Step(pos, StepKind.PLAIN), target))
             if target not in seen:
                 if len(seen) >= node_budget:

@@ -17,6 +17,7 @@ Three flavours share the tree shape and differ in the index decoration:
 from __future__ import annotations
 
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .reductions import (
@@ -105,41 +106,41 @@ def _leaf_index(flavor: Flavor):
     return INFINITY if flavor is Flavor.LEVELED else 0
 
 
+# The node builders take the node's source term.  When every child's target
+# is the child's source, the node's target is its source, so an identity
+# derivation allocates no term.
+
+
 def _var(flavor: Flavor, t: Term) -> ParDerivation:
     return ParDerivation(flavor, Rule.VAR, (), t, t, _leaf_index(flavor))
 
 
-def _abs(flavor: Flavor, hint: str, child: ParDerivation) -> ParDerivation:
-    return ParDerivation(
-        flavor, Rule.ABS, (child,),
-        Lam(child.source, hint), Lam(child.target, hint), child.index,
-    )
+def _abs(flavor: Flavor, t: Lam, child: ParDerivation) -> ParDerivation:
+    target = t if child.target is t.body else Lam(child.target, t.hint)
+    return ParDerivation(flavor, Rule.ABS, (child,), t, target, child.index)
 
 
-def _app(flavor: Flavor, left: ParDerivation, right: ParDerivation) -> ParDerivation:
+def _app(flavor: Flavor, t: App, left: ParDerivation, right: ParDerivation) -> ParDerivation:
     if flavor is Flavor.LEVELED:
         index = min(left.index, right.index + 1)
     else:
         index = left.index + right.index
-    return ParDerivation(
-        flavor, Rule.APP, (left, right),
-        App(left.source, right.source), App(left.target, right.target), index,
-    )
+    if left.target is t.fun and right.target is t.arg:
+        target = t
+    else:
+        target = App(left.target, right.target)
+    return ParDerivation(flavor, Rule.APP, (left, right), t, target, index)
 
 
-def _beta(flavor: Flavor, hint: str, body: ParDerivation, arg: ParDerivation) -> ParDerivation:
-    if flavor is Flavor.CBV and not is_value(arg.source):
+def _beta(flavor: Flavor, t: App, body: ParDerivation, arg: ParDerivation) -> ParDerivation:
+    if flavor is Flavor.CBV and not is_value(t.arg):
         raise NonValueError("selected redex has a non-value argument")
     if flavor is Flavor.LEVELED:
         index = Level(0)
     else:
         index = body.index + count_bound(body.target) * arg.index + 1
-    return ParDerivation(
-        flavor, Rule.BETA, (body, arg),
-        App(Lam(body.source, hint), arg.source),
-        instantiate(body.target, arg.target),
-        index,
-    )
+    return ParDerivation(flavor, Rule.BETA, (body, arg), t,
+                         instantiate(body.target, arg.target), index)
 
 
 def derive(t: Term, selection: Iterable[Position], flavor: Flavor) -> ParDerivation:
@@ -165,20 +166,20 @@ def _derive(t: Term, sel: frozenset[Position], flavor: Flavor) -> ParDerivation:
     if () in sel:
         body = _derive(t.fun.body, _strip(sel, (LEFT, BODY)), flavor)
         arg = _derive(t.arg, _strip(sel, (RIGHT,)), flavor)
-        return _beta(flavor, t.fun.hint, body, arg)
+        return _beta(flavor, t, body, arg)
     if isinstance(t, Lam):
-        return _abs(flavor, t.hint, _derive(t.body, _strip(sel, (BODY,)), flavor))
+        return _abs(flavor, t, _derive(t.body, _strip(sel, (BODY,)), flavor))
     left = _derive(t.fun, _strip(sel, (LEFT,)), flavor)
     right = _derive(t.arg, _strip(sel, (RIGHT,)), flavor)
-    return _app(flavor, left, right)
+    return _app(flavor, t, left, right)
 
 
 def _congruence(t: Term, flavor: Flavor) -> ParDerivation:
     """The identity derivation on t."""
     if isinstance(t, Lam):
-        return _abs(flavor, t.hint, _congruence(t.body, flavor))
+        return _abs(flavor, t, _congruence(t.body, flavor))
     if isinstance(t, App):
-        return _app(flavor, _congruence(t.fun, flavor), _congruence(t.arg, flavor))
+        return _app(flavor, t, _congruence(t.fun, flavor), _congruence(t.arg, flavor))
     return _var(flavor, t)
 
 
@@ -228,14 +229,45 @@ def _collect_selection(d: ParDerivation, prefix: Position, out: set[Position]) -
 def all_parallel_steps(t: Term, flavor: Flavor, cap: int = 2 ** 14) -> Iterator[ParDerivation]:
     """Every parallel step from t, as derivations, capped at `cap` of them.
 
-    Selections are enumerated as bit masks over the redex list in traversal
-    order, so the identity derivation comes first.
+    Selections come in the order of bit masks over the redex list in
+    traversal order, so the identity derivation comes first: the root
+    redex's bit varies fastest, then the body's or the function's bits, then
+    the argument's.  Each subterm's derivations are built once and shared by
+    every step that contains them.
     """
-    positions = beta_redexes(t) if flavor is not Flavor.CBV else betav_redexes(t)
-    total = 1 << len(positions)
-    for mask in range(min(total, cap)):
-        sel = frozenset(p for i, p in enumerate(positions) if mask >> i & 1)
-        yield _derive(t, sel, flavor)
+    return islice(_combine(t, flavor, cap), cap)
+
+
+def _parallel_steps(t: Term, flavor: Flavor, cap: int) -> list[ParDerivation]:
+    # The combined order is a mixed radix with the argument's steps as the
+    # most significant digit, so the first `cap` outputs use only the first
+    # `cap` steps of each child.
+    return list(islice(_combine(t, flavor, cap), cap))
+
+
+def _combine(t: Term, flavor: Flavor, cap: int) -> Iterator[ParDerivation]:
+    if isinstance(t, Lam):
+        for child in _parallel_steps(t.body, flavor, cap):
+            yield _abs(flavor, t, child)
+    elif isinstance(t, App):
+        args = _parallel_steps(t.arg, flavor, cap)
+        fun = t.fun
+        if isinstance(fun, Lam):
+            redex = flavor is not Flavor.CBV or is_value(t.arg)
+            bodies = _parallel_steps(fun.body, flavor, cap)
+            lams = [_abs(flavor, fun, body) for body in bodies]
+            for arg in args:
+                for body, lam in zip(bodies, lams):
+                    yield _app(flavor, t, lam, arg)
+                    if redex:
+                        yield _beta(flavor, t, body, arg)
+        else:
+            funs = _parallel_steps(fun, flavor, cap)
+            for arg in args:
+                for left in funs:
+                    yield _app(flavor, t, left, arg)
+    else:
+        yield _var(flavor, t)
 
 
 def sequential_index(d: ParDerivation) -> int:
@@ -284,12 +316,13 @@ def _graft(d: ParDerivation, name: str, d2: ParDerivation, flavor: Flavor) -> Pa
     if d.rule is Rule.VAR:
         return d2 if d.source == Free(name) else d
     if d.rule is Rule.ABS:
-        return _abs(flavor, d.source.hint, _graft(d.children[0], name, d2, flavor))
+        child = _graft(d.children[0], name, d2, flavor)
+        return _abs(flavor, Lam(child.source, d.source.hint), child)
     left = _graft(d.children[0], name, d2, flavor)
     right = _graft(d.children[1], name, d2, flavor)
     if d.rule is Rule.APP:
-        return _app(flavor, left, right)
-    return _beta(flavor, d.source.fun.hint, left, right)
+        return _app(flavor, App(left.source, right.source), left, right)
+    return _beta(flavor, App(Lam(left.source, d.source.fun.hint), right.source), left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Plain beta and beta-value contraction with redex enumeration, the four
 essential strategies (head, weak call-by-value, leftmost-outermost,
 least-level) and their inessential complements, and level arithmetic.
-A `Walk` finds and fires a strategy's steps one at a time on a zipper.
+A `Walk` finds and fires a strategy's steps one at a time on a zipper, and
+`reducts` lists every one-step reduct of a term in one walk.
 
 Every enumerator returns steps sorted by position, which coincides with
 leftmost-outermost traversal order, so step lists and traces are reproducible.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .terms import (
     App,
@@ -302,6 +303,35 @@ def _contract(redex: App, path: Path) -> tuple[Term, Term]:
             node = Lam(node, parent.hint)
         path[i] = (node, tag)
     return node, reduct
+
+
+def reducts(t: Term, base: Base) -> Iterator[tuple[Position, Term]]:
+    """Each `base` redex of `t` in preorder (the order of `redexes`), with
+    the term it contracts to: `(p, step_at(t, p, base))` for every `p` in
+    `redexes(t, base)`, found by one walk that rebuilds only the ancestors
+    of each redex."""
+    path: Path = []
+    node = t
+    while True:
+        kind = type(node)
+        if kind is App:
+            if admits(node, base):
+                yield _position(path), _contract(node, path.copy())[0]
+            path.append((node, LEFT))
+            node = node.fun
+        elif kind is Lam:
+            path.append((node, BODY))
+            node = node.body
+        else:
+            # climb to the nearest right sibling still to visit
+            while True:
+                if not path:
+                    return
+                parent, tag = path.pop()
+                if tag is LEFT:
+                    path.append((parent, RIGHT))
+                    node = parent.arg
+                    break
 
 
 def _sorted_steps(t: Term, positions, base: Base, kind: StepKind,

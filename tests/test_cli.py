@@ -289,3 +289,9 @@ class TestBadOptionValues:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_parallel_below_one(self, capsys):
+        code, out, err = run(capsys, "check", "split", "--system", "lo", "--size", "3",
+                             "--parallel", "-3")
+        assert (code, out) == (1, "")
+        assert err == "error: parallel must be at least 1, got -3\n"

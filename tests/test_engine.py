@@ -1,5 +1,6 @@
 """Split, merge, factorization, normalization and the report harness."""
 
+import dataclasses
 import json
 import sys
 
@@ -35,6 +36,7 @@ from essential_rewrite import (
     split,
     trace_from_positions,
 )
+from essential_rewrite import engine
 from essential_rewrite.engine import (
     NotComposableError,
     NotInessentialError,
@@ -453,6 +455,26 @@ class TestCheckProperty:
         assert data == {"property": "determinism", "system": "head", "size_bound": 4,
                         "checked_count": 39, "result": "PASS"}
 
+    @pytest.mark.parametrize("system_id", list(SystemId))
+    @pytest.mark.parametrize("breakage", ["drop", "essential", "non-redex"])
+    def test_broken_decomposition_fails(self, system_id, breakage):
+        row = SYSTEMS[system_id]
+
+        def broken(t):
+            positions = sorted(set(row.neg_positions(t)))
+            if breakage == "drop":
+                return positions[1:]
+            if breakage == "essential":
+                return positions + list(row.positions(t))[:1]
+            return positions + ([] if () in redexes(t, row.base) else [()])
+
+        system = dataclasses.replace(row, neg_positions=broken)
+        # size 7 is the least size with an inessential lo or ll redex, as in
+        # (\z.z) ((\z.z) y); nothing can be dropped from smaller terms
+        report = check_property("decomposition", system, size_bound=7)
+        assert report.result == "FAIL"
+        assert "do not partition" in report.counterexample
+
     def test_parallel_workers_agree(self):
         solo = check_property("persistence", LO, size_bound=5)
         multi = check_property("persistence", LO, size_bound=5, workers=2)
@@ -479,10 +501,25 @@ class TestCheckNormalization:
 
     def test_first_inconclusive_term_is_reported(self):
         # terms come smallest first, so a larger sweep must name the same term
+        # (the count of inconclusive terms after it grows with the size)
         small = check_normalization(LO, size_bound=7, fuel=1)
         large = check_normalization(LO, size_bound=8, fuel=1)
         assert small.result == large.result == "INCONCLUSIVE"
-        assert small.counterexample == large.counterexample
+        assert (small.counterexample.rsplit(" (", 1)[0]
+                == large.counterexample.rsplit(" (", 1)[0])
+
+    def test_inconclusive_terms_are_counted(self):
+        report = check_normalization(LO, size_bound=7, fuel=1)
+        assert report.counterexample == (
+            r"(\x.x) ((\x.x) x): leftmost-outermost reduction hit the fuel bound"
+            " (61 terms inconclusive)")
+        assert report.checked_count == 1650
+
+    def test_one_inconclusive_term(self, monkeypatch):
+        term = p(r"(\x.x) ((\x.x) x)")
+        monkeypatch.setattr(engine, "enumerate_terms", lambda spec: iter([term]))
+        report = check_normalization(LO, fuel=1)
+        assert report.counterexample.endswith("hit the fuel bound (1 term inconclusive)")
 
 
 class TestCheckSubstIndex:

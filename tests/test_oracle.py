@@ -1,5 +1,9 @@
 """Ground-truth machinery: enumeration, random generation, reduction graphs."""
 
+import sys
+
+import pytest
+
 from essential_rewrite import (
     Base,
     Decision,
@@ -14,9 +18,9 @@ from essential_rewrite import (
     strongly_normalizing,
     weakly_normalizing,
 )
-from essential_rewrite.reductions import redexes
-from essential_rewrite.terms import Free, Lam, Var, is_closed, is_locally_closed, size
-from conftest import OMEGA, p
+from essential_rewrite.reductions import StepKind, redexes
+from essential_rewrite.terms import App, Free, Lam, Var, is_closed, is_locally_closed, size
+from conftest import OMEGA, p, terms_up_to
 
 
 def independent_counts(max_size: int, names: int, closed: bool):
@@ -139,6 +143,28 @@ class TestExplore:
                 expected = {(pos, step_at(node, pos)) for pos in redexes(node, Base.BETA)}
                 assert {(s.position, u) for s, u in out} == expected
                 assert all(u in g.edges for _, u in out)
+
+    @pytest.mark.parametrize("base", list(Base))
+    def test_edges_are_the_contractions_of_every_redex(self, base):
+        for t in terms_up_to(8):
+            out = explore(t, base, depth_budget=1).edges[t]
+            expected = [(q, step_at(t, q, base)) for q in redexes(t, base)]
+            assert [(s.position, u) for s, u in out] == expected, show(t)
+            assert all(s.kind is StepKind.PLAIN for s, _ in out)
+            assert [show(u) for _, u in out] == [show(u) for _, u in expected]
+
+    def test_redex_under_many_binders_at_default_recursion_limit(self):
+        t = App(Lam(Var(0), "y"), Free("z"))
+        for _ in range(20_000):
+            t = Lam(t, "w")
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            g = explore(t)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert len(g.edges) == 2 and not g.truncated
+        assert len(g.edges[t][0][0].position) == 20_000
 
 
 class TestNormalizationDecisions:

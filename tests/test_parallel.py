@@ -34,12 +34,28 @@ from essential_rewrite.parallel import (
     FlavorMismatchError,
     InvalidSelectionError,
     NonValueError,
+    ParDerivation,
     Rule,
     base_of,
     contracts,
 )
-from essential_rewrite.reductions import least_level, position_level, redexes
-from essential_rewrite.terms import is_neutral
+from essential_rewrite.reductions import (
+    betav_redexes,
+    least_level,
+    position_level,
+    redexes,
+)
+from essential_rewrite.terms import (
+    BODY,
+    LEFT,
+    RIGHT,
+    App,
+    Lam,
+    count_bound,
+    instantiate,
+    is_neutral,
+    is_value,
+)
 from conftest import p, terms_up_to
 
 
@@ -133,6 +149,110 @@ class TestAllParallelSteps:
                 singles = {d.target for d in all_parallel_steps(t, flavor) if d.index == 1}
                 base = {step_at(t, q, base_of(flavor)) for q in redexes(t, base_of(flavor))}
                 assert singles == base
+
+
+# Oracle for `all_parallel_steps` and `derive`: one bit mask over the redex
+# list per selection, each derived from scratch, rebuilding both endpoints of
+# every node.  It shares nothing, so it checks the library's order, sharing
+# and cap.
+
+
+def _oracle_derive(t, sel, flavor):
+    def strip(prefix):
+        k = len(prefix)
+        return frozenset(q[k:] for q in sel if q[:k] == prefix)
+
+    if () in sel:
+        body = _oracle_derive(t.fun.body, strip((LEFT, BODY)), flavor)
+        arg = _oracle_derive(t.arg, strip((RIGHT,)), flavor)
+        if flavor is Flavor.CBV and not is_value(arg.source):
+            raise NonValueError("selected redex has a non-value argument")
+        index = (Level(0) if flavor is Flavor.LEVELED
+                 else body.index + count_bound(body.target) * arg.index + 1)
+        return ParDerivation(flavor, Rule.BETA, (body, arg),
+                             App(Lam(body.source, t.fun.hint), arg.source),
+                             instantiate(body.target, arg.target), index)
+    if isinstance(t, Lam):
+        child = _oracle_derive(t.body, strip((BODY,)), flavor)
+        return ParDerivation(flavor, Rule.ABS, (child,), Lam(child.source, t.hint),
+                             Lam(child.target, t.hint), child.index)
+    if isinstance(t, App):
+        left = _oracle_derive(t.fun, strip((LEFT,)), flavor)
+        right = _oracle_derive(t.arg, strip((RIGHT,)), flavor)
+        index = (min(left.index, right.index + 1) if flavor is Flavor.LEVELED
+                 else left.index + right.index)
+        return ParDerivation(flavor, Rule.APP, (left, right),
+                             App(left.source, right.source),
+                             App(left.target, right.target), index)
+    return ParDerivation(flavor, Rule.VAR, (), t, t,
+                         INFINITY if flavor is Flavor.LEVELED else 0)
+
+
+def oracle_all_parallel_steps(t, flavor, cap=2 ** 14):
+    positions = beta_redexes(t) if flavor is not Flavor.CBV else betav_redexes(t)
+    for mask in range(min(1 << len(positions), cap)):
+        sel = frozenset(q for i, q in enumerate(positions) if mask >> i & 1)
+        yield sel, _oracle_derive(t, sel, flavor)
+
+
+def _same_tree(d, e) -> bool:
+    """Equal rule trees, with equal indices, sources and targets at every node."""
+    return (d.flavor is e.flavor and d.rule is e.rule and d.index == e.index
+            and d.source == e.source and d.target == e.target
+            and len(d.children) == len(e.children)
+            and all(_same_tree(c, f) for c, f in zip(d.children, e.children)))
+
+
+def _agrees_with_mask_oracle(t, flavor):
+    r = len(redexes(t, base_of(flavor)))
+    for cap in sorted({1, 3, 5, 2 ** r, 2 ** r + 1}):
+        got = list(all_parallel_steps(t, flavor, cap))
+        want = list(oracle_all_parallel_steps(t, flavor, cap))
+        assert len(got) == len(want), (show(t), cap)
+        for d, (sel, e) in zip(got, want):
+            assert selection_of(d) == sel, show(t)
+            assert _same_tree(d, e), show(t)
+            assert show(d.source) == show(e.source) == show(t)
+            assert show(d.target) == show(e.target)
+
+
+class TestAgainstMaskOracle:
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_same_steps_in_the_same_order(self, flavor):
+        for t in terms_up_to(7):
+            _agrees_with_mask_oracle(t, flavor)
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_same_order_with_redexes_on_both_sides(self, flavor):
+        # an application with redexes on both sides has size 9 or more, so
+        # only larger terms tell the argument's bits from the function's
+        rng = random.Random(11)
+        spec = EnumSpec(max_size=13)
+        for _ in range(300):
+            t = random_term(rng.randrange(2 ** 30), rng.randint(9, 13), spec)
+            _agrees_with_mask_oracle(t, flavor)
+        for text in (r"(\x.(\z.z) x) ((\z.z) y)", r"((\z.z) x) ((\z.z) (\z.z))"):
+            _agrees_with_mask_oracle(p(text), flavor)
+
+    def test_derive_matches_oracle(self, small_terms):
+        for t in small_terms[::3]:
+            for flavor in Flavor:
+                for sel, e in oracle_all_parallel_steps(t, flavor):
+                    assert _same_tree(derive(t, sel, flavor), e), show(t)
+
+    def test_identity_allocates_no_term(self, small_terms):
+        def reuses_source(d):
+            return d.target is d.source and all(reuses_source(c) for c in d.children)
+
+        for t in small_terms[::5]:
+            for flavor in Flavor:
+                d = identity_derivation(t, flavor)
+                assert d.source is t and reuses_source(d)
+                assert next(all_parallel_steps(t, flavor)).target is t
+
+    def test_steps_share_the_source(self):
+        t = p(r"(\x.(\z.z) x) ((\z.z) y)")
+        assert all(d.source is t for d in all_parallel_steps(t, Flavor.CBN))
 
 
 class TestSubstParallel:
