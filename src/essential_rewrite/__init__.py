@@ -36,19 +36,9 @@ from .reductions import (
     SystemId,
     beta_redexes,
     betav_redexes,
-    head_step,
-    head_steps,
     least_level,
     level_indexed_steps,
-    ll_steps,
-    lo_step,
-    lo_steps,
-    neg_head_steps,
-    neg_ll_steps,
-    neg_lo_steps,
-    neg_weak_steps,
     step_at,
-    weak_cbv_steps,
 )
 from .parallel import (
     Flavor,
@@ -75,11 +65,21 @@ from .engine import (
     check_subst_index,
     factorize,
     get_system,
+    head_step,
+    head_steps,
     is_parallel_inessential,
+    ll_steps,
+    lo_step,
+    lo_steps,
     merge,
+    neg_head_steps,
+    neg_ll_steps,
+    neg_lo_steps,
+    neg_weak_steps,
     normalize,
     split,
     trace_from_positions,
+    weak_cbv_steps,
 )
 from .enumeration import EnumSpec, count_terms, enumerate_terms, random_term
 from .graphs import Decision, ReductionGraph, explore, path_exists, strongly_normalizing, weakly_normalizing

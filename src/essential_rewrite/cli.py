@@ -51,6 +51,7 @@ from .terms import (
     ParseError,
     Position,
     Term,
+    format_position,
     parse,
     parse_position,
     show,
@@ -82,13 +83,20 @@ _RECURSION_LIMIT = 150_000
 
 
 class UsageError(ValueError):
-    """An option value, from the command line or the config file, is invalid."""
+    """The command line or an option value from the config file is invalid."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on a bad command line, which exits 1 like any other
+    usage error; argparse itself would exit 2, the code for exhausted fuel."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _load_config()
         for key, fallback in DEFAULTS.items():
             if getattr(args, key, None) is None and hasattr(args, key):
@@ -161,7 +169,7 @@ def _load_config() -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="essential-rewrite",
         description="Reduction strategies, factorization and property checking "
                     "for the lambda calculus.")
@@ -171,19 +179,19 @@ def _build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("term")
     reduce_p.add_argument("--system", required=True,
                           choices=["head", "lo", "weak-cbv", "ll", "beta", "betav"])
-    _common_flags(reduce_p)
+    _add_options(reduce_p, "fuel", "output")
     reduce_p.set_defaults(handler=cmd_reduce)
 
     fact_p = sub.add_parser("factorize", help="factorize a reduction sequence file")
     fact_p.add_argument("file")
     fact_p.add_argument("--system", required=True,
                         choices=["head", "lo", "weak-cbv", "ll"])
-    _common_flags(fact_p)
+    _add_options(fact_p, "output")
     fact_p.set_defaults(handler=cmd_factorize)
 
     level_p = sub.add_parser("level", help="least level and per-redex levels")
     level_p.add_argument("term")
-    _common_flags(level_p)
+    _add_options(level_p, "output")
     level_p.set_defaults(handler=cmd_level)
 
     check_p = sub.add_parser("check", help="run a property suite")
@@ -194,21 +202,20 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "normalization", "subst-index"]))
     check_p.add_argument("--system", choices=["head", "lo", "weak-cbv", "ll"])
     check_p.add_argument("--flavor", choices=["cbn", "cbv"], default="cbn")
-    check_p.add_argument("--samples", type=int, default=None)
-    _common_flags(check_p)
+    _add_options(check_p, *DEFAULTS)
     check_p.set_defaults(handler=cmd_check)
 
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fuel", type=int, default=None)
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--parallel", type=int, default=None, metavar="N")
-    p.add_argument("--output", choices=["text", "json"], default=None)
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    """Give a subcommand the options of DEFAULTS it reads; `main` fills in
+    those not given from the config file or DEFAULTS."""
+    for name in names:
+        if name == "output":
+            p.add_argument("--output", choices=["text", "json"])
+        else:
+            p.add_argument(f"--{name}", type=int, metavar="N" if name == "parallel" else None)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -220,9 +227,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _step_line(step, text: str) -> str:
-    pos = ".".join(step.position) or "root"
     extra = f" level={step.level}" if step.level is not None else ""
-    return f"  {step.kind.value} @ {pos}{extra} -> {text}"
+    return f"  {step.kind.value} @ {format_position(step.position)}{extra} -> {text}"
 
 
 def cmd_reduce(args) -> int:
@@ -334,8 +340,8 @@ def cmd_level(args) -> int:
     }
     lines = [f"least level of {render(term)}: {level}"]
     for s, u in steps:
-        pos = ".".join(s.position) or "root"
-        lines.append(f"  level {s.level} @ {pos} [{s.kind.value}] -> {render(u)}")
+        lines.append(f"  level {s.level} @ {format_position(s.position)} [{s.kind.value}] "
+                     f"-> {render(u)}")
     _emit(args, payload, lines)
     return 0
 

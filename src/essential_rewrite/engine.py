@@ -22,7 +22,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Optional
 
 from .enumeration import EnumSpec, enumerate_terms, random_term
@@ -55,23 +55,14 @@ from .reductions import (
     _neg_lo_positions,
     _neg_weak_positions,
     _sorted_steps,
-    _weak_positions,
     beta_redexes,
     betav_redexes,
-    head_steps,  # unused here; bench/tracing.py binds it
     least_level,
     level_indexed_steps,
-    ll_steps,
-    lo_steps,  # unused here; bench/tracing.py binds it
-    neg_head_steps,  # unused here; bench/tracing.py binds it
-    neg_ll_steps,
-    neg_lo_steps,  # unused here; bench/tracing.py binds it
-    neg_weak_steps,  # unused here; bench/tracing.py binds it
     position_level,
     reducts,
     redexes,
     step_at,
-    weak_cbv_steps,
 )
 from .terms import (
     BODY,
@@ -82,6 +73,7 @@ from .terms import (
     alpha_eq,
     bound_positions,
     count_occurrences,
+    format_position,
     is_neutral,  # unused here; bench/tracing.py binds it
     is_normal,
     is_value,
@@ -171,12 +163,33 @@ SYSTEMS: dict[SystemId, EssentialSystem] = {
     SystemId.HEAD: EssentialSystem(SystemId.HEAD, Base.BETA, Flavor.CBN,
                                    _head_positions, _neg_head_positions, spine_only=True),
     SystemId.WEAK_CBV: EssentialSystem(SystemId.WEAK_CBV, Base.BETAV, Flavor.CBV,
-                                       _weak_positions, _neg_weak_positions),
+                                       partial(redexes, base=Base.BETAV, binders=False),
+                                       _neg_weak_positions),
     SystemId.LO: EssentialSystem(SystemId.LO, Base.BETA, Flavor.CBN,
                                  _lo_positions, _neg_lo_positions),
     SystemId.LEAST_LEVEL: EssentialSystem(SystemId.LEAST_LEVEL, Base.BETA, Flavor.LEVELED,
                                           _ll_positions, _neg_ll_positions),
 }
+
+# Each system's steps by name, for the package's exports and bench/tracing.py.
+head_steps = SYSTEMS[SystemId.HEAD].essential_steps
+neg_head_steps = SYSTEMS[SystemId.HEAD].inessential_steps
+weak_cbv_steps = SYSTEMS[SystemId.WEAK_CBV].essential_steps
+neg_weak_steps = SYSTEMS[SystemId.WEAK_CBV].inessential_steps
+lo_steps = SYSTEMS[SystemId.LO].essential_steps
+neg_lo_steps = SYSTEMS[SystemId.LO].inessential_steps
+ll_steps = SYSTEMS[SystemId.LEAST_LEVEL].essential_steps
+neg_ll_steps = SYSTEMS[SystemId.LEAST_LEVEL].inessential_steps
+
+
+def head_step(t: Term) -> Optional[Term]:
+    """The head reduct of `t`, or None if `t` is head-normal."""
+    return next((u for _, u in head_steps(t)), None)
+
+
+def lo_step(t: Term) -> Optional[Term]:
+    """The leftmost-outermost reduct of `t`, or None if `t` is normal."""
+    return next((u for _, u in lo_steps(t)), None)
 
 
 def get_system(sys) -> EssentialSystem:
@@ -259,8 +272,11 @@ def is_parallel_inessential(d: ParDerivation, sys) -> bool:
     return _essential_redex(d, system) is None
 
 
-def _residual(d: ParDerivation, pos: Position, flavor: Flavor) -> ParDerivation:
-    """The derivation left over after firing the selected redex at `pos` first.
+def _residual(d: ParDerivation, pos: Position, flavor: Flavor,
+              target: Optional[Term] = None) -> ParDerivation:
+    """The derivation left over after firing the selected redex at `pos` first,
+    from `target`, d's source with that redex contracted (contracted here if
+    not given).
 
     Selections outside the redex stay put; selections in its body keep their
     paths; selections in its argument reappear once per binder occurrence.
@@ -277,7 +293,9 @@ def _residual(d: ParDerivation, pos: Position, flavor: Flavor) -> ParDerivation:
     new_sel = keep
     new_sel.update(pos + q for q in body_sel)
     new_sel.update(pos + o + r for o in occurrences for r in arg_sel)
-    return derive(step_at(d.source, pos, base_of(flavor)), new_sel, flavor)
+    if target is None:
+        target = step_at(d.source, pos, base_of(flavor))
+    return derive(target, new_sel, flavor)
 
 
 def split(d: ParDerivation, sys) -> tuple[Trace, ParDerivation]:
@@ -298,7 +316,7 @@ def split(d: ParDerivation, sys) -> tuple[Trace, ParDerivation]:
             return Trace(d.source, steps), current
         target = step_at(current.source, pos, system.base)
         steps.append((system.make_step(current.source, pos), target))
-        current = _residual(current, pos, system.flavor)
+        current = _residual(current, pos, system.flavor, target)
     raise AssertionError("split did not terminate within its index bound")
 
 
@@ -316,11 +334,11 @@ def merge(d: ParDerivation, e: tuple[Step, Term], sys) -> ParDerivation:
     if not is_parallel_inessential(d, system):
         raise NotInessentialError("merge needs an inessential parallel step")
     step, target = e
-    following = {(s.position, u) for s, u in system.essential_steps(d.target)}
-    if (step.position, target) not in following:
+    # a wrong reduct at an essential position misses the merged target below
+    if step.position not in system.positions(d.target):
         raise NotComposableError(
             f"{show(target)} is not an essential reduct of {show(d.target)} "
-            f"at {'.'.join(step.position) or 'root'}")
+            f"at {format_position(step.position)}")
     try:
         merged = derive(d.source, selection_of(d) | {step.position}, system.flavor)
     except InvalidSelectionError as exc:
@@ -389,7 +407,7 @@ def _lift(trace: Trace, system: EssentialSystem):
         if step.position not in valid:
             raise InvalidTraceError(
                 f"step {i + 1}: no {system.base.value} redex at "
-                f"{'.'.join(step.position) or 'root'} in {show(current)}", index=i)
+                f"{format_position(step.position)} in {show(current)}", index=i)
         real = step_at(current, step.position, system.base)
         if not alpha_eq(real, target):
             raise InvalidTraceError(f"step {i + 1}: recorded reduct does not match", index=i)
@@ -410,7 +428,7 @@ def trace_from_positions(start: Term, positions: list[Position], sys) -> Trace:
         if pos not in set(redexes(current, system.base)):
             raise InvalidTraceError(
                 f"step {i + 1}: no {system.base.value} redex at "
-                f"{'.'.join(pos) or 'root'} in {show(current)}", index=i)
+                f"{format_position(pos)} in {show(current)}", index=i)
         target = step_at(current, pos, system.base)
         steps.append((system.make_step(current, pos), target))
         current = target

@@ -39,6 +39,7 @@ from .terms import (
     Term,
     bound_positions,
     count_bound,
+    format_position,
     instantiate,
     is_neutral,  # unused here; bench/tracing.py binds it
     is_value,
@@ -155,8 +156,8 @@ def derive(t: Term, selection: Iterable[Position], flavor: Flavor) -> ParDerivat
     if bad:
         pos = sorted(bad)[0]
         if flavor is Flavor.CBV and pos in set(beta_redexes(t)):
-            raise NonValueError(f"redex at {'.'.join(pos) or 'root'} has a non-value argument")
-        raise InvalidSelectionError(f"{'.'.join(pos) or 'root'} is not a redex position")
+            raise NonValueError(f"redex at {format_position(pos)} has a non-value argument")
+        raise InvalidSelectionError(f"{format_position(pos)} is not a redex position")
     return _derive(t, sel, flavor)
 
 
@@ -194,9 +195,7 @@ def identity_derivation(t: Term, flavor: Flavor) -> ParDerivation:
 
 def selection_of(d: ParDerivation) -> frozenset[Position]:
     """The redex positions of the source that the derivation contracts."""
-    out: set[Position] = set()
-    _collect_selection(d, (), out)
-    return frozenset(out)
+    return frozenset(realize(d))
 
 
 def contracts(d: ParDerivation, pos: Position) -> bool:
@@ -212,18 +211,6 @@ def contracts(d: ParDerivation, pos: Position) -> bool:
         else:
             d, i = d.children[pos[i] == RIGHT], i + 1
     return d.rule is Rule.BETA
-
-
-def _collect_selection(d: ParDerivation, prefix: Position, out: set[Position]) -> None:
-    if d.rule is Rule.ABS:
-        _collect_selection(d.children[0], prefix + (BODY,), out)
-    elif d.rule is Rule.APP:
-        _collect_selection(d.children[0], prefix + (LEFT,), out)
-        _collect_selection(d.children[1], prefix + (RIGHT,), out)
-    elif d.rule is Rule.BETA:
-        out.add(prefix)
-        _collect_selection(d.children[0], prefix + (LEFT, BODY), out)
-        _collect_selection(d.children[1], prefix + (RIGHT,), out)
 
 
 def all_parallel_steps(t: Term, flavor: Flavor, cap: int = 2 ** 14) -> Iterator[ParDerivation]:

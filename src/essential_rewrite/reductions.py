@@ -1,10 +1,12 @@
 """Single-step reduction relations.
 
-Plain beta and beta-value contraction with redex enumeration, the four
-essential strategies (head, weak call-by-value, leftmost-outermost,
-least-level) and their inessential complements, and level arithmetic.
-A `Walk` finds and fires a strategy's steps one at a time on a zipper, and
-`reducts` lists every one-step reduct of a term in one walk.
+Plain beta and beta-value contraction, the essential and inessential redex
+positions of the four strategies (head, weak call-by-value,
+leftmost-outermost, least-level), and level arithmetic.  Every redex list
+comes from one iterative walk, `_redex_paths`: `redexes` lists positions
+and `reducts` lists one-step reducts.  A `Walk` finds and fires a strategy's
+steps one at a time on a zipper.  Each system's steps are built from these
+positions by its `SYSTEMS` row (engine.py).
 
 Every enumerator returns steps sorted by position, which coincides with
 leftmost-outermost traversal order, so step lists and traces are reproducible.
@@ -28,6 +30,7 @@ from .terms import (
     RIGHT,
     Term,
     Var,
+    format_position,
     instantiate,
     is_neutral,
     is_value,
@@ -122,51 +125,21 @@ class Step:
 
 
 # ---------------------------------------------------------------------------
-# Redex enumeration and contraction
-
-
-def beta_redexes(t: Term, prefix: Position = ()) -> list[Position]:
-    """Positions of all beta-redexes, outermost-leftmost first."""
-    out: list[Position] = []
-    if isinstance(t, App):
-        if isinstance(t.fun, Lam):
-            out.append(prefix)
-        out.extend(beta_redexes(t.fun, prefix + (LEFT,)))
-        out.extend(beta_redexes(t.arg, prefix + (RIGHT,)))
-    elif isinstance(t, Lam):
-        out.extend(beta_redexes(t.body, prefix + (BODY,)))
-    return out
-
-
-def betav_redexes(t: Term, prefix: Position = ()) -> list[Position]:
-    """Beta-redex positions whose argument is a value."""
-    out: list[Position] = []
-    if isinstance(t, App):
-        if isinstance(t.fun, Lam) and is_value(t.arg):
-            out.append(prefix)
-        out.extend(betav_redexes(t.fun, prefix + (LEFT,)))
-        out.extend(betav_redexes(t.arg, prefix + (RIGHT,)))
-    elif isinstance(t, Lam):
-        out.extend(betav_redexes(t.body, prefix + (BODY,)))
-    return out
-
-
-def redexes(t: Term, base: Base) -> list[Position]:
-    return beta_redexes(t) if base is Base.BETA else betav_redexes(t)
+# Contraction
 
 
 def step_at(t: Term, pos: Position, base: Base = Base.BETA) -> Term:
     """Contract exactly the redex at `pos`."""
     sub = subterm_at(t, pos)
     if not (isinstance(sub, App) and isinstance(sub.fun, Lam)):
-        raise InvalidPositionError(f"no redex at {'.'.join(pos) or 'root'}")
+        raise InvalidPositionError(f"no redex at {format_position(pos)}")
     if base is Base.BETAV and not is_value(sub.arg):
-        raise InvalidPositionError(f"argument at {'.'.join(pos) or 'root'} is not a value")
+        raise InvalidPositionError(f"argument at {format_position(pos)} is not a value")
     return replace_at(t, pos, instantiate(sub.fun.body, sub.arg))
 
 
 # ---------------------------------------------------------------------------
-# One-pass strategy steps on a zipper
+# Redex enumeration and one-pass strategy steps on a zipper
 #
 # A zipper (Huet, "The Zipper", JFP 1997) is a subterm plus its path from
 # the root, a list of (parent, tag) pairs: the subterm is parent.fun,
@@ -305,21 +278,20 @@ def _contract(redex: App, path: Path) -> tuple[Term, Term]:
     return node, reduct
 
 
-def reducts(t: Term, base: Base) -> Iterator[tuple[Position, Term]]:
-    """Each `base` redex of `t` in preorder (the order of `redexes`), with
-    the term it contracts to: `(p, step_at(t, p, base))` for every `p` in
-    `redexes(t, base)`, found by one walk that rebuilds only the ancestors
-    of each redex."""
+def _redex_paths(t: Term, base: Base, binders: bool = True) -> Iterator[tuple[App, Path]]:
+    """Each `base` redex of `t` in preorder, with its path from the root.
+    A walk without `binders` never enters an abstraction.  The path yielded
+    is the walk's own and changes as it goes on: copy it to keep it."""
     path: Path = []
     node = t
     while True:
         kind = type(node)
         if kind is App:
             if admits(node, base):
-                yield _position(path), _contract(node, path.copy())[0]
+                yield node, path
             path.append((node, LEFT))
             node = node.fun
-        elif kind is Lam:
+        elif kind is Lam and binders:
             path.append((node, BODY))
             node = node.body
         else:
@@ -332,6 +304,36 @@ def reducts(t: Term, base: Base) -> Iterator[tuple[Position, Term]]:
                     path.append((parent, RIGHT))
                     node = parent.arg
                     break
+
+
+def redexes(t: Term, base: Base, binders: bool = True) -> list[Position]:
+    """Positions of all `base` redexes of `t`, outermost-leftmost first;
+    without `binders`, only those under no abstraction."""
+    # a loop, not a comprehension: sweeps call this on many tiny subterms,
+    # and in Python 3.11 a comprehension costs one more frame per call
+    out = []
+    for _, path in _redex_paths(t, base, binders):
+        out.append(_position(path))
+    return out
+
+
+def beta_redexes(t: Term) -> list[Position]:
+    """Positions of all beta-redexes, outermost-leftmost first."""
+    return redexes(t, Base.BETA)
+
+
+def betav_redexes(t: Term) -> list[Position]:
+    """Beta-redex positions whose argument is a value."""
+    return redexes(t, Base.BETAV)
+
+
+def reducts(t: Term, base: Base) -> Iterator[tuple[Position, Term]]:
+    """Each `base` redex of `t` in preorder (the order of `redexes`), with
+    the term it contracts to: `(p, step_at(t, p, base))` for every `p` in
+    `redexes(t, base)`, found by one walk that rebuilds only the ancestors
+    of each redex."""
+    for redex, path in _redex_paths(t, base):
+        yield _position(path), _contract(redex, path.copy())[0]
 
 
 def _sorted_steps(t: Term, positions, base: Base, kind: StepKind,
@@ -359,16 +361,6 @@ def _head_positions(t: Term, prefix: Position = ()) -> list[Position]:
     return []
 
 
-def head_steps(t: Term) -> list[tuple[Step, Term]]:
-    """All head steps (at most one, which the determinism suite verifies)."""
-    return _sorted_steps(t, _head_positions(t), Base.BETA, StepKind.ESSENTIAL)
-
-
-def head_step(t: Term) -> Optional[Term]:
-    steps = head_steps(t)
-    return steps[0][1] if steps else None
-
-
 def _neg_head_positions(t: Term, prefix: Position = ()) -> set[Position]:
     out: set[Position] = set()
     if isinstance(t, App):
@@ -384,29 +376,11 @@ def _neg_head_positions(t: Term, prefix: Position = ()) -> set[Position]:
     return out
 
 
-def neg_head_steps(t: Term) -> list[tuple[Step, Term]]:
-    """All one-step non-head reducts, deduplicated by position."""
-    return _sorted_steps(t, _neg_head_positions(t), Base.BETA, StepKind.INESSENTIAL)
-
-
 # ---------------------------------------------------------------------------
 # Weak call-by-value reduction
-
-
-def _weak_positions(t: Term, prefix: Position = ()) -> list[Position]:
-    out: list[Position] = []
-    if isinstance(t, App):
-        if isinstance(t.fun, Lam) and is_value(t.arg):
-            out.append(prefix)
-        out.extend(_weak_positions(t.fun, prefix + (LEFT,)))
-        out.extend(_weak_positions(t.arg, prefix + (RIGHT,)))
-    # never under an abstraction
-    return out
-
-
-def weak_cbv_steps(t: Term) -> list[tuple[Step, Term]]:
-    """All weak CbV steps; non-deterministic across application sides."""
-    return _sorted_steps(t, _weak_positions(t), Base.BETAV, StepKind.ESSENTIAL)
+#
+# The essential redexes are the beta-value redexes under no abstraction,
+# `redexes(t, Base.BETAV, binders=False)`.
 
 
 def _neg_weak_positions(t: Term, prefix: Position = ()) -> set[Position]:
@@ -418,10 +392,6 @@ def _neg_weak_positions(t: Term, prefix: Position = ()) -> set[Position]:
         out.update(_neg_weak_positions(t.fun, prefix + (LEFT,)))
         out.update(_neg_weak_positions(t.arg, prefix + (RIGHT,)))
     return out
-
-
-def neg_weak_steps(t: Term) -> list[tuple[Step, Term]]:
-    return _sorted_steps(t, _neg_weak_positions(t), Base.BETAV, StepKind.INESSENTIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +411,6 @@ def _lo_positions(t: Term, prefix: Position = ()) -> list[Position]:
     return []
 
 
-def lo_steps(t: Term) -> list[tuple[Step, Term]]:
-    return _sorted_steps(t, _lo_positions(t), Base.BETA, StepKind.ESSENTIAL)
-
-
-def lo_step(t: Term) -> Optional[Term]:
-    steps = lo_steps(t)
-    return steps[0][1] if steps else None
-
-
 def _neg_lo_positions(t: Term, prefix: Position = ()) -> set[Position]:
     out: set[Position] = set()
     if isinstance(t, App):
@@ -462,10 +423,6 @@ def _neg_lo_positions(t: Term, prefix: Position = ()) -> set[Position]:
     elif isinstance(t, Lam):
         out.update(prefix + (BODY,) + p for p in _neg_lo_positions(t.body))
     return out
-
-
-def neg_lo_steps(t: Term) -> list[tuple[Step, Term]]:
-    return _sorted_steps(t, _neg_lo_positions(t), Base.BETA, StepKind.INESSENTIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +461,6 @@ def _ll_positions(t: Term) -> list[Position]:
     return [pos for pos in beta_redexes(t) if position_level(pos) == ll]
 
 
-def ll_steps(t: Term) -> list[tuple[Step, Term]]:
-    """Steps firing a redex of least level."""
-    return _sorted_steps(t, _ll_positions(t), Base.BETA, StepKind.ESSENTIAL, with_level=True)
-
-
 def _neg_ll_positions(t: Term) -> list[Position]:
     ll = least_level(t)
     return [pos for pos in beta_redexes(t) if position_level(pos) > ll]
-
-
-def neg_ll_steps(t: Term) -> list[tuple[Step, Term]]:
-    """Steps firing a redex strictly above the least level."""
-    return _sorted_steps(t, _neg_ll_positions(t), Base.BETA, StepKind.INESSENTIAL,
-                         with_level=True)

@@ -224,7 +224,6 @@ def instantiate(body: Term, arg: Term) -> Term:
 Position = tuple[str, ...]
 
 LEFT, RIGHT, BODY = "L", "R", "B"
-ROOT: Position = ()
 
 
 class InvalidPositionError(ValueError):
@@ -255,18 +254,6 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
     if tag == BODY and isinstance(t, Lam):
         return Lam(replace_at(t.body, pos[1:], new), t.hint)
     raise InvalidPositionError(f"no subterm at {format_position(pos)}")
-
-
-def free_positions(t: Term, name: str, prefix: Position = ()) -> Iterator[Position]:
-    """Positions of the free occurrences of `name`, in preorder."""
-    if isinstance(t, Free):
-        if t.name == name:
-            yield prefix
-    elif isinstance(t, Lam):
-        yield from free_positions(t.body, name, prefix + (BODY,))
-    elif isinstance(t, App):
-        yield from free_positions(t.fun, name, prefix + (LEFT,))
-        yield from free_positions(t.arg, name, prefix + (RIGHT,))
 
 
 def bound_positions(t: Term, index: int = 0, prefix: Position = ()) -> Iterator[Position]:

@@ -266,6 +266,16 @@ class TestConfig:
         code, _, err = run(capsys, "reduce", "x", "--system", "lo")
         assert code == 1 and err.startswith("error:")
 
+    def test_config_keys_a_subcommand_does_not_take_are_skipped(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        config = tmp_path / "config.txt"
+        config.write_text("size = 0\nseed = 5\nparallel = 0\nfuel = 7\n")
+        monkeypatch.setenv("ESSENTIAL_REWRITE_CONFIG", str(config))
+        code, out, _ = run(capsys, "reduce", r"(\x.x x) (\x.x x)", "--system", "lo")
+        assert code == 2 and out.count("->") == 7
+        code, _, _ = run(capsys, "level", "x")
+        assert code == 0
+
     def test_unknown_config_output_exits_1(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.txt"
         config.write_text("output = xml\n")
@@ -284,11 +294,32 @@ class TestBadOptionValues:
         ("check", "normalization", "--system", "lo", "--depth", "0"),
         ("check", "subst-index", "--samples", "-1"),
         ("check", "subst-index", "--size", "3", "--samples", "5"),
+        # usage errors: argparse alone would exit 2, the fuel-exhausted code
+        ("reduce", "x", "--system", "bogus"),
+        ("reduce", "x"),
+        ("reduce", "x", "--system", "lo", "--nope"),
+        ("reduce", "x", "--system", "lo", "--fuel", "many"),
+        ("check", "confluence", "--system", "lo"),
+        # options a subcommand does not read
+        ("reduce", "x", "--system", "lo", "--seed", "5", "--depth", "3", "--budget", "7",
+         "--size", "2", "--parallel", "3"),
+        ("reduce", "x", "--system", "lo", "--samples", "3"),
+        ("level", "x", "--fuel", "3"),
+        ("level", "x", "--size", "3"),
     ])
     def test_exits_1_with_message(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--fuel", "--size", "--budget", "--depth", "--seed",
+                                        "--parallel", "--samples"])
+    def test_factorize_takes_only_output(self, capsys, tmp_path, option):
+        path = tmp_path / "seq.txt"
+        path.write_text("x y\n")
+        code, out, err = run(capsys, "factorize", str(path), "--system", "head", option, "3")
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {option} 3\n"
 
     def test_parallel_below_one(self, capsys):
         code, out, err = run(capsys, "check", "split", "--system", "lo", "--size", "3",

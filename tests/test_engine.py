@@ -19,6 +19,7 @@ from essential_rewrite import (
     Var,
     alpha_eq,
     beta_redexes,
+    betav_redexes,
     check_normalization,
     check_property,
     check_subst_index,
@@ -47,7 +48,7 @@ from essential_rewrite.engine import (
     _residual,
 )
 from essential_rewrite.parallel import Flavor, all_parallel_steps
-from essential_rewrite.reductions import Step, Walk, redexes
+from essential_rewrite.reductions import Step, Walk, reducts, redexes
 from conftest import OMEGA, p, terms_up_to
 
 
@@ -167,6 +168,13 @@ class TestMerge:
         d = derive(t, [("R",)], Flavor.CBN)
         with pytest.raises(NotComposableError):
             merge(d, (Step((), StepKind.ESSENTIAL), p("x y")), HEAD)
+
+    def test_rejects_wrong_reduct_at_essential_position(self):
+        # the root is d's target's head redex, but it reduces to y, not x
+        t = p(r"(\z.z) ((\z.z) y)")
+        d = derive(t, [("R",)], Flavor.CBN)
+        with pytest.raises(NotComposableError, match="misses the essential target"):
+            merge(d, (Step((), StepKind.ESSENTIAL), p("x")), HEAD)
 
     def test_merge_everywhere(self, small_terms):
         for t in small_terms[::5]:
@@ -379,15 +387,15 @@ class TestWalk:
 DEEP = 20_000
 
 
-def _deep_under_binders():
-    t = App(Lam(Var(0), "y"), Free("z"))
+def _deep_under_binders(core=App(Lam(Var(0), "y"), Free("z"))):
+    t = core
     for _ in range(DEEP):
         t = Lam(t, "w")
     return t
 
 
-def _deep_right_spine():
-    t = App(Lam(Var(0), "y"), Free("z"))
+def _deep_right_spine(core=App(Lam(Var(0), "y"), Free("z"))):
+    t = core
     for _ in range(DEEP):
         t = App(Free("x"), t)
     return t
@@ -417,6 +425,26 @@ class TestDeepTerms:
         assert len(trace.steps) == steps and got is outcome
         if steps:
             assert len(trace.steps[0][0].position) == DEEP
+
+    @pytest.mark.parametrize("build", [_deep_under_binders, _deep_right_spine])
+    def test_redex_lists_at_default_recursion_limit(self, build):
+        t = build()
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            lists = [redexes(t, Base.BETA), redexes(t, Base.BETAV),
+                     beta_redexes(t), betav_redexes(t)]
+            found = list(reducts(t, Base.BETA))
+            weak = SYSTEMS[WCBV].positions(t)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        (pos,) = lists[0]
+        assert len(pos) == DEEP and lists == [[pos]] * 4
+        # (\y.y) z contracts to z in place; equality would recurse, hashes do not
+        [(reduct_pos, reduct)] = found
+        assert reduct_pos == pos and hash(reduct) == hash(build(Free("z")))
+        # weak CbV never enters an abstraction
+        assert weak == ([] if build is _deep_under_binders else [pos])
 
 
 class TestCheckProperty:

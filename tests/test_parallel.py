@@ -400,7 +400,7 @@ class TestInessentialRecognizers:
             is_parallel_inessential(d, SystemId.WEAK_CBV)
 
     def test_head_recognizer_matches_position_oracle(self, small_terms):
-        from essential_rewrite.reductions import head_steps
+        from essential_rewrite import head_steps
         for t in small_terms[::2]:
             head_pos = {s.position for s, _ in head_steps(t)}
             for d in all_parallel_steps(t, Flavor.CBN):
@@ -408,7 +408,7 @@ class TestInessentialRecognizers:
                 assert is_parallel_inessential(d, SystemId.HEAD) == expected
 
     def test_lo_recognizer_matches_position_oracle(self, small_terms):
-        from essential_rewrite.reductions import lo_steps
+        from essential_rewrite import lo_steps
         for t in small_terms[::2]:
             lo_pos = {s.position for s, _ in lo_steps(t)}
             for d in all_parallel_steps(t, Flavor.CBN):

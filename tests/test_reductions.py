@@ -25,10 +25,52 @@ from essential_rewrite import (
     substitute,
     weak_cbv_steps,
 )
+from essential_rewrite.engine import SYSTEMS
 from essential_rewrite.enumeration import EnumSpec, random_term
-from essential_rewrite.reductions import Base, position_level
-from essential_rewrite.terms import InvalidPositionError, is_normal
-from conftest import OMEGA, p
+from essential_rewrite.reductions import Base, SystemId, position_level, redexes
+from essential_rewrite.terms import App, InvalidPositionError, Lam, is_normal, is_value
+from conftest import OMEGA, p, terms_up_to
+
+
+# The recursive definitions of the redex lists, kept as oracles for the one
+# iterative walk behind `redexes`.
+
+def oracle_beta_redexes(t, prefix=()):
+    """Positions of all beta-redexes, outermost-leftmost first."""
+    out = []
+    if isinstance(t, App):
+        if isinstance(t.fun, Lam):
+            out.append(prefix)
+        out.extend(oracle_beta_redexes(t.fun, prefix + ("L",)))
+        out.extend(oracle_beta_redexes(t.arg, prefix + ("R",)))
+    elif isinstance(t, Lam):
+        out.extend(oracle_beta_redexes(t.body, prefix + ("B",)))
+    return out
+
+
+def oracle_betav_redexes(t, prefix=()):
+    """Beta-redex positions whose argument is a value."""
+    out = []
+    if isinstance(t, App):
+        if isinstance(t.fun, Lam) and is_value(t.arg):
+            out.append(prefix)
+        out.extend(oracle_betav_redexes(t.fun, prefix + ("L",)))
+        out.extend(oracle_betav_redexes(t.arg, prefix + ("R",)))
+    elif isinstance(t, Lam):
+        out.extend(oracle_betav_redexes(t.body, prefix + ("B",)))
+    return out
+
+
+def oracle_weak_positions(t, prefix=()):
+    """Weak call-by-value redex positions: beta-value redexes never under an
+    abstraction."""
+    out = []
+    if isinstance(t, App):
+        if isinstance(t.fun, Lam) and is_value(t.arg):
+            out.append(prefix)
+        out.extend(oracle_weak_positions(t.fun, prefix + ("L",)))
+        out.extend(oracle_weak_positions(t.arg, prefix + ("R",)))
+    return out
 
 
 class TestLevelArithmetic:
@@ -77,6 +119,21 @@ class TestRedexEnumeration:
     def test_normality_is_redex_freeness(self, small_terms):
         for t in small_terms:
             assert is_normal(t) == (not beta_redexes(t))
+
+    def test_walk_matches_recursive_oracles(self):
+        # an application with redexes on both sides needs size 9, so only
+        # the random terms tell the order of the two sides
+        rng = random.Random(3)
+        spec = EnumSpec(max_size=13)
+        samples = [random_term(rng.randrange(2 ** 30), rng.randint(9, 13), spec)
+                   for _ in range(300)]
+        weak = SYSTEMS[SystemId.WEAK_CBV].positions
+        for t in terms_up_to(8) + samples + [p(r"(\x.(\y.y) x) ((\y.y) (\y.y))")]:
+            beta = oracle_beta_redexes(t)
+            betav = oracle_betav_redexes(t)
+            assert beta_redexes(t) == redexes(t, Base.BETA) == beta
+            assert betav_redexes(t) == redexes(t, Base.BETAV) == betav
+            assert weak(t) == oracle_weak_positions(t)
 
 
 class TestStepAt:
