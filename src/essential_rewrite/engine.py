@@ -272,11 +272,8 @@ def is_parallel_inessential(d: ParDerivation, sys) -> bool:
     return _essential_redex(d, system) is None
 
 
-def _residual(d: ParDerivation, pos: Position, flavor: Flavor,
-              target: Optional[Term] = None) -> ParDerivation:
-    """The derivation left over after firing the selected redex at `pos` first,
-    from `target`, d's source with that redex contracted (contracted here if
-    not given).
+def _residual(d: ParDerivation, pos: Position, flavor: Flavor) -> ParDerivation:
+    """The derivation left over after firing the selected redex at `pos` first.
 
     Selections outside the redex stay put; selections in its body keep their
     paths; selections in its argument reappear once per binder occurrence.
@@ -293,9 +290,7 @@ def _residual(d: ParDerivation, pos: Position, flavor: Flavor,
     new_sel = keep
     new_sel.update(pos + q for q in body_sel)
     new_sel.update(pos + o + r for o in occurrences for r in arg_sel)
-    if target is None:
-        target = step_at(d.source, pos, base_of(flavor))
-    return derive(target, new_sel, flavor)
+    return derive(step_at(d.source, pos, base_of(flavor)), new_sel, flavor)
 
 
 def split(d: ParDerivation, sys) -> tuple[Trace, ParDerivation]:
@@ -314,9 +309,10 @@ def split(d: ParDerivation, sys) -> tuple[Trace, ParDerivation]:
         pos = _essential_redex(current, system)
         if pos is None:
             return Trace(d.source, steps), current
-        target = step_at(current.source, pos, system.base)
-        steps.append((system.make_step(current.source, pos), target))
-        current = _residual(current, pos, system.flavor, target)
+        source = current.source
+        # the residual's source is the reduct: the redex is contracted once
+        current = _residual(current, pos, system.flavor)
+        steps.append((system.make_step(source, pos), current.source))
     raise AssertionError("split did not terminate within its index bound")
 
 
