@@ -154,7 +154,7 @@ def _load_config() -> dict:
                 continue
             key, value = line.split("=", 1)
             key, value = key.strip(), value.strip()
-            if key in ("fuel", "size", "budget", "depth", "seed", "parallel", "samples"):
+            if isinstance(DEFAULTS.get(key), int):
                 try:
                     config[key] = int(value)
                 except ValueError:
@@ -355,8 +355,7 @@ def cmd_check(args) -> int:
                                    seed=args.seed, max_size=args.size)
     else:
         if not args.system:
-            print("error: this property needs --system", file=sys.stderr)
-            return 1
+            raise UsageError("this property needs --system")
         system = SYSTEMS[SystemId(args.system)]
         if args.property == "normalization":
             report = check_normalization(system, size_bound=args.size,

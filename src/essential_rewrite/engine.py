@@ -47,14 +47,14 @@ from .reductions import (
     StepKind,
     SystemId,
     Walk,
+    _head_context,
     _head_positions,
     _ll_positions,
+    _lo_context,
     _lo_positions,
-    _neg_head_positions,
     _neg_ll_positions,
-    _neg_lo_positions,
-    _neg_weak_positions,
     _sorted_steps,
+    _weak_context,
     beta_redexes,
     betav_redexes,
     least_level,
@@ -62,10 +62,12 @@ from .reductions import (
     position_level,
     reducts,
     redexes,
+    redexes_where,
     step_at,
 )
 from .terms import (
     BODY,
+    InvalidPositionError,
     LEFT,
     Position,
     RIGHT,
@@ -161,12 +163,16 @@ class EssentialSystem:
 
 SYSTEMS: dict[SystemId, EssentialSystem] = {
     SystemId.HEAD: EssentialSystem(SystemId.HEAD, Base.BETA, Flavor.CBN,
-                                   _head_positions, _neg_head_positions, spine_only=True),
+                                   _head_positions,
+                                   partial(redexes_where, base=Base.BETA, rule=_head_context),
+                                   spine_only=True),
     SystemId.WEAK_CBV: EssentialSystem(SystemId.WEAK_CBV, Base.BETAV, Flavor.CBV,
                                        partial(redexes, base=Base.BETAV, binders=False),
-                                       _neg_weak_positions),
+                                       partial(redexes_where, base=Base.BETAV,
+                                               rule=_weak_context)),
     SystemId.LO: EssentialSystem(SystemId.LO, Base.BETA, Flavor.CBN,
-                                 _lo_positions, _neg_lo_positions),
+                                 _lo_positions,
+                                 partial(redexes_where, base=Base.BETA, rule=_lo_context)),
     SystemId.LEAST_LEVEL: EssentialSystem(SystemId.LEAST_LEVEL, Base.BETA, Flavor.LEVELED,
                                           _ll_positions, _neg_ll_positions),
 }
@@ -393,18 +399,24 @@ def factorize(trace: Trace, sys) -> Factorization:
     return result
 
 
+def _trace_step(current: Term, pos: Position, base: Base, i: int) -> Term:
+    """Contract the `base` redex at `pos` of `current`, the source of the
+    trace's step `i`; InvalidTraceError if there is none."""
+    try:
+        return step_at(current, pos, base)
+    except InvalidPositionError:
+        raise InvalidTraceError(
+            f"step {i + 1}: no {base.value} redex at "
+            f"{format_position(pos)} in {show(current)}", index=i) from None
+
+
 def _lift(trace: Trace, system: EssentialSystem):
     """Validate a base trace and lift each step to an E item or a parallel
     inessential derivation."""
     items = []
     current = trace.start
     for i, (step, target) in enumerate(trace.steps):
-        valid = set(redexes(current, system.base))
-        if step.position not in valid:
-            raise InvalidTraceError(
-                f"step {i + 1}: no {system.base.value} redex at "
-                f"{format_position(step.position)} in {show(current)}", index=i)
-        real = step_at(current, step.position, system.base)
+        real = _trace_step(current, step.position, system.base, i)
         if not alpha_eq(real, target):
             raise InvalidTraceError(f"step {i + 1}: recorded reduct does not match", index=i)
         if system.classify(current, step.position) is StepKind.ESSENTIAL:
@@ -421,11 +433,7 @@ def trace_from_positions(start: Term, positions: list[Position], sys) -> Trace:
     steps: list[tuple[Step, Term]] = []
     current = start
     for i, pos in enumerate(positions):
-        if pos not in set(redexes(current, system.base)):
-            raise InvalidTraceError(
-                f"step {i + 1}: no {system.base.value} redex at "
-                f"{format_position(pos)} in {show(current)}", index=i)
-        target = step_at(current, pos, system.base)
+        target = _trace_step(current, pos, system.base, i)
         steps.append((system.make_step(current, pos), target))
         current = target
     return Trace(start, steps)

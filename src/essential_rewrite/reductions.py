@@ -3,10 +3,12 @@
 Plain beta and beta-value contraction, the essential and inessential redex
 positions of the four strategies (head, weak call-by-value,
 leftmost-outermost, least-level), and level arithmetic.  Every redex list
-comes from one iterative walk, `_redex_paths`: `redexes` lists positions
-and `reducts` lists one-step reducts.  A `Walk` finds and fires a strategy's
-steps one at a time on a zipper.  Each system's steps are built from these
-positions by its `SYSTEMS` row (engine.py).
+comes from one iterative walk, `_redex_paths`: `redexes` lists positions,
+`reducts` lists one-step reducts, and `redexes_where` lists the redexes in a
+system's inessential contexts, told by a rule on their paths (`_head_context`,
+`_weak_context`, `_lo_context`).  A `Walk` finds and fires a strategy's steps
+one at a time on a zipper.  Each system's steps are built from these positions
+by its `SYSTEMS` row (engine.py).
 
 Every enumerator returns steps sorted by position, which coincides with
 leftmost-outermost traversal order, so step lists and traces are reproducible.
@@ -17,7 +19,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from functools import total_ordering
+from typing import Callable, Iterator, Optional
 
 from .terms import (
     App,
@@ -59,6 +62,7 @@ class StepKind(Enum):
     PLAIN = "plain"
 
 
+@total_ordering
 class Level:
     """A natural number or infinity, with saturating arithmetic (inf + 1 = inf)."""
 
@@ -85,15 +89,6 @@ class Level:
         if other.value is None:
             return True
         return self.value < other.value
-
-    def __le__(self, other: "Level") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Level") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "Level") -> bool:
-        return not self < other
 
     def __hash__(self):
         return hash(("level", self.value))
@@ -317,6 +312,16 @@ def redexes(t: Term, base: Base, binders: bool = True) -> list[Position]:
     return out
 
 
+def redexes_where(t: Term, base: Base, rule: Callable[[Path], bool]) -> list[Position]:
+    """Positions of the `base` redexes of `t` whose path from the root
+    satisfies `rule`, outermost-leftmost first."""
+    out = []
+    for _, path in _redex_paths(t, base):
+        if rule(path):
+            out.append(_position(path))
+    return out
+
+
 def beta_redexes(t: Term) -> list[Position]:
     """Positions of all beta-redexes, outermost-leftmost first."""
     return redexes(t, Base.BETA)
@@ -361,19 +366,11 @@ def _head_positions(t: Term, prefix: Position = ()) -> list[Position]:
     return []
 
 
-def _neg_head_positions(t: Term, prefix: Position = ()) -> set[Position]:
-    out: set[Position] = set()
-    if isinstance(t, App):
-        if isinstance(t.fun, Lam):
-            # any step inside the body of the applied abstraction
-            out.update(prefix + (LEFT, BODY) + p for p in beta_redexes(t.fun.body))
-        # any step inside an argument
-        out.update(prefix + (RIGHT,) + p for p in beta_redexes(t.arg))
-        # congruence on the function side
-        out.update(prefix + (LEFT,) + p for p in _neg_head_positions(t.fun))
-    elif isinstance(t, Lam):
-        out.update(prefix + (BODY,) + p for p in _neg_head_positions(t.body))
-    return out
+def _head_context(path: Path) -> bool:
+    """Is a redex at the end of `path` inessential for head reduction: inside
+    an argument, or inside the body of an applied abstraction?"""
+    return any(tag is RIGHT or tag is LEFT and type(parent.fun) is Lam
+               for parent, tag in reversed(path))
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +380,10 @@ def _neg_head_positions(t: Term, prefix: Position = ()) -> set[Position]:
 # `redexes(t, Base.BETAV, binders=False)`.
 
 
-def _neg_weak_positions(t: Term, prefix: Position = ()) -> set[Position]:
-    out: set[Position] = set()
-    if isinstance(t, Lam):
-        # any beta-v step inside a function body
-        out.update(prefix + (BODY,) + p for p in betav_redexes(t.body))
-    elif isinstance(t, App):
-        out.update(_neg_weak_positions(t.fun, prefix + (LEFT,)))
-        out.update(_neg_weak_positions(t.arg, prefix + (RIGHT,)))
-    return out
+def _weak_context(path: Path) -> bool:
+    """Is a redex at the end of `path` inessential for weak call-by-value
+    reduction: under a binder?"""
+    return any(tag is BODY for _, tag in reversed(path))
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +403,13 @@ def _lo_positions(t: Term, prefix: Position = ()) -> list[Position]:
     return []
 
 
-def _neg_lo_positions(t: Term, prefix: Position = ()) -> set[Position]:
-    out: set[Position] = set()
-    if isinstance(t, App):
-        if isinstance(t.fun, Lam):
-            out.update(prefix + (LEFT, BODY) + p for p in beta_redexes(t.fun.body))
-        if not is_neutral(t.fun):
-            out.update(prefix + (RIGHT,) + p for p in beta_redexes(t.arg))
-        out.update(prefix + (LEFT,) + p for p in _neg_lo_positions(t.fun))
-        out.update(prefix + (RIGHT,) + p for p in _neg_lo_positions(t.arg))
-    elif isinstance(t, Lam):
-        out.update(prefix + (BODY,) + p for p in _neg_lo_positions(t.body))
-    return out
+def _lo_context(path: Path) -> bool:
+    """Is a redex at the end of `path` inessential for leftmost-outermost
+    reduction: inside the body of an applied abstraction, or inside the
+    argument of a function that is not neutral?"""
+    return any(tag is LEFT and type(parent.fun) is Lam
+               or tag is RIGHT and not is_neutral(parent.fun)
+               for parent, tag in reversed(path))
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,10 @@ class TestCheck:
         code, _, err = run(capsys, "check", "determinism", "--size", "4")
         assert code == 1
 
+    def test_missing_system_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "check", "normalization", "--size", "4")
+        assert (code, out, err) == (1, "", "error: this property needs --system\n")
+
     def test_subst_index(self, capsys):
         code, out, _ = run(capsys, "check", "subst-index", "--flavor", "cbn",
                            "--samples", "25", "--seed", "1")
@@ -258,6 +262,16 @@ class TestConfig:
         code, _, err = run(capsys, "reduce", "x", "--system", "lo")
         assert code == 1
         assert err.startswith("error:") and "fuel" in err
+
+    @pytest.mark.parametrize("key", [k for k, v in cli.DEFAULTS.items() if isinstance(v, int)])
+    def test_every_numeric_config_key_must_be_an_integer(self, capsys, tmp_path, monkeypatch,
+                                                          key):
+        config = tmp_path / "config.txt"
+        config.write_text(f"{key} = 1.5\n")
+        monkeypatch.setenv("ESSENTIAL_REWRITE_CONFIG", str(config))
+        code, _, err = run(capsys, "level", "x")
+        assert code == 1
+        assert err == f"error: ESSENTIAL_REWRITE_CONFIG: {key} must be an integer, got '1.5'\n"
 
     def test_out_of_range_config_value_exits_1(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.txt"

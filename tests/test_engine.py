@@ -436,6 +436,7 @@ class TestDeepTerms:
                      beta_redexes(t), betav_redexes(t)]
             found = list(reducts(t, Base.BETA))
             weak = SYSTEMS[WCBV].positions(t)
+            inessential = [SYSTEMS[s].neg_positions(t) for s in (HEAD, WCBV, LO)]
         finally:
             sys.setrecursionlimit(old_limit)
         (pos,) = lists[0]
@@ -445,6 +446,12 @@ class TestDeepTerms:
         assert reduct_pos == pos and hash(reduct) == hash(build(Free("z")))
         # weak CbV never enters an abstraction
         assert weak == ([] if build is _deep_under_binders else [pos])
+        # under binders only weak CbV counts the redex inessential; in
+        # arguments of the neutral x only head does
+        if build is _deep_under_binders:
+            assert inessential == [[], [pos], []]
+        else:
+            assert inessential == [[pos], [], []]
 
 
 class TestCheckProperty:

@@ -28,7 +28,14 @@ from essential_rewrite import (
 from essential_rewrite.engine import SYSTEMS
 from essential_rewrite.enumeration import EnumSpec, random_term
 from essential_rewrite.reductions import Base, SystemId, position_level, redexes
-from essential_rewrite.terms import App, InvalidPositionError, Lam, is_normal, is_value
+from essential_rewrite.terms import (
+    App,
+    InvalidPositionError,
+    Lam,
+    is_neutral,
+    is_normal,
+    is_value,
+)
 from conftest import OMEGA, p, terms_up_to
 
 
@@ -71,6 +78,73 @@ def oracle_weak_positions(t, prefix=()):
         out.extend(oracle_weak_positions(t.fun, prefix + ("L",)))
         out.extend(oracle_weak_positions(t.arg, prefix + ("R",)))
     return out
+
+
+def oracle_neg_head_positions(t, prefix=()):
+    """Inessential head redexes: inside an argument, or inside the body of
+    an applied abstraction, under any number of binders and function sides."""
+    out = set()
+    if isinstance(t, App):
+        if isinstance(t.fun, Lam):
+            out.update(prefix + ("L", "B") + q for q in oracle_beta_redexes(t.fun.body))
+        out.update(prefix + ("R",) + q for q in oracle_beta_redexes(t.arg))
+        out.update(oracle_neg_head_positions(t.fun, prefix + ("L",)))
+    elif isinstance(t, Lam):
+        out.update(oracle_neg_head_positions(t.body, prefix + ("B",)))
+    return out
+
+
+def oracle_neg_weak_positions(t, prefix=()):
+    """Inessential weak call-by-value redexes: beta-value redexes under a
+    binder."""
+    out = set()
+    if isinstance(t, Lam):
+        out.update(prefix + ("B",) + q for q in oracle_betav_redexes(t.body))
+    elif isinstance(t, App):
+        out.update(oracle_neg_weak_positions(t.fun, prefix + ("L",)))
+        out.update(oracle_neg_weak_positions(t.arg, prefix + ("R",)))
+    return out
+
+
+def oracle_neg_lo_positions(t, prefix=()):
+    """Inessential leftmost-outermost redexes: inside the body of an applied
+    abstraction, or inside the argument of a function that is not neutral."""
+    out = set()
+    if isinstance(t, App):
+        if isinstance(t.fun, Lam):
+            out.update(prefix + ("L", "B") + q for q in oracle_beta_redexes(t.fun.body))
+        if not is_neutral(t.fun):
+            out.update(prefix + ("R",) + q for q in oracle_beta_redexes(t.arg))
+        out.update(oracle_neg_lo_positions(t.fun, prefix + ("L",)))
+        out.update(oracle_neg_lo_positions(t.arg, prefix + ("R",)))
+    elif isinstance(t, Lam):
+        out.update(oracle_neg_lo_positions(t.body, prefix + ("B",)))
+    return out
+
+
+def _random_samples():
+    """300 random terms of size 9 to 13: an application with redexes on both
+    sides needs size 9, so only these tell the order of the two sides."""
+    rng = random.Random(3)
+    spec = EnumSpec(max_size=13)
+    return [random_term(rng.randrange(2 ** 30), rng.randint(9, 13), spec)
+            for _ in range(300)]
+
+
+def _nested_args(n):
+    """x (I x) (I x) ... with n arguments."""
+    t = p("x")
+    for _ in range(n):
+        t = App(t, p(r"(\z.z) x"))
+    return t
+
+
+def _nested_lo(n):
+    """x (t (I y)) nested n deep from t = I z."""
+    t = p(r"(\z.z) z")
+    for _ in range(n):
+        t = App(p("x"), App(t, p(r"(\z.z) y")))
+    return t
 
 
 class TestLevelArithmetic:
@@ -121,19 +195,26 @@ class TestRedexEnumeration:
             assert is_normal(t) == (not beta_redexes(t))
 
     def test_walk_matches_recursive_oracles(self):
-        # an application with redexes on both sides needs size 9, so only
-        # the random terms tell the order of the two sides
-        rng = random.Random(3)
-        spec = EnumSpec(max_size=13)
-        samples = [random_term(rng.randrange(2 ** 30), rng.randint(9, 13), spec)
-                   for _ in range(300)]
         weak = SYSTEMS[SystemId.WEAK_CBV].positions
-        for t in terms_up_to(8) + samples + [p(r"(\x.(\y.y) x) ((\y.y) (\y.y))")]:
+        for t in terms_up_to(8) + _random_samples() + [p(r"(\x.(\y.y) x) ((\y.y) (\y.y))")]:
             beta = oracle_beta_redexes(t)
             betav = oracle_betav_redexes(t)
             assert beta_redexes(t) == redexes(t, Base.BETA) == beta
             assert betav_redexes(t) == redexes(t, Base.BETAV) == betav
             assert weak(t) == oracle_weak_positions(t)
+
+
+    def test_context_rules_match_recursive_oracles(self):
+        # each row's inessential redexes, in preorder, without repeats
+        head, weak, lo = (SYSTEMS[s] for s in (SystemId.HEAD, SystemId.WEAK_CBV, SystemId.LO))
+        args, nested = _nested_args(200), _nested_lo(200)
+        for t in terms_up_to(8) + _random_samples() + [args, nested]:
+            assert head.neg_positions(t) == sorted(oracle_neg_head_positions(t))
+            assert weak.neg_positions(t) == sorted(oracle_neg_weak_positions(t))
+            assert lo.neg_positions(t) == sorted(oracle_neg_lo_positions(t))
+        # every argument redex of x (I x)... is inessential for head, and
+        # every I y of the nested shape for leftmost-outermost
+        assert len(head.neg_positions(args)) == len(lo.neg_positions(nested)) == 200
 
 
 class TestStepAt:
