@@ -24,6 +24,7 @@ from .terms import (
     is_value,
     parse,
     show,
+    show_steps,
     size,
     substitute,
 )

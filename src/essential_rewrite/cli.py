@@ -55,6 +55,7 @@ from .terms import (
     parse,
     parse_position,
     show,
+    show_steps,
 )
 
 CONFIG_ENV = "ESSENTIAL_REWRITE_CONFIG"
@@ -74,6 +75,17 @@ DEFAULTS = {
 _MINIMUM = {"fuel": 1, "size": 1, "budget": 1, "depth": 1, "samples": 0, "parallel": 1}
 
 _BASE_ONLY = {"beta": Base.BETA, "betav": Base.BETAV}
+
+# The options of `check` that only some properties read, and which each one
+# reads; the exhaustive properties read those of _EXHAUSTIVE_READS.  Every
+# property takes --size, --output and --seed (a rerun may pass the seed
+# it used, whether or not the property draws samples).
+_SELECTIVE = ("system", "flavor", "samples", "fuel", "budget", "depth", "parallel")
+_CHECK_READS = {
+    "subst-index": {"flavor", "samples"},
+    "normalization": {"system", "fuel", "budget", "depth"},
+}
+_EXHAUSTIVE_READS = {"system", "parallel"}
 
 # term operations recurse on term depth, and reducts can grow deep well
 # within the default fuel; commands therefore run on a thread with a large
@@ -97,6 +109,8 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.command == "check":
+            _reject_unread_options(args)
         config = _load_config()
         for key, fallback in DEFAULTS.items():
             if getattr(args, key, None) is None and hasattr(args, key):
@@ -116,6 +130,16 @@ def main(argv=None) -> int:
         print("error: term grew too deep to process; lower --fuel",
               file=sys.stderr)
         return 1
+
+
+def _reject_unread_options(args) -> None:
+    """A `check` option given on the command line that the property does not
+    read is a usage error; options from the config file are not checked."""
+    reads = _CHECK_READS.get(args.property, _EXHAUSTIVE_READS)
+    unread = [f"--{name}" for name in _SELECTIVE
+              if name not in reads and getattr(args, name) is not None]
+    if unread:
+        raise UsageError(f"check {args.property} does not take {', '.join(unread)}")
 
 
 def _run_deep(handler, args) -> int:
@@ -201,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "indexed-split", "ll-monotone", "ll-invariant",
                                          "normalization", "subst-index"]))
     check_p.add_argument("--system", choices=["head", "lo", "weak-cbv", "ll"])
-    check_p.add_argument("--flavor", choices=["cbn", "cbv"], default="cbn")
+    check_p.add_argument("--flavor", choices=["cbn", "cbv"], help="default cbn")
     _add_options(check_p, *DEFAULTS)
     check_p.set_defaults(handler=cmd_check)
 
@@ -233,21 +257,26 @@ def _step_line(step, text: str) -> str:
 
 def cmd_reduce(args) -> int:
     term = parse(args.term)
-    if args.system in _BASE_ONLY:
-        steps, outcome = _reduce_base(term, _BASE_ONLY[args.system], args.fuel)
-    else:
+    base = _BASE_ONLY.get(args.system)
+    if base is None:
         trace, outcome = normalize(term, get_system(args.system), fuel=args.fuel)
         steps = trace.steps
-    _emit_reduction(args, term, steps, outcome)
+    else:
+        # plain beta / beta-value reduction fires the first redex in preorder
+        fired, exhausted = Walk(base).run(term, args.fuel)
+        steps = [(Step(pos, StepKind.PLAIN), u) for pos, u in fired]
+        outcome = Outcome.FUEL_EXHAUSTED if exhausted else Outcome.NORMAL_FORM
+    start, *texts = show_steps(term, [(step.position, u) for step, u in steps])
+    payload = {
+        "start": start,
+        "system": args.system,
+        "steps": [dict(step.to_json(), term=text) for (step, _), text in zip(steps, texts)],
+        "outcome": outcome.value,
+    }
+    lines = [start] + [_step_line(step, text) for (step, _), text in zip(steps, texts)]
+    lines.append(f"outcome: {outcome.value}")
+    _emit(args, payload, lines)
     return 2 if outcome is Outcome.FUEL_EXHAUSTED else 0
-
-
-def _reduce_base(term, base: Base, fuel: int):
-    """Plain beta / beta-value reduction, always firing the first redex in
-    preorder."""
-    fired, exhausted = Walk(base).run(term, fuel)
-    steps = [(Step(pos, StepKind.PLAIN), u) for pos, u in fired]
-    return steps, Outcome.FUEL_EXHAUSTED if exhausted else Outcome.NORMAL_FORM
 
 
 def _renderer():
@@ -264,19 +293,6 @@ def _renderer():
         return entry[1]
 
     return render
-
-
-def _emit_reduction(args, term, steps, outcome) -> None:
-    render = _renderer()
-    payload = {
-        "start": render(term),
-        "system": args.system,
-        "steps": steps_to_json(steps, render),
-        "outcome": outcome.value,
-    }
-    lines = [render(term)] + [_step_line(s, render(u)) for s, u in steps]
-    lines.append(f"outcome: {outcome.value}")
-    _emit(args, payload, lines)
 
 
 def _read_sequence_file(path: str) -> tuple:
@@ -351,7 +367,7 @@ def cmd_check(args) -> int:
         if args.size < SUBST_INDEX_MIN_SIZE:
             raise UsageError(f"subst-index needs size at least {SUBST_INDEX_MIN_SIZE}, "
                              f"got {args.size}")
-        report = check_subst_index(Flavor(args.flavor), samples=args.samples,
+        report = check_subst_index(Flavor(args.flavor or "cbn"), samples=args.samples,
                                    seed=args.seed, max_size=args.size)
     else:
         if not args.system:

@@ -9,7 +9,8 @@ the hint is ignored by equality and hashing.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import count
+from typing import Callable, Iterable, Iterator
 
 
 class Term:
@@ -410,15 +411,34 @@ def show(t: Term) -> str:
     Binder hints are kept where possible and primed when they would capture a
     free name of the body or shadow an enclosing binder.
     """
+    out: list[str] = []
+    _emitter(out, [], set(), free_names(t))(t)
+    return "".join(out)
+
+
+class _Redraw(Exception):
+    """Raised by `show_steps` when a step cannot be spliced into the old
+    text, and by the emitter when a free name turns up it was not told of."""
+
+
+def _emitter(out: list[str], env: list[str], in_scope: set[str],
+             term_free: frozenset[str], shared: Term | None = None,
+             shared_text: Callable[[], str] | None = None) -> Callable[[Term], None]:
+    """The printing rules of `show`: a function that appends the text of a
+    subterm to `out`.  `env` lists the names of the binders around the
+    subterm, innermost last, and `in_scope` holds the same names; both are
+    restored after each call.  `term_free` must hold every free name of the
+    whole term, and may hold more without changing the text; a free name
+    outside it raises `_Redraw`.  Where the `shared` term occurs under no
+    binder of the subterm, the text `shared_text()` returns is copied in
+    place of rendering it.
+    """
     # A hint can only capture a free name of the whole term, so the free names
     # of a body are needed only at a binder whose candidate name is one of
     # those; closed terms never need them.  Binder names in scope are
     # distinct (a clash is primed away), so one set tracks them.
-    term_free = free_names(t)
-    env: list[str] = []
-    in_scope: set[str] = set()
-    out: list[str] = []
     append = out.append
+    depth = len(env)
 
     def emit(u: Term) -> None:
         kind = type(u)
@@ -427,7 +447,11 @@ def show(t: Term) -> str:
             # a dangling index appears in internal subterms only
             append(env[-1 - i] if i < len(env) else f"?{i}")
         elif kind is Free:
+            if u.name not in term_free:
+                raise _Redraw(u.name)
             append(u.name)
+        elif u is shared and len(env) == depth:
+            append(shared_text())
         elif kind is Lam:
             name = u.hint or "x"
             if name in in_scope or name in term_free:
@@ -455,8 +479,7 @@ def show(t: Term) -> str:
             else:
                 emit(arg)
 
-    emit(t)
-    return "".join(out)
+    return emit
 
 
 def _fresh(name: str, in_scope: set[str], term_free: frozenset[str], body: Term) -> str:
@@ -471,3 +494,179 @@ def _fresh(name: str, in_scope: set[str], term_free: frozenset[str], body: Term)
             if name not in body_free:
                 return name
         name += "'"
+
+
+# ---------------------------------------------------------------------------
+# Printing a reduction sequence
+#
+# A step rebuilds only the path from the root to its redex (the zipper step
+# of `reductions._contract`), and everything off that path keeps its text.
+# So the text of each term is the text before it with one span replaced, as
+# in an edit of a rope (Boehm, Atkinson & Plass, "Ropes: an alternative to
+# strings", SP&E 1995), here one flat string cut and joined at two offsets.
+
+
+def show_steps(start: Term, steps: Iterable[tuple[Position, Term]]) -> Iterator[str]:
+    """`show(start)`, then `show(root)` for each `(position, root)` of
+    `steps`, each printed by editing the text before it.
+
+    When `root` is the term before it with only its subterm at `position`
+    replaced, as after a reduction step there, only that subterm is rendered
+    and spliced into the old text.  The offsets found along one step's path
+    serve the next step down to where the two paths part; below that, the
+    walk adds up the widths of the siblings it passes, which a memo keeps.
+    Any other step renders the whole term: a root that differs off the path,
+    a step that erases or adds a free name below a binder whose name was
+    chosen against the free names of its body (the binder may gain or lose
+    a prime), or a free name that was not in the term before.
+    """
+    env: list[str] = []  # names of the binders on the path, innermost last
+    in_scope: set[str] = set()
+    # text width by (id, environment id) of a subterm; each entry keeps its
+    # term alive, so ids stay unique
+    widths: dict[tuple[int, int], tuple[Term, int]] = {}
+    env_ids: dict[tuple[int, str], int] = {}  # (outer environment, name) -> id
+    new_ids = count(1)  # 0 is the empty environment
+    tracked: frozenset[str] = frozenset()  # holds every free name of the term
+    # for each depth of the last step's path: the node, where its text starts
+    # (after any parentheses its parent adds), how many characters follow it,
+    # the id of its environment, and how many binders above it have a name
+    # chosen against the free names of their bodies
+    nodes: list[Term] = []
+    starts: list[int] = []
+    afters: list[int] = []
+    envs: list[int] = []
+    avoiding: list[int] = []
+
+    def width(u: Term, env_id: int) -> int:
+        key = (id(u), env_id)
+        entry = widths.get(key)
+        if entry is None:
+            out: list[str] = []
+            _emitter(out, env, in_scope, tracked)(u)
+            entry = widths[key] = (u, sum(map(len, out)))
+        return entry[1]
+
+    def redraw(root: Term) -> str:
+        nonlocal tracked
+        tracked = free_names(root)
+        env.clear()
+        in_scope.clear()
+        nodes[:], starts[:], afters[:], envs[:], avoiding[:] = [root], [0], [0], [0], [0]
+        out: list[str] = []
+        _emitter(out, env, in_scope, tracked)(root)
+        return "".join(out)
+
+    text = redraw(start)
+    path: Position = ()
+    yield text
+    for pos, root in steps:
+        try:
+            k = len(pos)
+            c, common = 0, min(k, len(path))
+            while c < common and pos[c] == path[c]:
+                c += 1
+            new = root
+            for i in range(c):
+                _, new_child = _rebuilt_child(nodes[i], new, pos[i])
+                nodes[i] = new
+                new = new_child
+            old, s, a, env_id, n_avoiding = nodes[c], starts[c], afters[c], envs[c], avoiding[c]
+            binders = pos[:c].count(BODY)
+            for name in env[binders:]:
+                in_scope.discard(name)
+            del env[binders:], nodes[c:], starts[c:], afters[c:], envs[c:], avoiding[c:]
+            for i in range(c, k):
+                nodes.append(new)
+                starts.append(s)
+                afters.append(a)
+                envs.append(env_id)
+                avoiding.append(n_avoiding)
+                tag = pos[i]
+                old_child, new = _rebuilt_child(old, new, tag)
+                if tag == BODY:
+                    name = old.hint or "x"
+                    while name in in_scope:
+                        name += "'"
+                    if name in tracked:
+                        # the name depends on the free names of the body, so
+                        # read it from the text: it ends at the first dot
+                        shown = text[s + 1:text.find(".", s + 1)]
+                        if (not shown.startswith(name) or shown[len(name):].strip("'")
+                                or shown in in_scope):
+                            raise _Redraw
+                        name = shown
+                        n_avoiding += 1
+                    s += len(name) + 2
+                    env.append(name)
+                    in_scope.add(name)
+                    key = (env_id, name)
+                    env_id = env_ids.get(key) or env_ids.setdefault(key, next(new_ids))
+                elif tag == LEFT:
+                    arg = old.arg
+                    kind = type(arg)
+                    a += width(arg, env_id) + (3 if kind is Lam or kind is App else 1)
+                    if type(old.fun) is Lam:
+                        s += 1
+                        a += 1
+                else:
+                    fun = old.fun
+                    s += width(fun, env_id) + (3 if type(fun) is Lam else 1)
+                    kind = type(old.arg)
+                    if kind is Lam or kind is App:
+                        s += 1
+                        a += 1
+                old = old_child
+            if n_avoiding and free_names(old) != free_names(new):
+                raise _Redraw  # a binder on the path may gain or lose a prime
+            tag = pos[-1] if pos else BODY  # the root, like a body, takes no parentheses
+            was, now = _in_parens(old, tag), _in_parens(new, tag)
+            lo, hi = s - was, len(text) - a + was
+            out = ["("] if now else []
+            if type(old) is App:
+                # a contracted redex's argument keeps its old text where the
+                # reduct holds the same object in the same environment
+                arg = old.arg
+                kind = type(arg)
+                end = hi - was - (kind is Lam or kind is App)
+                _emitter(out, env, in_scope, tracked, arg,
+                         lambda: text[end - width(arg, env_id):end])(new)
+            else:
+                _emitter(out, env, in_scope, tracked)(new)
+            if now:
+                out.append(")")
+            text = text[:lo] + "".join(out) + text[hi:]
+            nodes.append(new)
+            starts.append(lo + now)
+            afters.append(a - was + now)
+            envs.append(env_id)
+            avoiding.append(n_avoiding)
+            path = pos
+            # more widths than characters: most are of nodes the term lost
+            if len(widths) > len(text):
+                widths.clear()
+                env_ids.clear()
+        except _Redraw:
+            text, path = redraw(root), ()
+        yield text
+
+
+def _rebuilt_child(old: Term, new: Term, tag: str) -> tuple[Term, Term]:
+    """The children of `old` and `new` at `tag`, if `new` is `old` with only
+    that child replaced; raises `_Redraw` otherwise."""
+    kind = type(old)
+    if type(new) is kind:
+        if kind is App:
+            if tag == LEFT and new.arg is old.arg:
+                return old.fun, new.fun
+            if tag == RIGHT and new.fun is old.fun:
+                return old.arg, new.arg
+        elif kind is Lam and tag == BODY and new.hint == old.hint:
+            return old.body, new.body
+    raise _Redraw
+
+
+def _in_parens(u: Term, tag: str) -> bool:
+    """Does `show` put `u` in parentheses as its parent's `tag` child?"""
+    kind = type(u)
+    return kind is Lam and tag != BODY or kind is App and tag == RIGHT

@@ -1,6 +1,10 @@
 """Command-line behaviour: exit codes, output formats, reproducibility."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +12,11 @@ from essential_rewrite import cli, engine
 from essential_rewrite.cli import main
 from essential_rewrite.engine import factorize, trace_from_positions
 from essential_rewrite.terms import parse, show
+
+
+# the properties checked over every term up to a size
+EXHAUSTIVE = ["determinism", "diamond", "persistence", "fullness", "decomposition", "merge",
+              "split", "indexed-split", "ll-monotone", "ll-invariant"]
 
 
 def run(capsys, *argv):
@@ -78,6 +87,31 @@ class TestReduce:
         data = json.loads(out)
         assert data["outcome"] == "normal-form"
         assert [s["position"] for s in data["steps"]] == ["", ""]
+
+    @pytest.mark.parametrize("system", ["lo", "beta"])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_prints_each_step_without_show(self, capsys, show_calls, system, output):
+        code, out, _ = run(capsys, "reduce", r"(\f.\x.f (f x)) (\y.y) z", "--system", system,
+                           "--output", output)
+        assert code == 0 and show_calls == []
+        if output == "json":
+            data = json.loads(out)
+            texts = [data["start"]] + [step["term"] for step in data["steps"]]
+        else:
+            lines = out.splitlines()
+            texts = [lines[0]] + [line.split(" -> ")[1] for line in lines[1:-1]]
+        assert texts == [r"(\f.\x.f (f x)) (\y.y) z", r"(\x.(\y.y) ((\y.y) x)) z",
+                         r"(\y.y) ((\y.y) z)", r"(\y.y) z", "z"]
+
+    def test_redex_20000_deep(self, capsys):
+        depth = 20_000
+        code, out, _ = run(capsys, "reduce", "x (" * depth + r"(\y.y) z" + ")" * depth,
+                           "--system", "lo", "--output", "json")
+        data = json.loads(out)
+        assert code == 0 and data["outcome"] == "normal-form"
+        [step] = data["steps"]
+        assert step["position"] == ".".join(["R"] * depth)
+        assert step["term"] == "x (" * (depth - 1) + "x z" + ")" * (depth - 1)
 
 
 class TestFactorize:
@@ -230,6 +264,27 @@ class TestCheck:
         assert code == 4 and "INCONCLUSIVE (0 checked)" in out
         assert "no samples drawn" in out
 
+    @pytest.mark.parametrize("prop, given, unread", [
+        ("subst-index", ("--system", "lo"), "--system"),
+        ("subst-index", ("--parallel", "2"), "--parallel"),
+        ("normalization", ("--system", "lo", "--parallel", "2"), "--parallel"),
+        *[("subst-index", (f"--{option}", "3"), f"--{option}")
+          for option in ("fuel", "budget", "depth")],
+        *[(prop, ("--system", "lo", f"--{option}", "3"), f"--{option}")
+          for prop in EXHAUSTIVE for option in ("fuel", "budget", "depth", "samples")],
+        *[(prop, ("--system", "lo", "--flavor", "cbv"), "--flavor") for prop in EXHAUSTIVE],
+        ("normalization", ("--system", "lo", "--samples", "3"), "--samples"),
+        ("normalization", ("--system", "lo", "--flavor", "cbv"), "--flavor"),
+    ])
+    def test_rejects_an_option_the_property_does_not_read(self, capsys, prop, given, unread):
+        code, out, err = run(capsys, "check", prop, *given)
+        assert (code, out, err) == (1, "", f"error: check {prop} does not take {unread}\n")
+
+    def test_names_every_unread_option(self, capsys):
+        code, _, err = run(capsys, "check", "subst-index", "--depth", "2", "--system", "ll")
+        assert code == 1
+        assert err == "error: check subst-index does not take --system, --depth\n"
+
     def test_parallel_workers(self, capsys):
         code, out, _ = run(capsys, "check", "persistence", "--system", "head",
                            "--size", "5", "--parallel", "2")
@@ -290,6 +345,16 @@ class TestConfig:
         code, _, _ = run(capsys, "level", "x")
         assert code == 0
 
+    def test_config_keys_a_property_does_not_read_are_skipped(self, capsys, tmp_path,
+                                                              monkeypatch):
+        config = tmp_path / "config.txt"
+        config.write_text("fuel = 7\nbudget = 9\ndepth = 3\nparallel = 2\nsamples = 4\n")
+        monkeypatch.setenv("ESSENTIAL_REWRITE_CONFIG", str(config))
+        code, out, _ = run(capsys, "check", "subst-index", "--size", "5")
+        assert code == 0 and out.startswith("subst-index [cbn] size<=5: PASS (4 checked)")
+        code, out, _ = run(capsys, "check", "determinism", "--system", "head", "--size", "4")
+        assert code == 0 and "PASS" in out
+
     def test_unknown_config_output_exits_1(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.txt"
         config.write_text("output = xml\n")
@@ -340,3 +405,16 @@ class TestBadOptionValues:
                              "--parallel", "-3")
         assert (code, out) == (1, "")
         assert err == "error: parallel must be at least 1, got -3\n"
+
+
+def test_runs_as_a_module_from_a_checkout():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "essential_rewrite", "reduce", r"(\x.x x) (\y.y)",
+                           "--system", "lo"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("(\\x.x x) (\\y.y)\n"
+                           "  essential @ root -> (\\y.y) (\\y.y)\n"
+                           "  essential @ root -> \\y.y\n"
+                           "outcome: normal-form\n")

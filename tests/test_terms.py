@@ -1,14 +1,22 @@
 """Term syntax: parsing, printing, substitution and the structural predicates."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from essential_rewrite import EnumSpec, enumerate_terms, random_term, terms
+from essential_rewrite.engine import SYSTEMS
+from essential_rewrite.reductions import Base, Walk, step_at
 from essential_rewrite.terms import (
     App,
+    BODY,
     Free,
     InvalidPositionError,
+    LEFT,
     Lam,
     ParseError,
+    RIGHT,
     Var,
     alpha_eq,
     count_bound,
@@ -22,6 +30,7 @@ from essential_rewrite.terms import (
     parse_position,
     replace_at,
     show,
+    show_steps,
     size,
     substitute,
     subterm_at,
@@ -337,3 +346,147 @@ class TestInstantiate:
         t = p(r"\y.(\x.\w.x) y")
         redex = t.body
         assert instantiate(redex.fun.body, redex.arg) == p(r"\y.\w.y").body
+
+
+# the walks of the six `reduce` systems: the four strategies, then plain
+# beta and beta-value reduction
+_STRATEGY_WALKS = [row.walk for row in SYSTEMS.values()]
+_REDUCE_WALKS = _STRATEGY_WALKS + [Walk(Base.BETA), Walk(Base.BETAV)]
+
+
+@pytest.fixture
+def redraws(monkeypatch):
+    """Every term whose free names `show_steps` reads: it reads those of a
+    root only when it renders the whole of it."""
+    read = []
+    real = terms.free_names
+
+    def spy(t):
+        read.append(t)
+        return real(t)
+
+    monkeypatch.setattr(terms, "free_names", spy)
+    return read
+
+
+def _rendered_whole(read, steps):
+    return [u for u in read if any(u is root for _, root in steps)]
+
+
+def _rehint(t, rng):
+    """`t` with binder hints drawn from a small pool, so hints collide with
+    free names, with each other and with primed names."""
+    if isinstance(t, Lam):
+        return Lam(_rehint(t.body, rng), rng.choice(["x", "y", "x'", ""]))
+    if isinstance(t, App):
+        return App(_rehint(t.fun, rng), _rehint(t.arg, rng))
+    return t
+
+
+class TestShowSteps:
+    """`show_steps` prints each term of a reduction exactly as `show` and
+    the oracle do, splicing where it can."""
+
+    def check(self, t, walk, read=None):
+        fired, _ = walk.run(t, 20)
+        want = [show(t)] + [show(u) for _, u in fired]
+        assert want == [oracle_show(t)] + [oracle_show(u) for _, u in fired]
+        if read is not None:
+            read.clear()
+        assert list(show_steps(t, fired)) == want
+        return fired
+
+    @pytest.mark.parametrize("pool", [("x", "y"), ("x",), ()])
+    def test_every_small_term_under_every_system(self, pool, redraws):
+        for t in enumerate_terms(EnumSpec(max_size=7, free_names=pool)):
+            for walk in _REDUCE_WALKS:
+                fired = self.check(t, walk, redraws)
+                if not pool:
+                    # no free name, so no step of a closed term renders it whole
+                    assert _rendered_whole(redraws, fired) == []
+
+    def test_random_terms_under_every_strategy(self):
+        rng = random.Random(8)
+        for _ in range(3000):
+            t = random_term(rng.randrange(2 ** 30), rng.randint(8, 25),
+                            EnumSpec(max_size=25))
+            t = _rehint(t, rng)
+            for walk in _STRATEGY_WALKS:
+                self.check(t, walk)
+
+    def test_erased_free_name_renames_a_binder_on_the_path(self):
+        t = Lam(App(Lam(Var(1)), Free("x")), "x")
+        fired, _ = Walk(Base.BETA).run(t, 5)
+        assert list(show_steps(t, fired)) == ["\\x'.(\\x.x') x", "\\x.x"]
+
+    @pytest.mark.parametrize("t, whole", [
+        # binders named against a free name of their bodies, above a step
+        # that keeps the free names: spliced, with the names read back
+        (p(r"x (\x.(\y.y) x)"), False),
+        (Lam(App(Free("x"), App(Lam(Var(0), "y"), Var(0))), "x"), False),
+        # a name whose text a dot would cut short is not read back
+        (Lam(App(Free("a.b"), App(Lam(Var(0), "y"), Var(0))), "a.b"), True),
+    ])
+    def test_names_chosen_against_free_names(self, t, whole, redraws):
+        fired, _ = Walk(Base.BETA).run(t, 5)
+        want = [show(t)] + [show(u) for _, u in fired]
+        redraws.clear()
+        assert list(show_steps(t, fired)) == want
+        assert (_rendered_whole(redraws, fired) != []) == whole
+
+    @pytest.mark.parametrize("text, expected", [
+        # a RIGHT redex contracts to a variable: its parentheses go
+        (r"x ((\y.y) z)", ["x ((\\y.y) z)", "x z"]),
+        # a LEFT redex contracts to an abstraction: parentheses appear
+        (r"(\y.y) (\z.z) w", ["(\\y.y) (\\z.z) w", "(\\z.z) w", "w"]),
+    ])
+    def test_parentheses_follow_the_parent(self, text, expected, redraws):
+        t = p(text)
+        fired, _ = Walk(Base.BETA).run(t, 5)
+        redraws.clear()
+        assert list(show_steps(t, fired)) == expected
+        assert _rendered_whole(redraws, fired) == []
+
+    @pytest.mark.parametrize("start, step, text", [
+        # differs off the path: the function beside the replaced argument
+        (r"x ((\y.y) z)", lambda t: ((RIGHT,), App(Free("w"), Free("z"))), "w z"),
+        # ... or the argument beside the replaced function
+        (r"(\y.y) z x", lambda t: ((LEFT,), App(Free("z"), Free("w"))), "z w"),
+        # a binder on the path changes its hint
+        (r"\v.(\y.y) z", lambda t: ((BODY,), Lam(Free("z"), "w")), "\\w.z"),
+        # only the path changed, but a free name turned up that the binder
+        # around it must now avoid
+        (r"\v.x ((\y.y) z)",
+         lambda t: ((BODY, RIGHT), Lam(App(t.body.fun, Free("v")), "v")), "\\v'.x v"),
+    ], ids=["off-path-right", "off-path-left", "hint", "new-free-name"])
+    def test_other_changes_render_the_whole_term(self, start, step, text, redraws):
+        t = p(start)
+        steps = [step(t)]
+        want = [show(t), text]
+        redraws.clear()
+        assert list(show_steps(t, steps)) == want
+        assert _rendered_whole(redraws, steps) == [steps[0][1]]
+
+    def test_steps_no_strategy_takes(self, redraws):
+        """Steps at positions no `reduce` system fires at still splice."""
+        v, iz = Var(0), App(Lam(Var(0), "y"), Free("z"))
+        a = Lam(Var(0), "s")
+        cases = [
+            # one Var object beside the path under two different binders
+            (Lam(App(Lam(App(v, iz), "long"), App(v, iz)), "s"),
+             [(BODY, LEFT, BODY, RIGHT), (BODY, RIGHT, RIGHT)]),
+            # inside the function of a redex
+            (p(r"(\x.(\y.y) x) w"), [(LEFT, BODY)]),
+        ]
+        for t, positions in cases:
+            steps = []
+            for pos in positions:
+                steps.append((pos, step_at(steps[-1][1] if steps else t, pos)))
+            want = [show(t)] + [show(u) for _, u in steps]
+            redraws.clear()
+            assert list(show_steps(t, steps)) == want
+            assert _rendered_whole(redraws, steps) == []
+        # the contracted redex's argument, put under a binder of the reduct
+        t = App(Free("f"), App(Lam(Var(0), "y"), a))
+        steps = [((RIGHT,), App(t.fun, Lam(a, "s")))]
+        assert list(show_steps(t, steps)) == ["f ((\\y.y) (\\s.s))", "f (\\s.\\s'.s')"]
