@@ -19,7 +19,7 @@ about such systems executable:
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
@@ -536,11 +536,11 @@ def _check_fullness(system: EssentialSystem, t: Term) -> Optional[str]:
 
 def _check_decomposition(system: EssentialSystem, t: Term) -> Optional[str]:
     # a step is determined by its position, and a system's steps are its
-    # positions without repeats
-    base = Counter(redexes(t, system.base))
-    ess = Counter(set(system.positions(t)))
-    ines = Counter(set(system.neg_positions(t)))
-    if base != ess + ines:
+    # positions without repeats: they partition the redexes when the redex
+    # list has no repeats, no position is both, and together they are all
+    base = redexes(t, system.base)
+    whole, ess, ines = set(base), set(system.positions(t)), set(system.neg_positions(t))
+    if len(whole) != len(base) or not ess.isdisjoint(ines) or ess | ines != whole:
         return f"essential and inessential steps do not partition the redexes of {show(t)}"
     return None
 
@@ -747,19 +747,21 @@ def _check_normalization_one(system: EssentialSystem, t: Term, fuel: int,
     if system.id is SystemId.LEAST_LEVEL:
         if weakly_normalizing(graph) is not Decision.YES:
             return False, None
-        failure = _uniform_terminal(
-            t, lambda u: [v for _, v in ll_steps(u)],
-            terminal_ok=is_normal, budget=node_budget,
-            what="least-level")
-        return True, failure
-    # weak CbV: closed terms reaching a value must always end in a value
-    if not any(is_value(n) for n in graph.nodes):
-        return False, None
-    failure = _uniform_terminal(
-        t, lambda u: [v for _, v in weak_cbv_steps(u)],
-        terminal_ok=is_value, budget=node_budget,
-        what="weak CbV")
-    return True, failure
+        terminal_ok, what = is_normal, "least-level"
+    else:
+        # weak CbV: closed terms reaching a value must always end in a value
+        if not any(is_value(n) for n in graph.nodes):
+            return False, None
+        terminal_ok, what = is_value, "weak CbV"
+
+    def successors(u: Term) -> list[Term]:
+        # a whole graph's edges hold every base step of u in preorder, the
+        # order of its essential steps; a truncated graph may lack them
+        if graph.truncated:
+            return [v for _, v in system.essential_steps(u)]
+        essential = set(system.positions(u))
+        return [v for step, v in graph.edges[u] if step.position in essential]
+    return True, _uniform_terminal(t, successors, terminal_ok, node_budget, what)
 
 
 def _uniform_terminal(t: Term, successors, terminal_ok, budget: int, what: str):

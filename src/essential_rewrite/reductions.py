@@ -2,13 +2,16 @@
 
 Plain beta and beta-value contraction, the essential and inessential redex
 positions of the four strategies (head, weak call-by-value,
-leftmost-outermost, least-level), and level arithmetic.  Every redex list
-comes from one iterative walk, `_redex_paths`: `redexes` lists positions,
-`reducts` lists one-step reducts, and `redexes_where` lists the redexes in a
-system's inessential contexts, told by a rule on their paths (`_head_context`,
-`_weak_context`, `_lo_context`).  A `Walk` finds and fires a strategy's steps
-one at a time on a zipper.  Each system's steps are built from these positions
-by its `SYSTEMS` row (engine.py).
+leftmost-outermost, least-level), and level arithmetic.  `redexes` and
+`least_level` are loops of their own.  The walks that need each redex's
+zipper path come from `_redex_paths`: `reducts` lists one-step reducts, and
+`redexes_where` lists the redexes in a system's inessential contexts, told
+by a rule on their paths (`_head_context`, `_weak_context`, `_lo_context`).
+Of the redex searches, `_head_positions`, `_lo_positions` and the
+`is_neutral` test of `_lo_context` still recurse on the depth of the term.
+A `Walk` finds and fires a strategy's steps one at a time on a zipper.  Each
+system's steps are built from these positions by its `SYSTEMS` row
+(engine.py).
 
 Every enumerator returns steps sorted by position, which coincides with
 leftmost-outermost traversal order, so step lists and traces are reproducible.
@@ -19,20 +22,18 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import total_ordering
+from functools import partial, total_ordering
 from typing import Callable, Iterator, Optional
 
 from .terms import (
     App,
     BODY,
-    Free,
     InvalidPositionError,
     LEFT,
     Lam,
     Position,
     RIGHT,
     Term,
-    Var,
     format_position,
     instantiate,
     is_neutral,
@@ -304,12 +305,29 @@ def _redex_paths(t: Term, base: Base, binders: bool = True) -> Iterator[tuple[Ap
 def redexes(t: Term, base: Base, binders: bool = True) -> list[Position]:
     """Positions of all `base` redexes of `t`, outermost-leftmost first;
     without `binders`, only those under no abstraction."""
-    # a loop, not a comprehension: sweeps call this on many tiny subterms,
-    # and in Python 3.11 a comprehension costs one more frame per call
-    out = []
-    for _, path in _redex_paths(t, base, binders):
-        out.append(_position(path))
-    return out
+    # no generator, as sweeps call this on many tiny terms: `tags` is the
+    # position of `node`, and `pending` holds each argument still to visit
+    # with the depth of its application
+    out, tags, pending = [], [], []
+    node = t
+    while True:
+        kind = type(node)
+        if kind is App:
+            if admits(node, base):
+                out.append(tuple(tags))
+            if type(node.arg) is App or type(node.arg) is Lam:
+                pending.append((node.arg, len(tags)))
+            tags.append(LEFT)
+            node = node.fun
+        elif kind is Lam and binders:
+            tags.append(BODY)
+            node = node.body
+        elif pending:
+            node, depth = pending.pop()
+            del tags[depth:]
+            tags.append(RIGHT)
+        else:
+            return out
 
 
 def redexes_where(t: Term, base: Base, rule: Callable[[Path], bool]) -> list[Position]:
@@ -418,13 +436,24 @@ def _lo_context(path: Path) -> bool:
 
 def least_level(t: Term) -> Level:
     """Minimal number of argument-nestings containing a redex; inf if normal."""
-    if isinstance(t, (Var, Free)):
-        return INFINITY
-    if isinstance(t, Lam):
-        return least_level(t.body)
-    if isinstance(t.fun, Lam):
-        return Level(0)
-    return min(least_level(t.fun), least_level(t.arg) + 1)
+    # descend each function spine, queueing its arguments one level up, and
+    # prune every subtree at or above the least level found so far
+    least = sys.maxsize
+    pending = [(t, 0)]
+    while pending:
+        node, level = pending.pop()
+        while level < least:
+            kind = type(node)
+            if kind is Lam:
+                node = node.body
+            elif kind is not App:
+                break
+            elif type(node.fun) is Lam:
+                least = level
+            else:
+                pending.append((node.arg, level + 1))
+                node = node.fun
+    return INFINITY if least == sys.maxsize else Level(least)
 
 
 def position_level(pos: Position) -> Level:
@@ -443,11 +472,13 @@ def level_indexed_steps(t: Term) -> list[tuple[Step, Term]]:
     return out
 
 
-def _ll_positions(t: Term) -> list[Position]:
-    ll = least_level(t)
-    return [pos for pos in beta_redexes(t) if position_level(pos) == ll]
+def _ll_positions(t: Term, above: bool = False) -> list[Position]:
+    """The beta-redexes at the least level or, `above` it, the others: one
+    walk, each redex's level (as in `position_level`) counted as an int."""
+    positions = beta_redexes(t)
+    levels = [pos.count(RIGHT) for pos in positions]
+    least = min(levels, default=0)
+    return [pos for pos, level in zip(positions, levels) if (level > least) is above]
 
 
-def _neg_ll_positions(t: Term) -> list[Position]:
-    ll = least_level(t)
-    return [pos for pos in beta_redexes(t) if position_level(pos) > ll]
+_neg_ll_positions = partial(_ll_positions, above=True)

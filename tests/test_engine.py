@@ -13,6 +13,7 @@ from essential_rewrite import (
     EnumSpec,
     Free,
     Lam,
+    Level,
     Outcome,
     StepKind,
     SystemId,
@@ -28,6 +29,7 @@ from essential_rewrite import (
     identity_derivation,
     is_normal,
     is_parallel_inessential,
+    least_level,
     merge,
     normalize,
     random_term,
@@ -437,6 +439,8 @@ class TestDeepTerms:
             found = list(reducts(t, Base.BETA))
             weak = SYSTEMS[WCBV].positions(t)
             inessential = [SYSTEMS[s].neg_positions(t) for s in (HEAD, WCBV, LO)]
+            least = least_level(t)
+            leveled = [SYSTEMS[LL].positions(t), SYSTEMS[LL].neg_positions(t)]
         finally:
             sys.setrecursionlimit(old_limit)
         (pos,) = lists[0]
@@ -452,6 +456,8 @@ class TestDeepTerms:
             assert inessential == [[], [pos], []]
         else:
             assert inessential == [[pos], [], []]
+        # the one redex is the least-level one, at the level of its argument sides
+        assert least == Level(pos.count("R")) and leveled == [[pos], []]
 
 
 class TestCheckProperty:
@@ -527,6 +533,14 @@ class TestCheckNormalization:
         report = check_normalization(WCBV, size_bound=8, fuel=200, node_budget=4000)
         assert report.result == "PASS", report.counterexample
         assert report.checked_count > 0
+
+    # size 7 holds (\x.y) ((\z.z) y), whose inessential step would make a
+    # sequence one step longer: the least-level row fails if it is let through
+    @pytest.mark.parametrize("system, size, count", [
+        (HEAD, 6, 450), (LO, 6, 450), (LL, 6, 450), (LL, 7, 1711), (WCBV, 8, 707)])
+    def test_checked_counts(self, system, size, count):
+        report = check_normalization(system, size_bound=size, fuel=200, node_budget=4000)
+        assert (report.result, report.checked_count) == ("PASS", count)
 
     def test_nothing_relevant_is_inconclusive(self):
         # no closed term has size 1, so the weak CbV theorem is never exercised

@@ -126,6 +126,16 @@ class TestExplore:
         g = explore(t, node_budget=5, depth_budget=64)
         assert g.truncated
 
+    def test_depth_truncation(self):
+        # (\z.z) ((\z.z) y) takes two steps to y, both of its redexes
+        # contracting to (\z.z) y: a depth budget of 1 keeps that node unexpanded
+        t = p(r"(\z.z) ((\z.z) y)")
+        g = explore(t, depth_budget=1)
+        assert g.truncated
+        assert list(g.nodes) == [t, p(r"(\z.z) y")]
+        assert g.edges[p(r"(\z.z) y")] == []
+        assert not explore(t, depth_budget=3).truncated
+
     def test_json_adjacency_export(self):
         t = p(r"(\z.z) ((\z.z) (\z.z))")
         data = explore(t).to_json()

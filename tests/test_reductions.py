@@ -27,11 +27,13 @@ from essential_rewrite import (
 )
 from essential_rewrite.engine import SYSTEMS
 from essential_rewrite.enumeration import EnumSpec, random_term
-from essential_rewrite.reductions import Base, SystemId, position_level, redexes
+from essential_rewrite.reductions import Base, StepKind, SystemId, position_level, redexes
 from essential_rewrite.terms import (
     App,
+    Free,
     InvalidPositionError,
     Lam,
+    Var,
     is_neutral,
     is_normal,
     is_value,
@@ -39,8 +41,8 @@ from essential_rewrite.terms import (
 from conftest import OMEGA, p, terms_up_to
 
 
-# The recursive definitions of the redex lists, kept as oracles for the one
-# iterative walk behind `redexes`.
+# The recursive definitions of the redex lists and of the least level, kept
+# as oracles for the loops behind `redexes` and `least_level`.
 
 def oracle_beta_redexes(t, prefix=()):
     """Positions of all beta-redexes, outermost-leftmost first."""
@@ -120,6 +122,29 @@ def oracle_neg_lo_positions(t, prefix=()):
     elif isinstance(t, Lam):
         out.update(oracle_neg_lo_positions(t.body, prefix + ("B",)))
     return out
+
+
+def oracle_least_level(t):
+    """Minimal number of argument-nestings containing a redex; inf if normal."""
+    if isinstance(t, (Var, Free)):
+        return INFINITY
+    if isinstance(t, Lam):
+        return oracle_least_level(t.body)
+    if isinstance(t.fun, Lam):
+        return Level(0)
+    return min(oracle_least_level(t.fun), oracle_least_level(t.arg) + 1)
+
+
+def oracle_ll_positions(t):
+    """Least-level redexes: the beta-redexes at the least level."""
+    ll = oracle_least_level(t)
+    return [pos for pos in oracle_beta_redexes(t) if position_level(pos) == ll]
+
+
+def oracle_neg_ll_positions(t):
+    """Inessential least-level redexes: the beta-redexes above the least level."""
+    ll = oracle_least_level(t)
+    return [pos for pos in oracle_beta_redexes(t) if position_level(pos) > ll]
 
 
 def _random_samples():
@@ -372,6 +397,17 @@ class TestLeastLevel:
         lo_reduct = lo_step(t2)
         assert lo_reduct in [u for _, u in neg_ll_steps(t2)]
         assert lo_reduct not in [u for _, u in ll_steps(t2)]
+
+    def test_loops_match_recursive_oracles(self):
+        # the least level, and each redex list in preorder
+        ll = SYSTEMS[SystemId.LEAST_LEVEL]
+        for t in terms_up_to(8) + _random_samples():
+            assert least_level(t) == oracle_least_level(t)
+            essential = oracle_ll_positions(t)
+            assert ll.positions(t) == essential
+            assert ll.neg_positions(t) == oracle_neg_ll_positions(t)
+            assert [s.kind is StepKind.ESSENTIAL for s, _ in level_indexed_steps(t)] == [
+                pos in essential for pos in oracle_beta_redexes(t)]
 
     def test_computational_meaning(self, small_terms):
         # the least level is the least level of an actual step
