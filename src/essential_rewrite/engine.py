@@ -26,7 +26,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Optional
 
 from .enumeration import EnumSpec, enumerate_terms, random_term
-from .graphs import Decision, explore, weakly_normalizing
+from .graphs import explore
 from .parallel import (
     Flavor,
     FlavorMismatchError,
@@ -114,7 +114,10 @@ class EssentialSystem:
     redexes, is defined separately so that the decomposition check has teeth.
     `spine_only` marks a strategy that only contracts on the function spine
     (head reduction); it is what tells head from leftmost-outermost to
-    `walk`.
+    `walk`.  The normalization theorem is read from the row too: a maximal
+    essential sequence must end in a term `terminal` accepts, `name` names
+    the strategy in messages, and `closed_only` restricts the sweep to
+    closed terms.
     """
 
     id: SystemId
@@ -122,7 +125,10 @@ class EssentialSystem:
     flavor: Flavor
     positions: Callable[[Term], list[Position]]
     neg_positions: Callable[[Term], Iterable[Position]]
+    name: str
+    terminal: Callable[[Term], bool]
     spine_only: bool = False
+    closed_only: bool = False
 
     @cached_property
     def walk(self) -> Walk:
@@ -165,16 +171,19 @@ SYSTEMS: dict[SystemId, EssentialSystem] = {
     SystemId.HEAD: EssentialSystem(SystemId.HEAD, Base.BETA, Flavor.CBN,
                                    _head_positions,
                                    partial(redexes_where, base=Base.BETA, rule=_head_context),
-                                   spine_only=True),
+                                   "head", lambda t: True, spine_only=True),
     SystemId.WEAK_CBV: EssentialSystem(SystemId.WEAK_CBV, Base.BETAV, Flavor.CBV,
                                        partial(redexes, base=Base.BETAV, binders=False),
                                        partial(redexes_where, base=Base.BETAV,
-                                               rule=_weak_context)),
+                                               rule=_weak_context),
+                                       "weak CbV", is_value, closed_only=True),
     SystemId.LO: EssentialSystem(SystemId.LO, Base.BETA, Flavor.CBN,
                                  _lo_positions,
-                                 partial(redexes_where, base=Base.BETA, rule=_lo_context)),
+                                 partial(redexes_where, base=Base.BETA, rule=_lo_context),
+                                 "leftmost-outermost", is_normal),
     SystemId.LEAST_LEVEL: EssentialSystem(SystemId.LEAST_LEVEL, Base.BETA, Flavor.LEVELED,
-                                          _ll_positions, _neg_ll_positions),
+                                          _ll_positions, _neg_ll_positions,
+                                          "least-level", is_normal),
 }
 
 # Each system's steps by name, for the package's exports and bench/tracing.py.
@@ -495,8 +504,8 @@ class _Inconclusive(Exception):
 
 
 # Determinism, fullness, decomposition and the emptiness tests of persistence
-# and of the head normalization hypothesis compare positions only, so they
-# read positions and contract nothing.
+# and of the normalization hypothesis compare positions only, so they read
+# positions and contract nothing.
 
 
 def _check_determinism(system: EssentialSystem, t: Term) -> Optional[str]:
@@ -687,17 +696,17 @@ def _parallel_sweep(prop: str, system: EssentialSystem, terms, workers: int):
 
 def check_normalization(sys, size_bound: int = 8, fuel: int = 1000,
                         node_budget: int = 20000, depth_budget: int = 64) -> Report:
-    """Desk-scale normalization theorems.
+    """Desk-scale normalization theorems, one rule for every system.
 
-    For every enumerated term whose reduction graph certifies the relevant
-    hypothesis, run the strategy (or search its whole essential graph) and
-    verify the claimed conclusion.  Budget hits (the first one is reported,
-    with how many terms hit one) and sweeps where no term is relevant yield
-    INCONCLUSIVE, not PASS.
+    A term is relevant when its explored base graph holds an essential-normal
+    term.  Then every maximal essential sequence from it must be finite, all
+    of one length of at most `fuel` steps, and end in a term the row's
+    `terminal` accepts.  Budget hits (the first one is reported, with how many
+    terms hit one) and sweeps where no term is relevant yield INCONCLUSIVE,
+    not PASS.
     """
     system = get_system(sys)
-    closed_only = system.id is SystemId.WEAK_CBV
-    spec = EnumSpec(max_size=size_bound, closed_only=closed_only)
+    spec = EnumSpec(max_size=size_bound, closed_only=system.closed_only)
     checked = 0
     inconclusive = None
     inconclusive_terms = 0
@@ -727,46 +736,28 @@ def check_normalization(sys, size_bound: int = 8, fuel: int = 1000,
 def _check_normalization_one(system: EssentialSystem, t: Term, fuel: int,
                              node_budget: int, depth_budget: int):
     graph = explore(t, system.base, node_budget=node_budget, depth_budget=depth_budget)
-    if system.id is SystemId.HEAD:
-        # hypothesis: some essential-normal form is base-reachable
-        if not any(not system.positions(n) for n in graph.nodes):
-            return False, None
-        _, outcome = normalize(t, system, fuel)
-        if outcome is Outcome.FUEL_EXHAUSTED:
-            raise _Inconclusive("head reduction hit the fuel bound")
-        return True, None
-    if system.id is SystemId.LO:
-        if weakly_normalizing(graph) is not Decision.YES:
-            return False, None
-        trace, outcome = normalize(t, system, fuel)
-        if outcome is Outcome.FUEL_EXHAUSTED:
-            raise _Inconclusive("leftmost-outermost reduction hit the fuel bound")
-        if outcome is not Outcome.NORMAL_FORM or not is_normal(trace.end):
-            return True, f"leftmost-outermost missed the normal form of {show(t)}"
-        return True, None
-    if system.id is SystemId.LEAST_LEVEL:
-        if weakly_normalizing(graph) is not Decision.YES:
-            return False, None
-        terminal_ok, what = is_normal, "least-level"
-    else:
-        # weak CbV: closed terms reaching a value must always end in a value
-        if not any(is_value(n) for n in graph.nodes):
-            return False, None
-        terminal_ok, what = is_value, "weak CbV"
+    # on a whole graph a node without out-edges is normal, so essential-normal
+    whole = not graph.truncated
+    if not (whole and any(not out for out in graph.edges.values())
+            or any(not system.positions(n) for n in graph.nodes)):
+        return False, None
 
     def successors(u: Term) -> list[Term]:
         # a whole graph's edges hold every base step of u in preorder, the
         # order of its essential steps; a truncated graph may lack them
-        if graph.truncated:
+        if not whole:
             return [v for _, v in system.essential_steps(u)]
         essential = set(system.positions(u))
         return [v for step, v in graph.edges[u] if step.position in essential]
-    return True, _uniform_terminal(t, successors, terminal_ok, node_budget, what)
+    return True, _uniform_terminal(t, successors, system.terminal, fuel, node_budget,
+                                   system.name)
 
 
-def _uniform_terminal(t: Term, successors, terminal_ok, budget: int, what: str):
-    """All maximal essential sequences from t are finite, of equal length, and
-    end in an accepted terminal.  Returns a failure message or None.
+def _uniform_terminal(t: Term, successors, terminal_ok, fuel: int, budget: int, what: str):
+    """All maximal essential sequences from t are finite, of one length of at
+    most `fuel` steps, and end in a term `terminal_ok` accepts.  Returns a
+    failure message or None; raises `_Inconclusive` when a sequence outgrows
+    `fuel` or the search outgrows `budget` terms.
 
     Iterative post-order walk: terms can outgrow the Python stack long before
     they exhaust the node budget.
@@ -788,6 +779,10 @@ def _uniform_terminal(t: Term, successors, terminal_ok, budget: int, what: str):
                 memo[u] = 0 if terminal_ok(u) else (
                     f"{what} reduction from {show(t)} halts at the bad term {show(u)}")
                 continue
+            # on_path is the sequence from t to u; the first sequence walked
+            # is walked whole, so a length shared by all is bounded here
+            if len(on_path) >= fuel:
+                raise _Inconclusive(f"{what} reduction hit the fuel bound")
             on_path.add(u)
             stack.append((u, True))
             for v in nexts:

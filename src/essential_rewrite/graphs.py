@@ -17,7 +17,7 @@ from .reductions import (
     Step,
     StepKind,
     reducts,
-    redexes,  # unused here; bench/tracing.py binds it
+    redexes,
     step_at,  # unused here; bench/tracing.py binds it
 )
 from .terms import Term, show
@@ -68,8 +68,9 @@ def explore(t: Term, base: Base = Base.BETA, node_budget: int = 20000,
     while queue:
         term, depth = queue.popleft()
         if depth >= depth_budget:
-            # the node keeps its empty edge list: not a normal form, but cut off
-            g.truncated = True
+            # the node stays unexpanded: the graph is cut off unless it is normal
+            if redexes(term, base):
+                g.truncated = True
             continue
         out = []
         for pos, target in reducts(term, base):

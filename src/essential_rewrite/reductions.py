@@ -274,10 +274,10 @@ def _contract(redex: App, path: Path) -> tuple[Term, Term]:
     return node, reduct
 
 
-def _redex_paths(t: Term, base: Base, binders: bool = True) -> Iterator[tuple[App, Path]]:
+def _redex_paths(t: Term, base: Base) -> Iterator[tuple[App, Path]]:
     """Each `base` redex of `t` in preorder, with its path from the root.
-    A walk without `binders` never enters an abstraction.  The path yielded
-    is the walk's own and changes as it goes on: copy it to keep it."""
+    The path yielded is the walk's own and changes as it goes on: copy it
+    to keep it."""
     path: Path = []
     node = t
     while True:
@@ -287,7 +287,7 @@ def _redex_paths(t: Term, base: Base, binders: bool = True) -> Iterator[tuple[Ap
                 yield node, path
             path.append((node, LEFT))
             node = node.fun
-        elif kind is Lam and binders:
+        elif kind is Lam:
             path.append((node, BODY))
             node = node.body
         else:

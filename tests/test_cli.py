@@ -245,6 +245,11 @@ class TestCheck:
                            "--size", "5", "--fuel", "100", "--budget", "2000")
         assert code == 0 and "PASS" in out
 
+    def test_normalization_fuel_bounds_least_level(self, capsys):
+        code, out, _ = run(capsys, "check", "normalization", "--system", "ll",
+                           "--size", "7", "--fuel", "1")
+        assert code == 4 and "least-level reduction hit the fuel bound" in out
+
     def test_json_report_round_trips(self, capsys):
         code, out, _ = run(capsys, "check", "fullness", "--system", "ll",
                            "--size", "5", "--output", "json")

@@ -557,12 +557,52 @@ class TestCheckNormalization:
         assert (small.counterexample.rsplit(" (", 1)[0]
                 == large.counterexample.rsplit(" (", 1)[0])
 
-    def test_inconclusive_terms_are_counted(self):
-        report = check_normalization(LO, size_bound=7, fuel=1)
-        assert report.counterexample == (
-            r"(\x.x) ((\x.x) x): leftmost-outermost reduction hit the fuel bound"
-            " (61 terms inconclusive)")
-        assert report.checked_count == 1650
+    # the fuel bounds every system's essential sequences
+    @pytest.mark.parametrize("system, counterexample, checked", [
+        (LO, r"(\x.x) ((\x.x) x): leftmost-outermost reduction hit the fuel bound"
+             " (61 terms inconclusive)", 1650),
+        (LL, r"(\x.x) ((\x.x) x): least-level reduction hit the fuel bound"
+             " (61 terms inconclusive)", 1650),
+        (WCBV, r"(\x.x x) (\x.x): weak CbV reduction hit the fuel bound"
+               " (1 term inconclusive)", 200),
+    ], ids=["lo", "ll", "weak-cbv"])
+    def test_inconclusive_terms_are_counted(self, system, counterexample, checked):
+        report = check_normalization(system, size_bound=7, fuel=1)
+        assert (report.result, report.counterexample) == ("INCONCLUSIVE", counterexample)
+        assert report.checked_count == checked
+
+    # every reduction from a size-7 term that takes two steps ends in a
+    # normal form, so a depth budget of 2 explores every graph whole
+    @pytest.mark.parametrize("system", [LO, LL])
+    def test_normal_forms_at_the_depth_bound(self, system):
+        report = check_normalization(system, size_bound=7, depth_budget=2)
+        assert (report.result, report.checked_count) == ("PASS", 1711)
+
+    # the graph of this term grows forever, but it already holds the normal
+    # form y when the node budget cuts it off
+    @pytest.mark.parametrize("system", [HEAD, LO, LL])
+    def test_truncated_graph_with_a_normal_form_is_relevant(self, system, monkeypatch):
+        term = p(r"(\x.y) ((\x.x x) (\x.x x x))")
+        monkeypatch.setattr(engine, "enumerate_terms", lambda spec: iter([term]))
+        report = check_normalization(system, node_budget=5)
+        assert (report.result, report.checked_count) == ("PASS", 1)
+
+    # the rule fails a row whose strategy breaks the row's theorem: head steps
+    # stop short of the normal form the leftmost-outermost row asks for, and
+    # sequences of arbitrary beta steps differ in length or loop
+    @pytest.mark.parametrize("system, positions, term, failure", [
+        (LO, SYSTEMS[HEAD].positions, r"x ((\x.x) x)",
+         r"leftmost-outermost reduction from x ((\x.x) x) halts at the bad term x ((\x.x) x)"),
+        (LL, beta_redexes, r"(\x.y) ((\x.x) y)",
+         r"least-level sequences from (\x.y) ((\x.x) y) have different lengths"),
+        (LL, beta_redexes, rf"(\x.y) ({OMEGA})",
+         rf"least-level reduction loops below (\x.y) ({OMEGA})"),
+    ], ids=["stops-short", "different-lengths", "loop"])
+    def test_broken_strategy_fails(self, system, positions, term, failure, monkeypatch):
+        monkeypatch.setattr(engine, "enumerate_terms", lambda spec: iter([p(term)]))
+        broken = dataclasses.replace(SYSTEMS[system], positions=positions)
+        report = check_normalization(broken)
+        assert (report.result, report.counterexample) == ("FAIL", failure)
 
     def test_one_inconclusive_term(self, monkeypatch):
         term = p(r"(\x.x) ((\x.x) x)")

@@ -136,6 +136,13 @@ class TestExplore:
         assert g.edges[p(r"(\z.z) y")] == []
         assert not explore(t, depth_budget=3).truncated
 
+    def test_normal_form_at_the_depth_bound(self):
+        # the last node, y, lies at depth 2 and needs no expansion
+        g = explore(p(r"(\z.z) ((\z.z) y)"), depth_budget=2)
+        assert not g.truncated
+        assert weakly_normalizing(g) is Decision.YES
+        assert strongly_normalizing(g) is Decision.YES
+
     def test_json_adjacency_export(self):
         t = p(r"(\z.z) ((\z.z) (\z.z))")
         data = explore(t).to_json()
