@@ -31,7 +31,6 @@ from .terms import (
 from .reductions import (
     Base,
     INFINITY,
-    Level,
     Step,
     StepKind,
     SystemId,
@@ -66,11 +65,9 @@ from .engine import (
     check_subst_index,
     factorize,
     get_system,
-    head_step,
     head_steps,
     is_parallel_inessential,
     ll_steps,
-    lo_step,
     lo_steps,
     merge,
     neg_head_steps,
@@ -83,6 +80,6 @@ from .engine import (
     weak_cbv_steps,
 )
 from .enumeration import EnumSpec, count_terms, enumerate_terms, random_term
-from .graphs import Decision, ReductionGraph, explore, path_exists, strongly_normalizing, weakly_normalizing
+from .graphs import ReductionGraph, explore
 
 __version__ = "0.1.0"

@@ -43,6 +43,7 @@ from .reductions import (
     Walk,
     least_level,
     level_indexed_steps,
+    level_json,
     redexes,  # unused here; bench/tracing.py binds it
     step_at,  # unused here; bench/tracing.py binds it
 )
@@ -107,6 +108,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "check":
@@ -127,9 +129,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        print("error: term grew too deep to process; lower --fuel",
-              file=sys.stderr)
+        advice = "; lower --fuel" if _reads_fuel(args) else ""
+        print(f"error: term grew too deep to process{advice}", file=sys.stderr)
         return 1
+
+
+def _reads_fuel(args) -> bool:
+    """Does the command read --fuel?  `reduce` and `check normalization` do."""
+    if getattr(args, "command", None) == "check":
+        return "fuel" in _CHECK_READS.get(args.property, _EXHAUSTIVE_READS)
+    return hasattr(args, "fuel")
 
 
 def _reject_unread_options(args) -> None:
@@ -351,7 +360,7 @@ def cmd_level(args) -> int:
     render = _renderer()
     payload = {
         "term": render(term),
-        "least_level": level.to_json(),
+        "least_level": level_json(level),
         "steps": steps_to_json(steps, render),
     }
     lines = [f"least level of {render(term)}: {level}"]

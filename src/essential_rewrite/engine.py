@@ -48,19 +48,16 @@ from .reductions import (
     SystemId,
     Walk,
     _head_context,
-    _head_positions,
+    _leftmost_positions,
     _ll_positions,
     _lo_context,
-    _lo_positions,
     _neg_ll_positions,
-    _sorted_steps,
     _weak_context,
     beta_redexes,
     betav_redexes,
     least_level,
     level_indexed_steps,
     position_level,
-    reducts,
     redexes,
     redexes_where,
     step_at,
@@ -121,7 +118,6 @@ class EssentialSystem:
     """
 
     id: SystemId
-    base: Base
     flavor: Flavor
     positions: Callable[[Term], list[Position]]
     neg_positions: Callable[[Term], Iterable[Position]]
@@ -129,6 +125,11 @@ class EssentialSystem:
     terminal: Callable[[Term], bool]
     spine_only: bool = False
     closed_only: bool = False
+
+    @cached_property
+    def base(self) -> Base:
+        """The base reduction, which the flavor determines."""
+        return base_of(self.flavor)
 
     @cached_property
     def walk(self) -> Walk:
@@ -142,16 +143,15 @@ class EssentialSystem:
         """Plain `base` reduction: fires the first redex in preorder."""
         return Walk(self.base)
 
-    def base_steps(self, t: Term) -> list[tuple[Step, Term]]:
-        return [(self.make_step(t, p), u) for p, u in reducts(t, self.base)]
-
     def essential_steps(self, t: Term) -> list[tuple[Step, Term]]:
-        return _sorted_steps(t, self.positions(t), self.base, StepKind.ESSENTIAL,
-                             with_level=self.flavor is Flavor.LEVELED)
+        return self._steps(t, self.positions(t), StepKind.ESSENTIAL)
 
     def inessential_steps(self, t: Term) -> list[tuple[Step, Term]]:
-        return _sorted_steps(t, self.neg_positions(t), self.base, StepKind.INESSENTIAL,
-                             with_level=self.flavor is Flavor.LEVELED)
+        return self._steps(t, self.neg_positions(t), StepKind.INESSENTIAL)
+
+    def _steps(self, t: Term, positions, kind: StepKind) -> list[tuple[Step, Term]]:
+        return [(Step(pos, kind, self.level_of(pos)), step_at(t, pos, self.base))
+                for pos in sorted(set(positions))]
 
     def classify(self, t: Term, pos: Position) -> StepKind:
         return StepKind.ESSENTIAL if pos in self.positions(t) else StepKind.INESSENTIAL
@@ -167,21 +167,26 @@ class EssentialSystem:
         return self.base_walk.find(t, []) is None
 
 
+def _any_term(t: Term) -> bool:
+    """Head reduction accepts any end term: a head normal form."""
+    return True
+
+
 SYSTEMS: dict[SystemId, EssentialSystem] = {
-    SystemId.HEAD: EssentialSystem(SystemId.HEAD, Base.BETA, Flavor.CBN,
-                                   _head_positions,
+    SystemId.HEAD: EssentialSystem(SystemId.HEAD, Flavor.CBN,
+                                   partial(_leftmost_positions, arguments=False),
                                    partial(redexes_where, base=Base.BETA, rule=_head_context),
-                                   "head", lambda t: True, spine_only=True),
-    SystemId.WEAK_CBV: EssentialSystem(SystemId.WEAK_CBV, Base.BETAV, Flavor.CBV,
+                                   "head", _any_term, spine_only=True),
+    SystemId.WEAK_CBV: EssentialSystem(SystemId.WEAK_CBV, Flavor.CBV,
                                        partial(redexes, base=Base.BETAV, binders=False),
                                        partial(redexes_where, base=Base.BETAV,
                                                rule=_weak_context),
                                        "weak CbV", is_value, closed_only=True),
-    SystemId.LO: EssentialSystem(SystemId.LO, Base.BETA, Flavor.CBN,
-                                 _lo_positions,
+    SystemId.LO: EssentialSystem(SystemId.LO, Flavor.CBN,
+                                 _leftmost_positions,
                                  partial(redexes_where, base=Base.BETA, rule=_lo_context),
                                  "leftmost-outermost", is_normal),
-    SystemId.LEAST_LEVEL: EssentialSystem(SystemId.LEAST_LEVEL, Base.BETA, Flavor.LEVELED,
+    SystemId.LEAST_LEVEL: EssentialSystem(SystemId.LEAST_LEVEL, Flavor.LEVELED,
                                           _ll_positions, _neg_ll_positions,
                                           "least-level", is_normal),
 }
@@ -195,16 +200,6 @@ lo_steps = SYSTEMS[SystemId.LO].essential_steps
 neg_lo_steps = SYSTEMS[SystemId.LO].inessential_steps
 ll_steps = SYSTEMS[SystemId.LEAST_LEVEL].essential_steps
 neg_ll_steps = SYSTEMS[SystemId.LEAST_LEVEL].inessential_steps
-
-
-def head_step(t: Term) -> Optional[Term]:
-    """The head reduct of `t`, or None if `t` is head-normal."""
-    return next((u for _, u in head_steps(t)), None)
-
-
-def lo_step(t: Term) -> Optional[Term]:
-    """The leftmost-outermost reduct of `t`, or None if `t` is normal."""
-    return next((u for _, u in lo_steps(t)), None)
 
 
 def get_system(sys) -> EssentialSystem:
@@ -665,8 +660,7 @@ def check_property(prop: str, sys, size_bound: int = 8,
 
 
 def _sweep_chunk(args):
-    prop, system_value, chunk = args
-    system = SYSTEMS[SystemId(system_value)]
+    prop, system, chunk = args
     checker, _ = PROPERTY_CHECKS[prop]
     for i, t in enumerate(chunk):
         failure = checker(system, t)
@@ -683,7 +677,7 @@ def _parallel_sweep(prop: str, system: EssentialSystem, terms, workers: int):
     checked = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for done, failure in pool.map(
-                _sweep_chunk, [(prop, system.id.value, c) for c in chunks]):
+                _sweep_chunk, [(prop, system, c) for c in chunks]):
             checked += done
             if failure is not None:
                 return failure, checked

@@ -23,10 +23,10 @@ from typing import Iterable, Iterator
 from .reductions import (
     Base,
     INFINITY,
-    Level,
     beta_redexes,
     betav_redexes,
     least_level,  # unused here; bench/tracing.py binds it
+    level_json,
 )
 from .terms import (
     App,
@@ -94,17 +94,12 @@ class ParDerivation:
         return f"<{self.rule.value} {self.source!r} => {self.target!r} @ {self.index}>"
 
     def to_json(self):
-        out = {
+        return {
             "rule": self.rule.value,
             "flavor": self.flavor.value,
-            "index": self.index.to_json() if isinstance(self.index, Level) else self.index,
+            "index": level_json(self.index),
             "children": [c.to_json() for c in self.children],
         }
-        return out
-
-
-def _leaf_index(flavor: Flavor):
-    return INFINITY if flavor is Flavor.LEVELED else 0
 
 
 # The node builders take the node's source term.  When every child's target
@@ -113,7 +108,7 @@ def _leaf_index(flavor: Flavor):
 
 
 def _var(flavor: Flavor, t: Term) -> ParDerivation:
-    return ParDerivation(flavor, Rule.VAR, (), t, t, _leaf_index(flavor))
+    return ParDerivation(flavor, Rule.VAR, (), t, t, INFINITY if flavor is Flavor.LEVELED else 0)
 
 
 def _abs(flavor: Flavor, t: Lam, child: ParDerivation) -> ParDerivation:
@@ -137,7 +132,7 @@ def _beta(flavor: Flavor, t: App, body: ParDerivation, arg: ParDerivation) -> Pa
     if flavor is Flavor.CBV and not is_value(t.arg):
         raise NonValueError("selected redex has a non-value argument")
     if flavor is Flavor.LEVELED:
-        index = Level(0)
+        index = 0
     else:
         index = body.index + count_bound(body.target) * arg.index + 1
     return ParDerivation(flavor, Rule.BETA, (body, arg), t,
@@ -163,7 +158,7 @@ def derive(t: Term, selection: Iterable[Position], flavor: Flavor) -> ParDerivat
 
 def _derive(t: Term, sel: frozenset[Position], flavor: Flavor) -> ParDerivation:
     if not sel:
-        return _congruence(t, flavor)
+        return identity_derivation(t, flavor)
     if () in sel:
         body = _derive(t.fun.body, _strip(sel, (LEFT, BODY)), flavor)
         arg = _derive(t.arg, _strip(sel, (RIGHT,)), flavor)
@@ -175,22 +170,19 @@ def _derive(t: Term, sel: frozenset[Position], flavor: Flavor) -> ParDerivation:
     return _app(flavor, t, left, right)
 
 
-def _congruence(t: Term, flavor: Flavor) -> ParDerivation:
+def identity_derivation(t: Term, flavor: Flavor) -> ParDerivation:
     """The identity derivation on t."""
     if isinstance(t, Lam):
-        return _abs(flavor, t, _congruence(t.body, flavor))
+        return _abs(flavor, t, identity_derivation(t.body, flavor))
     if isinstance(t, App):
-        return _app(flavor, t, _congruence(t.fun, flavor), _congruence(t.arg, flavor))
+        return _app(flavor, t, identity_derivation(t.fun, flavor),
+                    identity_derivation(t.arg, flavor))
     return _var(flavor, t)
 
 
 def _strip(sel: frozenset[Position], prefix: Position) -> frozenset[Position]:
     k = len(prefix)
     return frozenset(p[k:] for p in sel if p[:k] == prefix)
-
-
-def identity_derivation(t: Term, flavor: Flavor) -> ParDerivation:
-    return _congruence(t, flavor)
 
 
 def selection_of(d: ParDerivation) -> frozenset[Position]:
@@ -225,23 +217,19 @@ def all_parallel_steps(t: Term, flavor: Flavor, cap: int = 2 ** 14) -> Iterator[
     return islice(_combine(t, flavor, cap), cap)
 
 
-def _parallel_steps(t: Term, flavor: Flavor, cap: int) -> list[ParDerivation]:
+def _combine(t: Term, flavor: Flavor, cap: int) -> Iterator[ParDerivation]:
     # The combined order is a mixed radix with the argument's steps as the
     # most significant digit, so the first `cap` outputs use only the first
     # `cap` steps of each child.
-    return list(islice(_combine(t, flavor, cap), cap))
-
-
-def _combine(t: Term, flavor: Flavor, cap: int) -> Iterator[ParDerivation]:
     if isinstance(t, Lam):
-        for child in _parallel_steps(t.body, flavor, cap):
+        for child in list(all_parallel_steps(t.body, flavor, cap)):
             yield _abs(flavor, t, child)
     elif isinstance(t, App):
-        args = _parallel_steps(t.arg, flavor, cap)
+        args = list(all_parallel_steps(t.arg, flavor, cap))
         fun = t.fun
         if isinstance(fun, Lam):
             redex = flavor is not Flavor.CBV or is_value(t.arg)
-            bodies = _parallel_steps(fun.body, flavor, cap)
+            bodies = list(all_parallel_steps(fun.body, flavor, cap))
             lams = [_abs(flavor, fun, body) for body in bodies]
             for arg in args:
                 for body, lam in zip(bodies, lams):
@@ -249,7 +237,7 @@ def _combine(t: Term, flavor: Flavor, cap: int) -> Iterator[ParDerivation]:
                     if redex:
                         yield _beta(flavor, t, body, arg)
         else:
-            funs = _parallel_steps(fun, flavor, cap)
+            funs = list(all_parallel_steps(fun, flavor, cap))
             for arg in args:
                 for left in funs:
                     yield _app(flavor, t, left, arg)
@@ -269,7 +257,7 @@ def sequential_index(d: ParDerivation) -> int:
     return sequential_index(body) + count_bound(body.target) * sequential_index(arg) + 1
 
 
-def parallel_level(d: ParDerivation) -> Level:
+def parallel_level(d: ParDerivation) -> int | float:
     """The least level contracted by a LEVELED derivation."""
     if d.flavor is not Flavor.LEVELED:
         raise FlavorMismatchError("parallel_level needs a LEVELED derivation")

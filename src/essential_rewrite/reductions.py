@@ -2,13 +2,14 @@
 
 Plain beta and beta-value contraction, the essential and inessential redex
 positions of the four strategies (head, weak call-by-value,
-leftmost-outermost, least-level), and level arithmetic.  `redexes` and
-`least_level` are loops of their own.  The walks that need each redex's
-zipper path come from `_redex_paths`: `reducts` lists one-step reducts, and
-`redexes_where` lists the redexes in a system's inessential contexts, told
-by a rule on their paths (`_head_context`, `_weak_context`, `_lo_context`).
-Of the redex searches, `_head_positions`, `_lo_positions` and the
-`is_neutral` test of `_lo_context` still recurse on the depth of the term.
+leftmost-outermost, least-level), and levels.  `redexes`, `least_level` and
+the head and leftmost-outermost searches are loops of their own.  The walks
+that need each redex's zipper path come from `_redex_paths`: `reducts` lists
+one-step reducts, and `redexes_where` lists the redexes in a system's
+inessential contexts, told by a rule on their paths (`_head_context`,
+`_weak_context`, `_lo_context`).  The `is_neutral` test of
+`_leftmost_positions` and `_lo_context` still recurses on the depth of the
+term.
 A `Walk` finds and fires a strategy's steps one at a time on a zipper.  Each
 system's steps are built from these positions by its `SYSTEMS` row
 (engine.py).
@@ -19,10 +20,11 @@ leftmost-outermost traversal order, so step lists and traces are reproducible.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, total_ordering
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .terms import (
@@ -63,45 +65,13 @@ class StepKind(Enum):
     PLAIN = "plain"
 
 
-@total_ordering
-class Level:
-    """A natural number or infinity, with saturating arithmetic (inf + 1 = inf)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | None = None):
-        if value is not None and value < 0:
-            raise ValueError("levels are naturals")
-        self.value = value
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __add__(self, n: int) -> "Level":
-        return self if self.value is None else Level(self.value + n)
-
-    def __eq__(self, other):
-        return isinstance(other, Level) and other.value == self.value
-
-    def __lt__(self, other: "Level") -> bool:
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
-
-    def __hash__(self):
-        return hash(("level", self.value))
-
-    def __repr__(self):
-        return "inf" if self.value is None else str(self.value)
-
-    def to_json(self):
-        return "inf" if self.value is None else self.value
+# A level is a natural number, and a normal term's least level is infinite.
+INFINITY = math.inf
 
 
-INFINITY = Level(None)
+def level_json(level: int | float) -> int | str:
+    """A level as JSON: the number, or "inf"."""
+    return "inf" if level == INFINITY else level
 
 
 @dataclass(frozen=True)
@@ -111,12 +81,12 @@ class Step:
 
     position: Position
     kind: StepKind
-    level: Level | None = None
+    level: int | None = None
 
     def to_json(self):
         out = {"position": ".".join(self.position), "kind": self.kind.value}
         if self.level is not None:
-            out["level"] = self.level.to_json()
+            out["level"] = level_json(self.level)
         return out
 
 
@@ -359,29 +329,10 @@ def reducts(t: Term, base: Base) -> Iterator[tuple[Position, Term]]:
         yield _position(path), _contract(redex, path.copy())[0]
 
 
-def _sorted_steps(t: Term, positions, base: Base, kind: StepKind,
-                  with_level: bool = False) -> list[tuple[Step, Term]]:
-    out = []
-    for pos in sorted(set(positions)):
-        level = position_level(pos) if with_level else None
-        out.append((Step(pos, kind, level), step_at(t, pos, base)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Head reduction
-
-
-def _head_positions(t: Term, prefix: Position = ()) -> list[Position]:
-    # root rule; application rule only when the function part is not an
-    # abstraction; congruence under binders.
-    if isinstance(t, App):
-        if isinstance(t.fun, Lam):
-            return [prefix]
-        return _head_positions(t.fun, prefix + (LEFT,))
-    if isinstance(t, Lam):
-        return _head_positions(t.body, prefix + (BODY,))
-    return []
+#
+# The essential redex is `_leftmost_positions(t, arguments=False)`.
 
 
 def _head_context(path: Path) -> bool:
@@ -408,17 +359,26 @@ def _weak_context(path: Path) -> bool:
 # Leftmost-outermost reduction
 
 
-def _lo_positions(t: Term, prefix: Position = ()) -> list[Position]:
-    if isinstance(t, App):
-        if isinstance(t.fun, Lam):
-            return [prefix]
-        if not is_neutral(t.fun):
-            return _lo_positions(t.fun, prefix + (LEFT,))
-        # function side is neutral: the step, if any, is on the argument side
-        return _lo_positions(t.arg, prefix + (RIGHT,))
-    if isinstance(t, Lam):
-        return _lo_positions(t.body, prefix + (BODY,))
-    return []
+def _leftmost_positions(t: Term, arguments: bool = True) -> list[Position]:
+    """The leftmost-outermost redex or, without `arguments`, the head redex:
+    the leftmost-outermost one in no argument."""
+    tags = []
+    while True:
+        kind = type(t)
+        if kind is Lam:
+            tags.append(BODY)
+            t = t.body
+        elif kind is not App:
+            return []
+        elif type(t.fun) is Lam:
+            return [tuple(tags)]
+        elif arguments and is_neutral(t.fun):
+            # function side is neutral: the step, if any, is on the argument side
+            tags.append(RIGHT)
+            t = t.arg
+        else:
+            tags.append(LEFT)
+            t = t.fun
 
 
 def _lo_context(path: Path) -> bool:
@@ -434,7 +394,7 @@ def _lo_context(path: Path) -> bool:
 # Least-level reduction
 
 
-def least_level(t: Term) -> Level:
+def least_level(t: Term) -> int | float:
     """Minimal number of argument-nestings containing a redex; inf if normal."""
     # descend each function spine, queueing its arguments one level up, and
     # prune every subtree at or above the least level found so far
@@ -453,12 +413,12 @@ def least_level(t: Term) -> Level:
             else:
                 pending.append((node.arg, level + 1))
                 node = node.fun
-    return INFINITY if least == sys.maxsize else Level(least)
+    return INFINITY if least == sys.maxsize else least
 
 
-def position_level(pos: Position) -> Level:
+def position_level(pos: Position) -> int:
     """Level of a redex: how many argument sides its position crosses."""
-    return Level(pos.count(RIGHT))
+    return pos.count(RIGHT)
 
 
 def level_indexed_steps(t: Term) -> list[tuple[Step, Term]]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from essential_rewrite import EnumSpec, enumerate_terms, parse
+from essential_rewrite import SYSTEMS, EnumSpec, enumerate_terms, parse
 
 # the identity combinator, spelled out since the grammar has no constants
 I = r"(\z.z)"
@@ -11,6 +11,12 @@ OMEGA = r"(\x.x x) (\x.x x)"
 
 def p(text: str):
     return parse(text)
+
+
+def first_reduct(system_id, t):
+    """The reduct of the first essential step of `t` in the system's row, or
+    None if `t` is essential-normal."""
+    return next((u for _, u in SYSTEMS[system_id].essential_steps(t)), None)
 
 
 def terms_up_to(size: int, closed_only: bool = False):

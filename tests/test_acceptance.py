@@ -12,7 +12,6 @@ from essential_rewrite import (
     Base,
     EnumSpec,
     INFINITY,
-    Level,
     StepKind,
     SystemId,
     alpha_eq,
@@ -23,17 +22,14 @@ from essential_rewrite import (
     enumerate_terms,
     explore,
     factorize,
-    head_step,
     head_steps,
     least_level,
     ll_steps,
-    lo_step,
     neg_head_steps,
     neg_ll_steps,
     neg_lo_steps,
     neg_weak_steps,
     parse,
-    path_exists,
     random_term,
     sequential_index,
     show,
@@ -43,8 +39,10 @@ from essential_rewrite import (
 )
 from essential_rewrite.engine import SYSTEMS, Trace, _essential_redex, _residual
 from essential_rewrite.parallel import Flavor, base_of
-from essential_rewrite.reductions import redexes
+from essential_rewrite.reductions import redexes, reducts
 from essential_rewrite.terms import Lam
+from conftest import first_reduct
+from graph_deciders import path_exists
 
 
 def report(number: int, label: str, started: float) -> None:
@@ -58,14 +56,14 @@ def test_criterion_1_paper_example_regressions():
     # I(II) contracts to II both at the root and inside the argument
     t = parse(f"{I} ({I} {I})")
     ii = parse(f"{I} {I}")
-    assert alpha_eq(head_step(t), ii)
+    assert alpha_eq(first_reduct(SystemId.HEAD, t), ii)
     assert ii in [u for _, u in neg_head_steps(t)]
 
     # head reduction from I(x(II)) stops at x(II); a plain beta path reaches x I
     t = parse(f"{I} (x ({I} {I}))")
-    head_end = head_step(t)
+    head_end = first_reduct(SystemId.HEAD, t)
     assert alpha_eq(head_end, parse(f"x ({I} {I})"))
-    assert head_step(head_end) is None
+    assert first_reduct(SystemId.HEAD, head_end) is None
     g = explore(t, Base.BETA)
     beta_end = parse(f"x {I}")
     assert path_exists(g, t, beta_end, 2) is not None
@@ -73,24 +71,24 @@ def test_criterion_1_paper_example_regressions():
 
     # leftmost-outermost on x(Iy), and on its substitution instance
     t = parse(f"x ({I} y)")
-    assert alpha_eq(lo_step(t), parse("x y"))
+    assert alpha_eq(first_reduct(SystemId.LO, t), parse("x y"))
     instance = substitute(t, "x", parse(r"\w.w w"))
     root_reduct = step_at(instance, ())
-    assert alpha_eq(lo_step(instance), root_reduct)
+    assert alpha_eq(first_reduct(SystemId.LO, instance), root_reduct)
 
     # least levels of the three reference terms
     assert least_level(parse("x")) == INFINITY
     t0 = parse(f"(\\x.{I} {I}) y")
-    assert least_level(t0) == Level(0)
+    assert least_level(t0) == 0
     t1 = parse(f"x (x ({I} {I})) ({I} {I})")
-    assert least_level(t1) == Level(1)
+    assert least_level(t1) == 1
 
     # incomparability witnesses, in both directions
     inner = parse(f"(\\x.{I}) y")
     assert inner in [u for _, u in ll_steps(t0)]
-    assert not alpha_eq(lo_step(t0), inner)
+    assert not alpha_eq(first_reduct(SystemId.LO, t0), inner)
 
-    lo_reduct = lo_step(t1)
+    lo_reduct = first_reduct(SystemId.LO, t1)
     assert alpha_eq(lo_reduct, parse(f"x (x {I}) ({I} {I})"))
     assert lo_reduct in [u for _, u in neg_ll_steps(t1)]
     assert lo_reduct not in [u for _, u in ll_steps(t1)]
@@ -136,7 +134,7 @@ def test_criterion_3_essential_system_suites():
     # shape preservation: a positive-least-level essential step never turns a
     # non-abstraction into an abstraction
     for t in enumerate_terms(EnumSpec(max_size=9)):
-        if isinstance(t, Lam) or least_level(t) <= Level(0):
+        if isinstance(t, Lam) or least_level(t) <= 0:
             continue
         for _, u in ll_steps(t):
             assert not isinstance(u, Lam), f"shape preservation fails on {show(t)}"
@@ -178,7 +176,8 @@ def test_criterion_5_factorization_soundness():
                     factored += 1
                 if len(steps) == 4:
                     continue
-                for s, u in system.base_steps(term):
+                for q, u in reducts(term, system.base):
+                    s = system.make_step(term, q)
                     stack.append((u, steps + [(s, u)]))
         # the whole sequence space fits under the sampling cap: full coverage
         assert 0 < factored < cap_per_system

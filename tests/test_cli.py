@@ -79,6 +79,12 @@ class TestReduce:
         code, out, _ = run(capsys, "reduce", r"x ((\z.z) y)", "--system", "ll")
         assert code == 0
         assert "level=1" in out
+        assert "  essential @ R level=1 -> x y" in out.splitlines()
+        code, out, _ = run(capsys, "reduce", r"x ((\z.z) y)", "--system", "ll",
+                           "--output", "json")
+        assert code == 0
+        assert json.loads(out)["steps"] == [
+            {"position": "R", "kind": "essential", "level": 1, "term": "x y"}]
 
     def test_json_round_trips(self, capsys):
         code, out, _ = run(capsys, "reduce", r"(\z.z) ((\z.z) (\z.z))",
@@ -181,6 +187,9 @@ class TestLevel:
         code, out, _ = run(capsys, "level", "x")
         assert code == 0
         assert "least level of x: inf" in out
+        code, out, _ = run(capsys, "level", "x", "--output", "json")
+        assert code == 0
+        assert json.loads(out) == {"term": "x", "least_level": "inf", "steps": []}
 
     def test_zero_example(self, capsys):
         code, out, _ = run(capsys, "level", r"(\x.(\w.w) (\w.w)) y")
@@ -208,6 +217,24 @@ class TestLevel:
         assert code == 0
         # the term and the reducts of its two redexes
         assert len(show_calls) == 3
+
+
+class TestTooDeep:
+    @pytest.mark.parametrize("argv, advice", [
+        (["reduce", "x", "--system", "lo"], "; lower --fuel"),
+        (["check", "normalization", "--system", "lo", "--size", "1"], "; lower --fuel"),
+        (["level", "x"], ""),
+        (["check", "determinism", "--system", "lo", "--size", "1"], ""),
+    ])
+    def test_names_fuel_only_where_the_command_reads_it(self, capsys, monkeypatch, argv,
+                                                        advice):
+        def too_deep(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", too_deep)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: term grew too deep to process{advice}\n"
 
 
 class TestCheck:

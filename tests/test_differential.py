@@ -10,7 +10,6 @@ one sweep.
 import itertools
 
 from essential_rewrite import (
-    Decision,
     EnumSpec,
     Outcome,
     SystemId,
@@ -20,9 +19,9 @@ from essential_rewrite import (
     normalize,
     parse,
     show,
-    weakly_normalizing,
 )
 from essential_rewrite.terms import Free, Lam, Term, Var
+from graph_deciders import Decision, weakly_normalizing
 
 _fresh_counter = itertools.count()
 

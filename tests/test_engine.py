@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import sys
 
 import pytest
@@ -13,7 +14,6 @@ from essential_rewrite import (
     EnumSpec,
     Free,
     Lam,
-    Level,
     Outcome,
     StepKind,
     SystemId,
@@ -256,8 +256,8 @@ class TestFactorize:
                         sequences.append((steps))
                     if len(steps) == 3:
                         continue
-                    for s, u in system.base_steps(term):
-                        stack.append((u, steps + [(term, s, u)]))
+                    for q, u in reducts(term, system.base):
+                        stack.append((u, steps + [(term, system.make_step(term, q), u)]))
                 for seq in sequences[:40]:
                     trace = Trace(t, [(s, u) for _, s, u in seq])
                     f = factorize(trace, system_id)
@@ -438,6 +438,7 @@ class TestDeepTerms:
                      beta_redexes(t), betav_redexes(t)]
             found = list(reducts(t, Base.BETA))
             weak = SYSTEMS[WCBV].positions(t)
+            spine = [SYSTEMS[s].positions(t) for s in (HEAD, LO)]
             inessential = [SYSTEMS[s].neg_positions(t) for s in (HEAD, WCBV, LO)]
             least = least_level(t)
             leveled = [SYSTEMS[LL].positions(t), SYSTEMS[LL].neg_positions(t)]
@@ -448,8 +449,9 @@ class TestDeepTerms:
         # (\y.y) z contracts to z in place; equality would recurse, hashes do not
         [(reduct_pos, reduct)] = found
         assert reduct_pos == pos and hash(reduct) == hash(build(Free("z")))
-        # weak CbV never enters an abstraction
+        # weak CbV never enters an abstraction, and head reduction no argument
         assert weak == ([] if build is _deep_under_binders else [pos])
+        assert spine == ([[pos], [pos]] if build is _deep_under_binders else [[], [pos]])
         # under binders only weak CbV counts the redex inessential; in
         # arguments of the neutral x only head does
         if build is _deep_under_binders:
@@ -457,7 +459,11 @@ class TestDeepTerms:
         else:
             assert inessential == [[pos], [], []]
         # the one redex is the least-level one, at the level of its argument sides
-        assert least == Level(pos.count("R")) and leveled == [[pos], []]
+        assert least == pos.count("R") and leveled == [[pos], []]
+
+
+def _no_positions(t):
+    return []
 
 
 class TestCheckProperty:
@@ -520,6 +526,20 @@ class TestCheckProperty:
         solo = check_property("persistence", LO, size_bound=5)
         multi = check_property("persistence", LO, size_bound=5, workers=2)
         assert (solo.result, solo.checked_count) == (multi.result, multi.checked_count)
+
+    def test_parallel_workers_sweep_the_row_given(self):
+        # a head row without essential redexes breaks decomposition; the
+        # workers must sweep that row, not the stock head row
+        system = dataclasses.replace(SYSTEMS[HEAD], positions=_no_positions)
+        solo = check_property("decomposition", system, size_bound=5)
+        multi = check_property("decomposition", system, size_bound=5, workers=2)
+        assert (solo.result, solo.checked_count) == ("FAIL", 34)
+        assert multi.to_json() == solo.to_json()
+
+    def test_parallel_workers_reject_a_row_they_cannot_receive(self):
+        system = dataclasses.replace(SYSTEMS[HEAD], positions=lambda t: [])
+        with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+            check_property("decomposition", system, size_bound=5, workers=2)
 
 
 class TestCheckNormalization:

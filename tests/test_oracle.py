@@ -6,21 +6,18 @@ import pytest
 
 from essential_rewrite import (
     Base,
-    Decision,
     EnumSpec,
     count_terms,
     enumerate_terms,
     explore,
-    path_exists,
     random_term,
     show,
     step_at,
-    strongly_normalizing,
-    weakly_normalizing,
 )
 from essential_rewrite.reductions import StepKind, redexes
 from essential_rewrite.terms import App, Free, Lam, Var, is_closed, is_locally_closed, size
 from conftest import OMEGA, p, terms_up_to
+from graph_deciders import Decision, path_exists, strongly_normalizing, weakly_normalizing
 
 
 def independent_counts(max_size: int, names: int, closed: bool):

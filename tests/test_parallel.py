@@ -7,7 +7,6 @@ import pytest
 
 from essential_rewrite import (
     INFINITY,
-    Level,
     SystemId,
     alpha_eq,
     all_parallel_steps,
@@ -19,7 +18,6 @@ from essential_rewrite import (
     is_parallel_inessential,
     parallel_level,
     parse,
-    path_exists,
     realize,
     selection_of,
     show,
@@ -57,6 +55,7 @@ from essential_rewrite.terms import (
     is_value,
 )
 from conftest import p, terms_up_to
+from graph_deciders import path_exists
 
 
 class TestDerive:
@@ -100,7 +99,7 @@ class TestDerive:
     def test_leveled_infinite_iff_identity(self, small_terms):
         for t in small_terms[::9]:
             for d in all_parallel_steps(t, Flavor.LEVELED):
-                assert d.index.is_infinite == alpha_eq(d.source, d.target)
+                assert (d.index == INFINITY) == alpha_eq(d.source, d.target)
 
     def test_selection_roundtrip(self, small_terms):
         for t in small_terms[::9]:
@@ -167,7 +166,7 @@ def _oracle_derive(t, sel, flavor):
         arg = _oracle_derive(t.arg, strip((RIGHT,)), flavor)
         if flavor is Flavor.CBV and not is_value(arg.source):
             raise NonValueError("selected redex has a non-value argument")
-        index = (Level(0) if flavor is Flavor.LEVELED
+        index = (0 if flavor is Flavor.LEVELED
                  else body.index + count_bound(body.target) * arg.index + 1)
         return ParDerivation(flavor, Rule.BETA, (body, arg),
                              App(Lam(body.source, t.fun.hint), arg.source),
@@ -351,7 +350,7 @@ def _ines_lo(d) -> bool:
 
 
 def _ines_ll(d) -> bool:
-    return d.index.is_infinite or d.index > least_level(d.source)
+    return d.index == INFINITY or d.index > least_level(d.source)
 
 
 INESSENTIAL_ORACLES = {
@@ -391,7 +390,7 @@ class TestInessentialRecognizers:
     def test_leveled_zero_on_zero_level_term(self):
         t = p(r"(\x.(\z.z) (\z.z)) y")
         d = derive(t, [()], Flavor.LEVELED)
-        assert d.index == Level(0)
+        assert d.index == 0
         assert not is_parallel_inessential(d, SystemId.LEAST_LEVEL)
 
     def test_flavor_mismatch_raises(self):
@@ -427,7 +426,7 @@ class TestInessentialRecognizers:
                 sel = selection_of(d)
                 expected = min((position_level(q) for q in sel), default=INFINITY)
                 assert d.index == expected
-                inessential = d.index.is_infinite or d.index > least_level(t)
+                inessential = d.index == INFINITY or d.index > least_level(t)
                 assert is_parallel_inessential(d, SystemId.LEAST_LEVEL) == inessential
 
 
@@ -437,7 +436,7 @@ class TestParallelLevel:
 
     def test_root_contraction_is_zero(self):
         d = derive(p(r"(\x.x) y"), [()], Flavor.LEVELED)
-        assert parallel_level(d) == Level(0)
+        assert parallel_level(d) == 0
 
     def test_application_minimum(self):
         # left side fires at level 3, right side at level 1: min(3, 1+1) = 2
@@ -446,8 +445,8 @@ class TestParallelLevel:
         t = parse(f"({show(left)}) ({show(right)})")
         d = derive(t, beta_redexes(t), Flavor.LEVELED)
         left_d, right_d = d.children
-        assert left_d.index == Level(3) and right_d.index == Level(1)
-        assert parallel_level(d) == Level(2)
+        assert left_d.index == 3 and right_d.index == 1
+        assert parallel_level(d) == 2
 
     def test_non_leveled_rejected(self):
         with pytest.raises(FlavorMismatchError):

@@ -6,16 +6,13 @@ import pytest
 
 from essential_rewrite import (
     INFINITY,
-    Level,
     alpha_eq,
     beta_redexes,
     betav_redexes,
-    head_step,
     head_steps,
     least_level,
     level_indexed_steps,
     ll_steps,
-    lo_step,
     lo_steps,
     neg_head_steps,
     neg_ll_steps,
@@ -27,7 +24,14 @@ from essential_rewrite import (
 )
 from essential_rewrite.engine import SYSTEMS
 from essential_rewrite.enumeration import EnumSpec, random_term
-from essential_rewrite.reductions import Base, StepKind, SystemId, position_level, redexes
+from essential_rewrite.reductions import (
+    Base,
+    StepKind,
+    SystemId,
+    level_json,
+    position_level,
+    redexes,
+)
 from essential_rewrite.terms import (
     App,
     Free,
@@ -38,7 +42,7 @@ from essential_rewrite.terms import (
     is_normal,
     is_value,
 )
-from conftest import OMEGA, p, terms_up_to
+from conftest import OMEGA, first_reduct, p, terms_up_to
 
 
 # The recursive definitions of the redex lists and of the least level, kept
@@ -131,7 +135,7 @@ def oracle_least_level(t):
     if isinstance(t, Lam):
         return oracle_least_level(t.body)
     if isinstance(t.fun, Lam):
-        return Level(0)
+        return 0
     return min(oracle_least_level(t.fun), oracle_least_level(t.arg) + 1)
 
 
@@ -177,15 +181,18 @@ class TestLevelArithmetic:
         assert INFINITY + 1 == INFINITY
 
     def test_min_with_infinity_is_identity(self):
-        assert min(Level(3), INFINITY) == Level(3)
-        assert min(INFINITY, Level(0)) == Level(0)
+        assert min(3, INFINITY) == 3
+        assert min(INFINITY, 0) == 0
 
     def test_total_order(self):
-        assert Level(0) < Level(2) < INFINITY
+        assert 0 < 2 < INFINITY
         assert not INFINITY < INFINITY
 
     def test_repr(self):
-        assert str(Level(4)) == "4" and str(INFINITY) == "inf"
+        assert str(4) == "4" and str(INFINITY) == "inf"
+
+    def test_json(self):
+        assert level_json(4) == 4 and level_json(INFINITY) == "inf"
 
 
 class TestRedexEnumeration:
@@ -267,9 +274,10 @@ class TestStepAt:
 
 class TestHead:
     def test_head_step_examples(self):
-        assert head_step(p(r"(\z.z) (x ((\z.z) (\z.z)))")) == p(r"x ((\z.z) (\z.z))")
-        assert head_step(p(r"x ((\z.z) (\z.z))")) is None
-        assert head_step(p(r"\x.(\z.z) x")) == p(r"\x.x")
+        head = SystemId.HEAD
+        assert first_reduct(head, p(r"(\z.z) (x ((\z.z) (\z.z)))")) == p(r"x ((\z.z) (\z.z))")
+        assert first_reduct(head, p(r"x ((\z.z) (\z.z))")) is None
+        assert first_reduct(head, p(r"\x.(\z.z) x")) == p(r"\x.x")
 
     def test_neg_head_examples(self):
         t = p(r"(\z.z) ((\z.z) (\z.z))")
@@ -281,7 +289,7 @@ class TestHead:
     def test_head_and_neg_head_can_meet(self):
         # the root and argument redexes of I(II) give the same reduct
         t = p(r"(\z.z) ((\z.z) (\z.z))")
-        head_reduct = head_step(t)
+        head_reduct = first_reduct(SystemId.HEAD, t)
         assert head_reduct in [u for _, u in neg_head_steps(t)]
 
     def test_complement_of_head_position(self, small_terms):
@@ -324,14 +332,14 @@ class TestWeakCbv:
 
 class TestLeftmostOutermost:
     def test_lo_examples(self):
-        assert lo_step(p(r"x ((\z.z) y)")) == p("x y")
+        assert first_reduct(SystemId.LO, p(r"x ((\z.z) y)")) == p("x y")
         t = p(r"x (x ((\z.z) (\z.z))) ((\z.z) (\z.z))")
-        assert lo_step(t) == p(r"x (x (\z.z)) ((\z.z) (\z.z))")
-        assert lo_step(p(r"(\x.(\z.z) (\z.z)) y")) == p(r"(\z.z) (\z.z)")
+        assert first_reduct(SystemId.LO, t) == p(r"x (x (\z.z)) ((\z.z) (\z.z))")
+        assert first_reduct(SystemId.LO, p(r"(\x.(\z.z) (\z.z)) y")) == p(r"(\z.z) (\z.z)")
 
     def test_lo_absent_iff_normal(self, small_terms):
         for t in small_terms:
-            assert (lo_step(t) is None) == is_normal(t)
+            assert (first_reduct(SystemId.LO, t) is None) == is_normal(t)
 
     def test_lo_is_first_redex_in_traversal_order(self, small_terms):
         for t in small_terms:
@@ -343,9 +351,9 @@ class TestLeftmostOutermost:
         # the motivating counterexample: substituting a self-applying function
         # turns the leftmost redex into the root
         t = p(r"x ((\z.z) y)")
-        assert lo_step(t) == p("x y")
+        assert first_reduct(SystemId.LO, t) == p("x y")
         instance = substitute(t, "x", p(r"\z.z z"))
-        assert lo_step(instance) == p(r"((\z.z) y) ((\z.z) y)")
+        assert first_reduct(SystemId.LO, instance) == p(r"((\z.z) y) ((\z.z) y)")
 
     def test_neg_lo_examples(self):
         t = p(r"(\x.(\z.z) (\z.z)) y")
@@ -364,16 +372,16 @@ class TestLeftmostOutermost:
 class TestLeastLevel:
     def test_level_values(self):
         assert least_level(p("x")) == INFINITY
-        assert least_level(p(r"(\x.(\z.z) (\z.z)) y")) == Level(0)
-        assert least_level(p(r"x (x ((\z.z) (\z.z))) ((\z.z) (\z.z))")) == Level(1)
+        assert least_level(p(r"(\x.(\z.z) (\z.z)) y")) == 0
+        assert least_level(p(r"x (x ((\z.z) (\z.z))) ((\z.z) (\z.z))")) == 1
 
     def test_level_indexed_examples(self):
         t = p(r"(\x.(\z.z) (\z.z)) y")
         got = {(s.position, s.level) for s, _ in level_indexed_steps(t)}
-        assert got == {((), Level(0)), (("L", "B"), Level(0))}
+        assert got == {((), 0), (("L", "B"), 0)}
         t2 = p(r"x ((\z.z) (\z.z))")
         got2 = [(s.position, s.level) for s, _ in level_indexed_steps(t2)]
-        assert got2 == [(("R",), Level(1))]
+        assert got2 == [(("R",), 1)]
         assert level_indexed_steps(p("x")) == []
 
     def test_ll_steps_examples(self):
@@ -391,10 +399,10 @@ class TestLeastLevel:
         t = p(r"(\x.(\z.z) (\z.z)) y")
         inner = p(r"(\x.\z.z) y")
         assert inner in [u for _, u in ll_steps(t)]
-        assert not alpha_eq(lo_step(t), inner)
+        assert not alpha_eq(first_reduct(SystemId.LO, t), inner)
         # other direction: the leftmost step may sit above the least level
         t2 = p(r"x (x ((\z.z) (\z.z))) ((\z.z) (\z.z))")
-        lo_reduct = lo_step(t2)
+        lo_reduct = first_reduct(SystemId.LO, t2)
         assert lo_reduct in [u for _, u in neg_ll_steps(t2)]
         assert lo_reduct not in [u for _, u in ll_steps(t2)]
 
@@ -435,7 +443,7 @@ class TestLeastLevel:
         # a positive-level essential step cannot create a root abstraction
         from essential_rewrite.terms import Lam
         for t in small_terms:
-            if isinstance(t, Lam) or least_level(t) <= Level(0):
+            if isinstance(t, Lam) or least_level(t) <= 0:
                 continue
             for _, u in ll_steps(t):
                 assert not isinstance(u, Lam)
