@@ -56,10 +56,10 @@ from .reductions import (
     beta_redexes,
     betav_redexes,
     least_level,
-    level_indexed_steps,
     position_level,
     redexes,
     redexes_where,
+    reducts,
     step_at,
 )
 from .terms import (
@@ -510,9 +510,9 @@ def _check_determinism(system: EssentialSystem, t: Term) -> Optional[str]:
 
 
 def _check_diamond(system: EssentialSystem, t: Term) -> Optional[str]:
-    reducts = [u for _, u in system.essential_steps(t)]
-    for i, s in enumerate(reducts):
-        for u in reducts[i + 1:]:
+    targets = [u for _, u in system.essential_steps(t)]
+    for i, s in enumerate(targets):
+        for u in targets[i + 1:]:
             if alpha_eq(s, u):
                 continue
             close_s = {v for _, v in system.essential_steps(s)}
@@ -551,7 +551,7 @@ def _check_decomposition(system: EssentialSystem, t: Term) -> Optional[str]:
 
 def _check_ll_monotone(system: EssentialSystem, t: Term) -> Optional[str]:
     ll = least_level(t)
-    for _, u in level_indexed_steps(t):
+    for _, u in reducts(t, system.base):
         if least_level(u) < ll:
             return f"step from {show(t)} to {show(u)} lowered the least level"
     return None
@@ -559,7 +559,7 @@ def _check_ll_monotone(system: EssentialSystem, t: Term) -> Optional[str]:
 
 def _check_ll_invariant(system: EssentialSystem, t: Term) -> Optional[str]:
     ll = least_level(t)
-    for _, u in neg_ll_steps(t):
+    for _, u in system.inessential_steps(t):
         if least_level(u) != ll:
             return f"inessential step from {show(t)} to {show(u)} changed the least level"
     return None

@@ -53,7 +53,6 @@ def explore(t: Term, base: Base = Base.BETA, node_budget: int = 20000,
     g = ReductionGraph(root=t, base=base)
     queue: deque[tuple[Term, int]] = deque([(t, 0)])
     g.edges[t] = []
-    seen = {t}
     while queue:
         term, depth = queue.popleft()
         if depth >= depth_budget:
@@ -64,11 +63,10 @@ def explore(t: Term, base: Base = Base.BETA, node_budget: int = 20000,
         out = []
         for pos, target in reducts(term, base):
             out.append((Step(pos, StepKind.PLAIN), target))
-            if target not in seen:
-                if len(seen) >= node_budget:
+            if target not in g.edges:
+                if len(g.edges) >= node_budget:
                     g.truncated = True
                     continue
-                seen.add(target)
                 g.edges[target] = []
                 queue.append((target, depth + 1))
         g.edges[term] = out

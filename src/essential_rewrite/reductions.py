@@ -3,13 +3,14 @@
 Plain beta and beta-value contraction, the essential and inessential redex
 positions of the four strategies (head, weak call-by-value,
 leftmost-outermost, least-level), and levels.  `redexes`, `least_level` and
-the head and leftmost-outermost searches are loops of their own.  The walks
-that need each redex's zipper path come from `_redex_paths`: `reducts` lists
-one-step reducts, and `redexes_where` lists the redexes in a system's
-inessential contexts, told by a rule on their paths (`_head_context`,
-`_weak_context`, `_lo_context`).  The `is_neutral` test of
-`_leftmost_positions` and `_lo_context` still recurses on the depth of the
-term.
+the head and leftmost-outermost searches are loops of their own.  Everything
+that addresses a redex by its position goes through the zipper of terms.py:
+`path_to` leads to the redex and `rebuild` plugs its reduct in.  So
+`step_at` contracts one redex, `reducts` lists one-step reducts, and
+`redexes_where` lists the redexes in a system's inessential contexts, told
+by a rule on their paths (`_head_context`, `_weak_context`, `_lo_context`).
+The `is_neutral` test of `_leftmost_positions` and `_lo_context` still
+recurses on the depth of the term.
 A `Walk` finds and fires a strategy's steps one at a time on a zipper.  Each
 system's steps are built from these positions by its `SYSTEMS` row
 (engine.py).
@@ -33,6 +34,7 @@ from .terms import (
     InvalidPositionError,
     LEFT,
     Lam,
+    Path,
     Position,
     RIGHT,
     Term,
@@ -40,8 +42,9 @@ from .terms import (
     instantiate,
     is_neutral,
     is_value,
-    subterm_at,
-    replace_at,
+    path_to,
+    rebuild,
+    replace_at,  # unused here; bench/tracing.py binds it
 )
 
 
@@ -96,24 +99,20 @@ class Step:
 
 def step_at(t: Term, pos: Position, base: Base = Base.BETA) -> Term:
     """Contract exactly the redex at `pos`."""
-    sub = subterm_at(t, pos)
-    if not (isinstance(sub, App) and isinstance(sub.fun, Lam)):
+    sub, path = path_to(t, pos)
+    if not (type(sub) is App and type(sub.fun) is Lam):
         raise InvalidPositionError(f"no redex at {format_position(pos)}")
     if base is Base.BETAV and not is_value(sub.arg):
         raise InvalidPositionError(f"argument at {format_position(pos)} is not a value")
-    return replace_at(t, pos, instantiate(sub.fun.body, sub.arg))
+    return _contract(sub, path)[0]
 
 
 # ---------------------------------------------------------------------------
 # Redex enumeration and one-pass strategy steps on a zipper
 #
-# A zipper (Huet, "The Zipper", JFP 1997) is a subterm plus its path from
-# the root, a list of (parent, tag) pairs: the subterm is parent.fun,
-# parent.arg or parent.body for tag LEFT, RIGHT or BODY.  A step contracts
-# the redex the path leads to and rebuilds only its ancestors, and none of
-# these loops recurses on the depth of the term.
-
-Path = list[tuple[Term, str]]
+# A step contracts the redex its path (terms.Path) leads to and rebuilds
+# only its ancestors, and none of these loops recurses on the depth of the
+# term.
 
 
 def admits(t: Term, base: Base) -> bool:
@@ -227,49 +226,10 @@ def _position(path: Path) -> Position:
 
 
 def _contract(redex: App, path: Path) -> tuple[Term, Term]:
-    """Contract `redex` and rebuild its ancestors bottom-up, updating `path`
-    in place to lead from the new root to the reduct.  Returns the new root
+    """Contract `redex` and `rebuild` the path to it.  Returns the new root
     and the reduct."""
     reduct = instantiate(redex.fun.body, redex.arg)
-    node = reduct
-    for i in range(len(path) - 1, -1, -1):
-        parent, tag = path[i]
-        if tag is LEFT:
-            node = App(node, parent.arg)
-        elif tag is RIGHT:
-            node = App(parent.fun, node)
-        else:
-            node = Lam(node, parent.hint)
-        path[i] = (node, tag)
-    return node, reduct
-
-
-def _redex_paths(t: Term, base: Base) -> Iterator[tuple[App, Path]]:
-    """Each `base` redex of `t` in preorder, with its path from the root.
-    The path yielded is the walk's own and changes as it goes on: copy it
-    to keep it."""
-    path: Path = []
-    node = t
-    while True:
-        kind = type(node)
-        if kind is App:
-            if admits(node, base):
-                yield node, path
-            path.append((node, LEFT))
-            node = node.fun
-        elif kind is Lam:
-            path.append((node, BODY))
-            node = node.body
-        else:
-            # climb to the nearest right sibling still to visit
-            while True:
-                if not path:
-                    return
-                parent, tag = path.pop()
-                if tag is LEFT:
-                    path.append((parent, RIGHT))
-                    node = parent.arg
-                    break
+    return rebuild(reduct, path), reduct
 
 
 def redexes(t: Term, base: Base, binders: bool = True) -> list[Position]:
@@ -303,11 +263,7 @@ def redexes(t: Term, base: Base, binders: bool = True) -> list[Position]:
 def redexes_where(t: Term, base: Base, rule: Callable[[Path], bool]) -> list[Position]:
     """Positions of the `base` redexes of `t` whose path from the root
     satisfies `rule`, outermost-leftmost first."""
-    out = []
-    for _, path in _redex_paths(t, base):
-        if rule(path):
-            out.append(_position(path))
-    return out
+    return [pos for pos in redexes(t, base) if rule(path_to(t, pos)[1])]
 
 
 def beta_redexes(t: Term) -> list[Position]:
@@ -323,10 +279,10 @@ def betav_redexes(t: Term) -> list[Position]:
 def reducts(t: Term, base: Base) -> Iterator[tuple[Position, Term]]:
     """Each `base` redex of `t` in preorder (the order of `redexes`), with
     the term it contracts to: `(p, step_at(t, p, base))` for every `p` in
-    `redexes(t, base)`, found by one walk that rebuilds only the ancestors
-    of each redex."""
-    for redex, path in _redex_paths(t, base):
-        yield _position(path), _contract(redex, path.copy())[0]
+    `redexes(t, base)`, each rebuilding only the ancestors of its redex."""
+    for pos in redexes(t, base):
+        redex, path = path_to(t, pos)
+        yield pos, _contract(redex, path)[0]
 
 
 # ---------------------------------------------------------------------------

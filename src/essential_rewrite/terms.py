@@ -231,30 +231,54 @@ class InvalidPositionError(ValueError):
     pass
 
 
-def subterm_at(t: Term, pos: Position) -> Term:
+# A zipper (Huet, "The Zipper", JFP 1997) is a subterm plus its path from
+# the root, a list of (parent, tag) pairs: the subterm is parent.fun,
+# parent.arg or parent.body for tag LEFT, RIGHT or BODY.  Neither the descent
+# nor the rebuild recurses on the depth of the term.
+Path = list[tuple[Term, str]]
+
+
+def path_to(t: Term, pos: Position) -> tuple[Term, Path]:
+    """The subterm of `t` at `pos`, with its path from the root."""
+    path: Path = []
     for tag in pos:
-        if tag == LEFT and isinstance(t, App):
+        kind = type(t)
+        if tag == LEFT and kind is App:
+            path.append((t, LEFT))
             t = t.fun
-        elif tag == RIGHT and isinstance(t, App):
+        elif tag == RIGHT and kind is App:
+            path.append((t, RIGHT))
             t = t.arg
-        elif tag == BODY and isinstance(t, Lam):
+        elif tag == BODY and kind is Lam:
+            path.append((t, BODY))
             t = t.body
         else:
             raise InvalidPositionError(f"no subterm at {format_position(pos)}")
-    return t
+    return t, path
+
+
+def rebuild(node: Term, path: Path) -> Term:
+    """Plug `node` in at the end of `path` and rebuild its ancestors
+    bottom-up, updating `path` in place to lead from the new root to `node`.
+    Returns the new root."""
+    for i in range(len(path) - 1, -1, -1):
+        parent, tag = path[i]
+        if tag is LEFT:
+            node = App(node, parent.arg)
+        elif tag is RIGHT:
+            node = App(parent.fun, node)
+        else:
+            node = Lam(node, parent.hint)
+        path[i] = (node, tag)
+    return node
+
+
+def subterm_at(t: Term, pos: Position) -> Term:
+    return path_to(t, pos)[0]
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    if not pos:
-        return new
-    tag = pos[0]
-    if tag == LEFT and isinstance(t, App):
-        return App(replace_at(t.fun, pos[1:], new), t.arg)
-    if tag == RIGHT and isinstance(t, App):
-        return App(t.fun, replace_at(t.arg, pos[1:], new))
-    if tag == BODY and isinstance(t, Lam):
-        return Lam(replace_at(t.body, pos[1:], new), t.hint)
-    raise InvalidPositionError(f"no subterm at {format_position(pos)}")
+    return rebuild(new, path_to(t, pos)[1])
 
 
 def bound_positions(t: Term, index: int = 0, prefix: Position = ()) -> Iterator[Position]:
@@ -499,8 +523,8 @@ def _fresh(name: str, in_scope: set[str], term_free: frozenset[str], body: Term)
 # ---------------------------------------------------------------------------
 # Printing a reduction sequence
 #
-# A step rebuilds only the path from the root to its redex (the zipper step
-# of `reductions._contract`), and everything off that path keeps its text.
+# A step rebuilds only the path from the root to its redex (`rebuild`), and
+# everything off that path keeps its text.
 # So the text of each term is the text before it with one span replaced, as
 # in an edit of a rope (Boehm, Atkinson & Plass, "Ropes: an alternative to
 # strings", SP&E 1995), here one flat string cut and joined at two offsets.

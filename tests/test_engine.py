@@ -50,7 +50,8 @@ from essential_rewrite.engine import (
     _residual,
 )
 from essential_rewrite.parallel import Flavor, all_parallel_steps
-from essential_rewrite.reductions import Step, Walk, reducts, redexes
+from essential_rewrite.reductions import Step, Walk, _ll_positions, reducts, redexes, step_at
+from essential_rewrite.terms import replace_at, subterm_at
 from conftest import OMEGA, p, terms_up_to
 
 
@@ -461,6 +462,30 @@ class TestDeepTerms:
         # the one redex is the least-level one, at the level of its argument sides
         assert least == pos.count("R") and leveled == [[pos], []]
 
+    @pytest.mark.parametrize("build", [_deep_under_binders, _deep_right_spine])
+    def test_position_addressed_steps_at_default_recursion_limit(self, build):
+        t = build()
+        (pos,) = redexes(t, Base.BETA)
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            redex = subterm_at(t, pos)
+            replaced = replace_at(t, pos, Free("z"))
+            stepped = step_at(t, pos)
+            traces = [trace_from_positions(t, [pos], s) for s in SystemId]
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert redex == App(Lam(Var(0)), Free("z"))
+        # equality would recurse, hashes do not
+        reduct = hash(build(Free("z")))
+        assert hash(replaced) == hash(stepped) == reduct
+        assert [(len(tr), tr.steps[0][0].position, hash(tr.end)) for tr in traces] == \
+            [(1, pos, reduct)] * len(SystemId)
+        # the step is inessential where the row's neg_positions list it
+        inessential = {_deep_under_binders: WCBV, _deep_right_spine: HEAD}[build]
+        assert [tr.steps[0][0].kind for tr in traces] == [
+            StepKind.INESSENTIAL if s is inessential else StepKind.ESSENTIAL for s in SystemId]
+
 
 def _no_positions(t):
     return []
@@ -521,6 +546,14 @@ class TestCheckProperty:
         report = check_property("decomposition", system, size_bound=7)
         assert report.result == "FAIL"
         assert "do not partition" in report.counterexample
+
+    def test_ll_invariant_sweeps_the_row_given(self):
+        # a least-level row listing its essential redexes as inessential
+        # breaks the invariant at (\x.x) x -> x
+        system = dataclasses.replace(SYSTEMS[LL], neg_positions=_ll_positions)
+        report = check_property("ll-invariant", system, size_bound=7)
+        assert report.result == "FAIL"
+        assert "changed the least level" in report.counterexample
 
     def test_parallel_workers_agree(self):
         solo = check_property("persistence", LO, size_bound=5)

@@ -316,6 +316,16 @@ class TestPositions:
         with pytest.raises(InvalidPositionError):
             subterm_at(Free("x"), ("L",))
 
+    @pytest.mark.parametrize("find", [
+        lambda t, pos: subterm_at(t, pos),
+        lambda t, pos: replace_at(t, pos, Free("w")),
+    ])
+    def test_invalid_position_is_named_whole(self, find):
+        # the message names the position given, not the part left where
+        # the descent stopped
+        with pytest.raises(InvalidPositionError, match=r"^no subterm at R\.R\.L$"):
+            find(p(r"x (y z)"), ("R", "R", "L"))
+
     def test_parse_position(self):
         assert parse_position("L.B.R") == ("L", "B", "R")
         assert parse_position("") == ()
