@@ -37,7 +37,6 @@ from .reductions import (
     beta_redexes,
     betav_redexes,
     least_level,
-    level_indexed_steps,
     step_at,
 )
 from .parallel import (

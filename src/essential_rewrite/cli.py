@@ -22,6 +22,7 @@ import threading
 from .engine import (
     InvalidTraceError,
     Outcome,
+    PROPERTY_CHECKS,
     SUBST_INDEX_MIN_SIZE,
     SYSTEMS,
     UnsupportedPropertyError,
@@ -42,7 +43,6 @@ from .reductions import (
     SystemId,
     Walk,
     least_level,
-    level_indexed_steps,
     level_json,
     redexes,  # unused here; bench/tracing.py binds it
     step_at,  # unused here; bench/tracing.py binds it
@@ -229,10 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check_p = sub.add_parser("check", help="run a property suite")
     check_p.add_argument("property",
-                         choices=sorted(["determinism", "diamond", "persistence",
-                                         "fullness", "decomposition", "merge", "split",
-                                         "indexed-split", "ll-monotone", "ll-invariant",
-                                         "normalization", "subst-index"]))
+                         choices=sorted([*PROPERTY_CHECKS, "normalization", "subst-index"]))
     check_p.add_argument("--system", choices=["head", "lo", "weak-cbv", "ll"])
     check_p.add_argument("--flavor", choices=["cbn", "cbv"], help="default cbn")
     _add_options(check_p, *DEFAULTS)
@@ -356,7 +353,9 @@ def cmd_factorize(args) -> int:
 def cmd_level(args) -> int:
     term = parse(args.term)
     level = least_level(term)
-    steps = level_indexed_steps(term)
+    ll = SYSTEMS[SystemId.LEAST_LEVEL]
+    steps = sorted(ll.essential_steps(term) + ll.inessential_steps(term),
+                   key=lambda step: step[0].position)
     render = _renderer()
     payload = {
         "term": render(term),

@@ -693,11 +693,11 @@ def check_normalization(sys, size_bound: int = 8, fuel: int = 1000,
     """Desk-scale normalization theorems, one rule for every system.
 
     A term is relevant when its explored base graph holds an essential-normal
-    term.  Then every maximal essential sequence from it must be finite, all
-    of one length of at most `fuel` steps, and end in a term the row's
-    `terminal` accepts.  Budget hits (the first one is reported, with how many
-    terms hit one) and sweeps where no term is relevant yield INCONCLUSIVE,
-    not PASS.
+    term, and inconclusive when the graph is cut off before one.  Then every
+    maximal essential sequence from it must be finite, all of one length of
+    at most `fuel` steps, and end in a term the row's `terminal` accepts.
+    Budget hits (the first one is reported, with how many terms hit one) and
+    sweeps where no term is relevant yield INCONCLUSIVE, not PASS.
     """
     system = get_system(sys)
     spec = EnumSpec(max_size=size_bound, closed_only=system.closed_only)
@@ -734,6 +734,10 @@ def _check_normalization_one(system: EssentialSystem, t: Term, fuel: int,
     whole = not graph.truncated
     if not (whole and any(not out for out in graph.edges.values())
             or any(not system.positions(n) for n in graph.nodes)):
+        if not whole:
+            # an essential-normal term may lie beyond the cut
+            raise _Inconclusive(f"{system.base.value} graph search hit a budget "
+                                "before an essential-normal term")
         return False, None
 
     def successors(u: Term) -> list[Term]:

@@ -2,10 +2,11 @@
 
 Plain beta and beta-value contraction, the essential and inessential redex
 positions of the four strategies (head, weak call-by-value,
-leftmost-outermost, least-level), and levels.  `redexes`, `least_level` and
-the head and leftmost-outermost searches are loops of their own.  Everything
-that addresses a redex by its position goes through the zipper of terms.py:
-`path_to` leads to the redex and `rebuild` plugs its reduct in.  So
+leftmost-outermost, least-level), and levels.  `redexes` and the head and
+leftmost-outermost searches are loops of their own; `least_level` is the
+search of the least-level walk.  Everything that addresses a redex by its
+position goes through the zipper of terms.py: `path_to` leads to the redex
+and `rebuild` plugs its reduct in.  So
 `step_at` contracts one redex, `reducts` lists one-step reducts, and
 `redexes_where` lists the redexes in a system's inessential contexts, told
 by a rule on their paths (`_head_context`, `_weak_context`, `_lo_context`).
@@ -350,26 +351,14 @@ def _lo_context(path: Path) -> bool:
 # Least-level reduction
 
 
+_LEAST_LEVEL_WALK = Walk(leveled=True)
+
+
 def least_level(t: Term) -> int | float:
-    """Minimal number of argument-nestings containing a redex; inf if normal."""
-    # descend each function spine, queueing its arguments one level up, and
-    # prune every subtree at or above the least level found so far
-    least = sys.maxsize
-    pending = [(t, 0)]
-    while pending:
-        node, level = pending.pop()
-        while level < least:
-            kind = type(node)
-            if kind is Lam:
-                node = node.body
-            elif kind is not App:
-                break
-            elif type(node.fun) is Lam:
-                least = level
-            else:
-                pending.append((node.arg, level + 1))
-                node = node.fun
-    return INFINITY if least == sys.maxsize else least
+    """Minimal number of argument-nestings containing a redex; inf if normal:
+    the level of the redex the least-level walk finds first."""
+    found = _LEAST_LEVEL_WALK.find(t, [])
+    return INFINITY if found is None else found[2]
 
 
 def position_level(pos: Position) -> int:
@@ -377,22 +366,10 @@ def position_level(pos: Position) -> int:
     return pos.count(RIGHT)
 
 
-def level_indexed_steps(t: Term) -> list[tuple[Step, Term]]:
-    """Every beta-redex with its level, classified against least_level(t)."""
-    ll = least_level(t)
-    out = []
-    for pos in beta_redexes(t):
-        level = position_level(pos)
-        kind = StepKind.ESSENTIAL if level == ll else StepKind.INESSENTIAL
-        out.append((Step(pos, kind, level), step_at(t, pos, Base.BETA)))
-    return out
-
-
 def _ll_positions(t: Term, above: bool = False) -> list[Position]:
-    """The beta-redexes at the least level or, `above` it, the others: one
-    walk, each redex's level (as in `position_level`) counted as an int."""
+    """The beta-redexes at the least level or, `above` it, the others."""
     positions = beta_redexes(t)
-    levels = [pos.count(RIGHT) for pos in positions]
+    levels = [position_level(pos) for pos in positions]
     least = min(levels, default=0)
     return [pos for pos, level in zip(positions, levels) if (level > least) is above]
 

@@ -19,6 +19,14 @@ def first_reduct(system_id, t):
     return next((u for _, u in SYSTEMS[system_id].essential_steps(t)), None)
 
 
+def row_steps(system_id, t):
+    """The essential and inessential steps of `t` in the system's row, merged
+    by position."""
+    row = SYSTEMS[system_id]
+    return sorted(row.essential_steps(t) + row.inessential_steps(t),
+                  key=lambda step: step[0].position)
+
+
 def terms_up_to(size: int, closed_only: bool = False):
     return list(enumerate_terms(EnumSpec(max_size=size, closed_only=closed_only)))
 

@@ -206,6 +206,22 @@ class TestLevel:
         kinds = {s["position"]: s["kind"] for s in data["steps"]}
         assert kinds == {"R": "essential", "L.R.R": "inessential"}
 
+    def test_steps_merge_essential_and_inessential_by_position(self, capsys):
+        code, out, _ = run(capsys, "level", r"x ((\w.w) ((\w.w) y)) ((\w.w) y)",
+                           "--output", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "term": r"x ((\w.w) ((\w.w) y)) ((\w.w) y)",
+            "least_level": 1,
+            "steps": [
+                {"position": "L.R", "kind": "essential", "level": 1,
+                 "term": r"x ((\w.w) y) ((\w.w) y)"},
+                {"position": "L.R.R", "kind": "inessential", "level": 2,
+                 "term": r"x ((\w.w) y) ((\w.w) y)"},
+                {"position": "R", "kind": "essential", "level": 1,
+                 "term": r"x ((\w.w) ((\w.w) y)) y"},
+            ]}
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "level", "\\x")
         assert code == 1 and "parse error" in err
@@ -276,6 +292,14 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "normalization", "--system", "ll",
                            "--size", "7", "--fuel", "1")
         assert code == 4 and "least-level reduction hit the fuel bound" in out
+
+    def test_normalization_budget_cut_is_inconclusive(self, capsys):
+        code, out, _ = run(capsys, "check", "normalization", "--system", "lo",
+                           "--size", "6", "--budget", "1")
+        assert code == 4
+        assert out == ("normalization [lo] size<=6: INCONCLUSIVE (276 checked)\n"
+                       "counterexample: (\\x.x) x: beta graph search hit a budget before an"
+                       " essential-normal term (174 terms inconclusive)\n")
 
     def test_json_report_round_trips(self, capsys):
         code, out, _ = run(capsys, "check", "fullness", "--system", "ll",

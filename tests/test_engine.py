@@ -640,6 +640,14 @@ class TestCheckNormalization:
         report = check_normalization(system, node_budget=5)
         assert (report.result, report.checked_count) == ("PASS", 1)
 
+    # with one node a graph holds only its root, so every term that is not
+    # essential-normal is cut off before its relevance is decided
+    def test_graph_cut_before_an_essential_normal_term_is_inconclusive(self):
+        report = check_normalization(LO, size_bound=6, node_budget=1)
+        assert (report.result, report.checked_count) == ("INCONCLUSIVE", 276)
+        assert report.counterexample == (r"(\x.x) x: beta graph search hit a budget before an"
+                                         " essential-normal term (174 terms inconclusive)")
+
     # the rule fails a row whose strategy breaks the row's theorem: head steps
     # stop short of the normal form the leftmost-outermost row asks for, and
     # sequences of arbitrary beta steps differ in length or loop

@@ -11,7 +11,6 @@ from essential_rewrite import (
     betav_redexes,
     head_steps,
     least_level,
-    level_indexed_steps,
     ll_steps,
     lo_steps,
     neg_head_steps,
@@ -42,7 +41,7 @@ from essential_rewrite.terms import (
     is_normal,
     is_value,
 )
-from conftest import OMEGA, first_reduct, p, terms_up_to
+from conftest import OMEGA, first_reduct, p, row_steps, terms_up_to
 
 
 # The recursive definitions of the redex lists and of the least level, kept
@@ -377,12 +376,12 @@ class TestLeastLevel:
 
     def test_level_indexed_examples(self):
         t = p(r"(\x.(\z.z) (\z.z)) y")
-        got = {(s.position, s.level) for s, _ in level_indexed_steps(t)}
+        got = {(s.position, s.level) for s, _ in row_steps(SystemId.LEAST_LEVEL, t)}
         assert got == {((), 0), (("L", "B"), 0)}
         t2 = p(r"x ((\z.z) (\z.z))")
-        got2 = [(s.position, s.level) for s, _ in level_indexed_steps(t2)]
+        got2 = [(s.position, s.level) for s, _ in row_steps(SystemId.LEAST_LEVEL, t2)]
         assert got2 == [(("R",), 1)]
-        assert level_indexed_steps(p("x")) == []
+        assert row_steps(SystemId.LEAST_LEVEL, p("x")) == []
 
     def test_ll_steps_examples(self):
         t = p(r"(\x.(\z.z) (\z.z)) y")
@@ -414,13 +413,14 @@ class TestLeastLevel:
             essential = oracle_ll_positions(t)
             assert ll.positions(t) == essential
             assert ll.neg_positions(t) == oracle_neg_ll_positions(t)
-            assert [s.kind is StepKind.ESSENTIAL for s, _ in level_indexed_steps(t)] == [
+            steps = row_steps(SystemId.LEAST_LEVEL, t)
+            assert [s.kind is StepKind.ESSENTIAL for s, _ in steps] == [
                 pos in essential for pos in oracle_beta_redexes(t)]
 
     def test_computational_meaning(self, small_terms):
         # the least level is the least level of an actual step
         for t in small_terms:
-            levels = [s.level for s, _ in level_indexed_steps(t)]
+            levels = [s.level for s, _ in row_steps(SystemId.LEAST_LEVEL, t)]
             assert least_level(t) == (min(levels) if levels else INFINITY)
 
     def test_ll_fullness(self, small_terms):
@@ -430,7 +430,7 @@ class TestLeastLevel:
     def test_monotonicity(self, small_terms):
         for t in small_terms:
             ll = least_level(t)
-            for _, u in level_indexed_steps(t):
+            for _, u in row_steps(SystemId.LEAST_LEVEL, t):
                 assert least_level(u) >= ll
 
     def test_invariance_under_inessential(self, small_terms):
@@ -456,7 +456,7 @@ class TestLeastLevel:
         for i in range(300):
             t = random_term(rng.randrange(2 ** 30), rng.randint(4, 9), spec)
             s = random_term(rng.randrange(2 ** 30), rng.randint(1, 6), spec)
-            for step, u in level_indexed_steps(t):
+            for step, u in row_steps(SystemId.LEAST_LEVEL, t):
                 t_sub = substitute(t, "x", s)
                 u_sub = substitute(u, "x", s)
                 assert alpha_eq(step_at(t_sub, step.position), u_sub)
