@@ -31,7 +31,7 @@ from .engine import (
     check_subst_index,
     factorize,
     get_system,
-    normalize,
+    normalize,  # unused here; bench/tracing.py binds it
     steps_to_json,
     trace_from_positions,
 )
@@ -56,7 +56,7 @@ from .terms import (
     parse,
     parse_position,
     show,
-    show_steps,
+    show_spliced,
 )
 
 CONFIG_ENV = "ESSENTIAL_REWRITE_CONFIG"
@@ -264,22 +264,29 @@ def _step_line(step, text: str) -> str:
 def cmd_reduce(args) -> int:
     term = parse(args.term)
     base = _BASE_ONLY.get(args.system)
-    if base is None:
-        trace, outcome = normalize(term, get_system(args.system), fuel=args.fuel)
-        steps = trace.steps
+    system = None if base else get_system(args.system)
+    # plain beta / beta-value reduction fires the first redex in preorder
+    stream = (Walk(base) if base else system.walk).steps(term, args.fuel)
+    steps: list[Step] = []
+
+    def fired():
+        for pos, reduct in stream:
+            steps.append(Step(pos, StepKind.PLAIN) if base else
+                         Step(pos, StepKind.ESSENTIAL, system.level_of(pos)))
+            yield pos, reduct
+
+    start, *texts = show_spliced(term, fired(), stream.root)
+    if base:
+        outcome = Outcome.FUEL_EXHAUSTED if stream.exhausted else Outcome.NORMAL_FORM
     else:
-        # plain beta / beta-value reduction fires the first redex in preorder
-        fired, exhausted = Walk(base).run(term, args.fuel)
-        steps = [(Step(pos, StepKind.PLAIN), u) for pos, u in fired]
-        outcome = Outcome.FUEL_EXHAUSTED if exhausted else Outcome.NORMAL_FORM
-    start, *texts = show_steps(term, [(step.position, u) for step, u in steps])
+        outcome = system.outcome(stream.root(), stream.exhausted)
     payload = {
         "start": start,
         "system": args.system,
-        "steps": [dict(step.to_json(), term=text) for (step, _), text in zip(steps, texts)],
+        "steps": [dict(step.to_json(), term=text) for step, text in zip(steps, texts)],
         "outcome": outcome.value,
     }
-    lines = [start] + [_step_line(step, text) for (step, _), text in zip(steps, texts)]
+    lines = [start] + [_step_line(step, text) for step, text in zip(steps, texts)]
     lines.append(f"outcome: {outcome.value}")
     _emit(args, payload, lines)
     return 2 if outcome is Outcome.FUEL_EXHAUSTED else 0

@@ -43,6 +43,7 @@ from .parallel import (
 )
 from .reductions import (
     Base,
+    INFINITY,
     Step,
     StepKind,
     SystemId,
@@ -134,7 +135,8 @@ class EssentialSystem:
     @cached_property
     def walk(self) -> Walk:
         """The strategy's fast path, derived from the row: the redex it finds
-        first is `min(positions(t))`, and `normalize` steps with it."""
+        first is `min(positions(t))`, and `normalize` and `reduce` step with
+        it."""
         return Walk(self.base, weak=self.flavor is Flavor.CBV, spine_only=self.spine_only,
                     leveled=self.flavor is Flavor.LEVELED)
 
@@ -164,7 +166,14 @@ class EssentialSystem:
         return position_level(pos) if self.flavor is Flavor.LEVELED else None
 
     def base_normal(self, t: Term) -> bool:
-        return self.base_walk.find(t, []) is None
+        return self.base_walk.find(t, [])[2] == INFINITY
+
+    def outcome(self, end: Term, exhausted: bool) -> Outcome:
+        """How a run of the strategy ended at `end`, with or without a
+        redex left when its fuel ran out."""
+        if exhausted:
+            return Outcome.FUEL_EXHAUSTED
+        return Outcome.NORMAL_FORM if self.base_normal(end) else Outcome.ESSENTIAL_NORMAL
 
 
 def _any_term(t: Term) -> bool:
@@ -461,11 +470,7 @@ def normalize(t: Term, sys, fuel: int = 1000) -> tuple[Trace, Outcome]:
     fired, exhausted = system.walk.run(t, fuel)
     trace = Trace(t, [(Step(pos, StepKind.ESSENTIAL, system.level_of(pos)), u)
                       for pos, u in fired])
-    if exhausted:
-        return trace, Outcome.FUEL_EXHAUSTED
-    if system.base_normal(trace.end):
-        return trace, Outcome.NORMAL_FORM
-    return trace, Outcome.ESSENTIAL_NORMAL
+    return trace, system.outcome(trace.end, exhausted)
 
 
 # ---------------------------------------------------------------------------

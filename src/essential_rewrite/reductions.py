@@ -12,9 +12,12 @@ and `rebuild` plugs its reduct in.  So
 by a rule on their paths (`_head_context`, `_weak_context`, `_lo_context`).
 The `is_neutral` test of `_leftmost_positions` and `_lo_context` still
 recurses on the depth of the term.
-A `Walk` finds and fires a strategy's steps one at a time on a zipper.  Each
-system's steps are built from these positions by its `SYSTEMS` row
-(engine.py).
+A `Walk` finds and fires a strategy's steps one at a time on a zipper
+(`Walk.steps`).  Between steps the parents on its path are stale, each still
+holding the child the step replaced, and a parent is rebuilt from its live
+child (`plug`) only when the walk climbs out of it; the whole term is built
+only when asked for.  Each system's steps are built from these positions by
+its `SYSTEMS` row (engine.py).
 
 Every enumerator returns steps sorted by position, which coincides with
 leftmost-outermost traversal order, so step lists and traces are reproducible.
@@ -27,6 +30,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .terms import (
@@ -44,6 +48,7 @@ from .terms import (
     is_neutral,
     is_value,
     path_to,
+    plug,
     rebuild,
     replace_at,  # unused here; bench/tracing.py binds it
 )
@@ -105,15 +110,15 @@ def step_at(t: Term, pos: Position, base: Base = Base.BETA) -> Term:
         raise InvalidPositionError(f"no redex at {format_position(pos)}")
     if base is Base.BETAV and not is_value(sub.arg):
         raise InvalidPositionError(f"argument at {format_position(pos)} is not a value")
-    return _contract(sub, path)[0]
+    return rebuild(instantiate(sub.fun.body, sub.arg), path)
 
 
 # ---------------------------------------------------------------------------
 # Redex enumeration and one-pass strategy steps on a zipper
 #
-# A step contracts the redex its path (terms.Path) leads to and rebuilds
-# only its ancestors, and none of these loops recurses on the depth of the
-# term.
+# A step contracts the redex its path (terms.Path) leads to and rebuilds at
+# most its ancestors (a walk: only those it climbs out of), and none of
+# these loops recurses on the depth of the term.
 
 
 def admits(t: Term, base: Base) -> bool:
@@ -135,6 +140,12 @@ class Walk:
     reduction for BETA, plain beta-value reduction for BETAV.
     `EssentialSystem.walk` (engine.py) derives each strategy's walk from its
     row.
+
+    A run (`steps`) keeps the path to its last reduct as a zipper whose
+    parents are stale: each still holds the child the step replaced.  A
+    parent is rebuilt from its live child (`plug`) only when the walk climbs
+    out of it, so a step below the last one rebuilds nothing, and the whole
+    term is built only when it is asked for.
     """
 
     base: Base = Base.BETA
@@ -142,15 +153,22 @@ class Walk:
     spine_only: bool = False
     leveled: bool = False
 
-    def find(self, node: Term, path: Path, level: int = 0,
-             least: int = 0) -> Optional[tuple[App, Path, int]]:
+    def find(self, node: Term, path: Path, level: int = 0, least: int = 0,
+             dirty: int = 0) -> tuple[Term, Path, int | float, int]:
         """The first admitted redex in `node`'s subtree or, failing that, in
-        the right siblings along `path`, with its path and level; None if
-        there is none.  `level` is the level of `node`, the number of RIGHT
-        tags on its path.  A leveled walk returns the first redex of least
-        level there; told that none lies below level `least`, it stops at
-        the first one at that level.  Consumes `path`."""
+        the right siblings along `path`, as `(redex, path, level, dirty)`;
+        when there is none, the root the walk climbed back to, an empty path
+        and level INFINITY.  `level` is the level of `node`, the number of
+        RIGHT tags on its path, and the first `dirty` entries of `path` are
+        stale parents, as in the path returned; the walk rebuilds each one
+        it climbs out of.  A leveled walk returns the first redex of least
+        level; told that none lies below level `least`, it stops at the
+        first one at that level.  Started below the root, it must be told
+        too that none lies at level `least` or below before `node` in
+        preorder; it searches the rest of the term and, finding none at
+        level `least` there, the whole term again.  Consumes `path`."""
         base, binders, args, leveled = self.base, not self.weak, not self.spine_only, self.leveled
+        restart = leveled and bool(path)
         # a leveled walk prunes every subtree at or above the least level
         # found so far
         bound = sys.maxsize
@@ -161,8 +179,8 @@ class Walk:
                 if kind is App:
                     if admits(node, base):
                         if not leveled or level == least:
-                            return node, path, level
-                        best, bound = (node, path.copy(), level), level
+                            return node, path, level, dirty
+                        best, bound = (node, path.copy(), level, dirty), level
                     else:
                         path.append((node, LEFT))
                         node = node.fun
@@ -174,8 +192,17 @@ class Walk:
             # climb to the nearest right sibling still to visit
             while True:
                 if not path:
-                    return best
+                    if not restart:
+                        return best or (node, path, INFINITY, 0)
+                    # no redex lies at level `least` or below: the least level
+                    # grew, and its first redex may lie before the start
+                    restart, best, bound, least = False, None, sys.maxsize, least + 1
+                    break
                 parent, tag = path.pop()
+                if dirty and dirty > len(path):
+                    parent = plug(parent, tag, node)
+                    dirty -= 1
+                node = parent
                 if tag is RIGHT:
                     level -= 1
                 elif tag is LEFT and args and level + 1 < bound:
@@ -186,51 +213,85 @@ class Walk:
 
     def first(self, t: Term) -> Optional[Position]:
         """Position of the redex this walk fires first in `t`, if any."""
-        found = self.find(t, [])
-        return None if found is None else _position(found[1])
+        _, path, level, _ = self.find(t, [])
+        return None if level == INFINITY else _position(path)
+
+    def steps(self, t: Term, fuel: int) -> StepStream:
+        """The run of up to `fuel` steps from `t`, fired as it is iterated."""
+        return StepStream(self, t, fuel)
 
     def run(self, t: Term, fuel: int) -> tuple[list[tuple[Position, Term]], bool]:
         """Fire up to `fuel` steps from `t`.  Returns each step's position
-        and reduct, and whether a redex is left when the fuel runs out."""
-        fired: list[tuple[Position, Term]] = []
-        found = self.find(t, [])
-        for _ in range(fuel):
-            if found is None:
-                break
-            redex, path, level = found
-            pos = _position(path)
-            root, reduct = _contract(redex, path)
-            fired.append((pos, root))
-            found = self._resume(root, reduct, path, level)
-        return fired, found is not None
+        and whole term after it, and whether a redex is left when the fuel
+        runs out."""
+        stream = self.steps(t, fuel)
+        fired = [(pos, stream.root()) for pos, _ in stream]
+        return fired, stream.exhausted
 
-    def _resume(self, root: Term, reduct: Term, path: Path,
-                level: int) -> Optional[tuple[App, Path, int]]:
-        """The next redex after a step that left `reduct` at `level` along
-        `path` in the new term `root`."""
+    def _resume(self, reduct: Term, path: Path, level: int,
+                dirty: int) -> tuple[Term, Path, int | float, int]:
+        """`find`'s answer after a step that left `reduct` at `level` at the
+        end of `path`, whose first `dirty` entries are stale."""
         # Every node before the reduct in preorder is unchanged and no redex
         # (for a leveled walk: none at the fired level or below), and an
         # ancestor's redex status depends on its children's types only: of
-        # the ancestors, only the reduct's parent can have changed.
-        if path and admits(path[-1][0], self.base):
-            parent, tag = path.pop()
-            return parent, path, level - (tag is RIGHT)
-        found = self.find(reduct, path, level, least=level)
-        if self.leveled and (found is None or found[2] > level):
-            # the least level grew, and its first redex may lie before the reduct
-            return self.find(root, [])
-        return found
+        # the ancestors, only the reduct's parent can have changed.  The
+        # test reads the reduct, as the parent may still hold the redex.  A
+        # parent that became a redex is built from the reduct; the next step
+        # replaces it, so no ancestor is rebuilt.
+        if path:
+            parent, tag = path[-1]
+            if tag is not BODY:
+                fun, arg = (reduct, parent.arg) if tag is LEFT else (parent.fun, reduct)
+                if type(fun) is Lam and (self.base is Base.BETA or is_value(arg)):
+                    path.pop()
+                    return App(fun, arg), path, level - (tag is RIGHT), min(dirty, len(path))
+        return self.find(reduct, path, level, least=level, dirty=dirty)
+
+
+class StepStream:
+    """The steps of a walk from a term, fired one at a time as the stream is
+    iterated (once).  Each step is `(position, reduct)`: the reduct
+    replaces the redex at that position.
+
+    Between steps the path to the last reduct is a zipper with stale
+    parents (see `Walk`), and no whole term is built; `root()` builds the
+    whole term after the steps so far.  When the iteration ends, `exhausted`
+    tells whether a redex was left as the fuel ran out.
+    """
+
+    def __init__(self, walk: Walk, t: Term, fuel: int):
+        self.walk, self.fuel = walk, fuel
+        self.exhausted = False
+        # the zipper: the live node at the end of `path`, whose first
+        # `dirty` entries are stale
+        self._node: Term = t
+        self._path: Path = []
+        self._dirty = 0
+
+    def __iter__(self) -> Iterator[tuple[Position, Term]]:
+        walk = self.walk
+        node, path, level, dirty = walk.find(self._node, [])
+        for _ in range(self.fuel):
+            if level == INFINITY:
+                break
+            reduct = instantiate(node.fun.body, node.arg)
+            self._node, self._path, self._dirty = reduct, path, len(path)
+            yield _position(path), reduct
+            node, path, level, dirty = walk._resume(reduct, path, level, self._dirty)
+        self._node, self._path, self._dirty = node, path, dirty
+        self.exhausted = level != INFINITY
+
+    def root(self) -> Term:
+        """The whole term after the steps so far: the stale parents on the
+        path, rebuilt bottom-up and live from then on."""
+        path, dirty = self._path, self._dirty
+        self._dirty = 0
+        return rebuild(path[dirty][0] if dirty < len(path) else self._node, path, dirty)
 
 
 def _position(path: Path) -> Position:
-    return tuple([tag for _, tag in path])
-
-
-def _contract(redex: App, path: Path) -> tuple[Term, Term]:
-    """Contract `redex` and `rebuild` the path to it.  Returns the new root
-    and the reduct."""
-    reduct = instantiate(redex.fun.body, redex.arg)
-    return rebuild(reduct, path), reduct
+    return tuple(map(itemgetter(1), path))
 
 
 def redexes(t: Term, base: Base, binders: bool = True) -> list[Position]:
@@ -283,7 +344,7 @@ def reducts(t: Term, base: Base) -> Iterator[tuple[Position, Term]]:
     `redexes(t, base)`, each rebuilding only the ancestors of its redex."""
     for pos in redexes(t, base):
         redex, path = path_to(t, pos)
-        yield pos, _contract(redex, path)[0]
+        yield pos, rebuild(instantiate(redex.fun.body, redex.arg), path)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +418,7 @@ _LEAST_LEVEL_WALK = Walk(leveled=True)
 def least_level(t: Term) -> int | float:
     """Minimal number of argument-nestings containing a redex; inf if normal:
     the level of the redex the least-level walk finds first."""
-    found = _LEAST_LEVEL_WALK.find(t, [])
-    return INFINITY if found is None else found[2]
+    return _LEAST_LEVEL_WALK.find(t, [])[2]
 
 
 def position_level(pos: Position) -> int:

@@ -257,11 +257,22 @@ def path_to(t: Term, pos: Position) -> tuple[Term, Path]:
     return t, path
 
 
-def rebuild(node: Term, path: Path) -> Term:
-    """Plug `node` in at the end of `path` and rebuild its ancestors
-    bottom-up, updating `path` in place to lead from the new root to `node`.
-    Returns the new root."""
-    for i in range(len(path) - 1, -1, -1):
+def plug(parent: Term, tag: str, child: Term) -> Term:
+    """`parent` with its `tag` child replaced by `child`."""
+    if tag is LEFT:
+        return App(child, parent.arg)
+    if tag is RIGHT:
+        return App(parent.fun, child)
+    return Lam(child, parent.hint)
+
+
+def rebuild(node: Term, path: Path, depth: int | None = None) -> Term:
+    """Plug `node` in at `depth` along `path` (by default at its end) and
+    rebuild the ancestors above it bottom-up, updating `path` in place to
+    lead from the new root to `node`.  Returns the new root."""
+    # the body of `plug`, inlined: `normalize` rebuilds every ancestor of
+    # every step (a million on Church 2^10), and the call cost a tenth of it
+    for i in reversed(range(len(path) if depth is None else depth)):
         parent, tag = path[i]
         if tag is LEFT:
             node = App(node, parent.arg)
@@ -441,7 +452,7 @@ def show(t: Term) -> str:
 
 
 class _Redraw(Exception):
-    """Raised by `show_steps` when a step cannot be spliced into the old
+    """Raised by `show_spliced` when a step cannot be spliced into the old
     text, and by the emitter when a free name turns up it was not told of."""
 
 
@@ -523,11 +534,14 @@ def _fresh(name: str, in_scope: set[str], term_free: frozenset[str], body: Term)
 # ---------------------------------------------------------------------------
 # Printing a reduction sequence
 #
-# A step rebuilds only the path from the root to its redex (`rebuild`), and
-# everything off that path keeps its text.
-# So the text of each term is the text before it with one span replaced, as
-# in an edit of a rope (Boehm, Atkinson & Plass, "Ropes: an alternative to
-# strings", SP&E 1995), here one flat string cut and joined at two offsets.
+# A step replaces one subterm, and everything off the path to it keeps its
+# text.  So the text of each term is the text before it with one span
+# replaced, as in an edit of a rope (Boehm, Atkinson & Plass, "Ropes: an
+# alternative to strings", SP&E 1995), here one flat string cut and joined
+# at two offsets.  `show_spliced` prints a reduction from its steps alone,
+# as a strategy run (reductions.StepStream) fires them without building the
+# whole terms; `show_steps` prints one given by its whole terms, checking
+# first that each differs from the one before only at its step.
 
 
 def show_steps(start: Term, steps: Iterable[tuple[Position, Term]]) -> Iterator[str]:
@@ -535,14 +549,54 @@ def show_steps(start: Term, steps: Iterable[tuple[Position, Term]]) -> Iterator[
     `steps`, each printed by editing the text before it.
 
     When `root` is the term before it with only its subterm at `position`
-    replaced, as after a reduction step there, only that subterm is rendered
-    and spliced into the old text.  The offsets found along one step's path
-    serve the next step down to where the two paths part; below that, the
-    walk adds up the widths of the siblings it passes, which a memo keeps.
-    Any other step renders the whole term: a root that differs off the path,
-    a step that erases or adds a free name below a binder whose name was
-    chosen against the free names of its body (the binder may gain or lose
-    a prime), or a free name that was not in the term before.
+    replaced, as after a reduction step there, the step is printed by
+    `show_spliced`.  Any other step renders the whole term.
+    """
+    last = start
+
+    def replacements() -> Iterator[tuple[Position | None, Term]]:
+        nonlocal last
+        for pos, root in steps:
+            new = _replaced_at(last, root, pos)
+            last = root
+            yield (pos, new) if new is not None else (None, root)
+
+    return show_spliced(start, replacements(), lambda: last)
+
+
+def _replaced_at(old: Term, new: Term, pos: Position) -> Term | None:
+    """The subterm of `new` at `pos`, if `new` is `old` with only that
+    subterm replaced; None otherwise."""
+    for tag in pos:
+        kind = type(old)
+        if type(new) is not kind:
+            return None
+        if kind is App and tag == LEFT and new.arg is old.arg:
+            old, new = old.fun, new.fun
+        elif kind is App and tag == RIGHT and new.fun is old.fun:
+            old, new = old.arg, new.arg
+        elif kind is Lam and tag == BODY and new.hint == old.hint:
+            old, new = old.body, new.body
+        else:
+            return None
+    return new
+
+
+def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
+                 root: Callable[[], Term]) -> Iterator[str]:
+    """`show(start)`, then the text of each term after it, given by the step
+    `(position, new)` that leads to it: the term before with its subterm at
+    `position` replaced by `new`, or any term where `position` is None.
+    `root()` returns the whole term after the last step taken from `steps`.
+
+    Only `new` is rendered and spliced into the old text.  The offsets found
+    along one step's path serve the next step down to where the two paths
+    part; below that, the walk adds up the widths of the siblings it passes,
+    which a memo keeps.  The whole term, `root()`, is rendered for a step
+    with no position, a step that erases or adds a free name below a binder
+    whose name was chosen against the free names of its body (the binder
+    may gain or lose a prime), or a free name that was not in the term
+    before.
     """
     env: list[str] = []  # names of the binders on the path, innermost last
     in_scope: set[str] = set()
@@ -555,7 +609,10 @@ def show_steps(start: Term, steps: Iterable[tuple[Position, Term]]) -> Iterator[
     # for each depth of the last step's path: the node, where its text starts
     # (after any parentheses its parent adds), how many characters follow it,
     # the id of its environment, and how many binders above it have a name
-    # chosen against the free names of their bodies
+    # chosen against the free names of their bodies.  Above the last step
+    # the nodes are stale: each has the constructor and hint of the term's
+    # node there, and its children off the path are the term's, but its
+    # child on the path may be one that a step has since replaced.
     nodes: list[Term] = []
     starts: list[int] = []
     afters: list[int] = []
@@ -571,45 +628,58 @@ def show_steps(start: Term, steps: Iterable[tuple[Position, Term]]) -> Iterator[
             entry = widths[key] = (u, sum(map(len, out)))
         return entry[1]
 
-    def redraw(root: Term) -> str:
+    def redraw(whole: Term) -> str:
         nonlocal tracked
-        tracked = free_names(root)
+        tracked = free_names(whole)
         env.clear()
         in_scope.clear()
-        nodes[:], starts[:], afters[:], envs[:], avoiding[:] = [root], [0], [0], [0], [0]
+        nodes[:], starts[:], afters[:], envs[:], avoiding[:] = [whole], [0], [0], [0], [0]
         out: list[str] = []
-        _emitter(out, env, in_scope, tracked)(root)
+        _emitter(out, env, in_scope, tracked)(whole)
         return "".join(out)
 
     text = redraw(start)
     path: Position = ()
     yield text
-    for pos, root in steps:
+    for pos, new in steps:
         try:
+            if pos is None:
+                raise _Redraw
             k = len(pos)
-            c, common = 0, min(k, len(path))
-            while c < common and pos[c] == path[c]:
-                c += 1
-            new = root
-            for i in range(c):
-                _, new_child = _rebuilt_child(nodes[i], new, pos[i])
-                nodes[i] = new
-                new = new_child
-            old, s, a, env_id, n_avoiding = nodes[c], starts[c], afters[c], envs[c], avoiding[c]
+            c = len(path)
+            if pos[:c] != path:
+                # the new path does not go on from the last one: find where
+                # they part
+                c, common = 0, min(k, c)
+                while c < common and pos[c] == path[c]:
+                    c += 1
+            node, s, a, env_id, n_avoiding = nodes[c], starts[c], afters[c], envs[c], avoiding[c]
+            side = None
+            if c < len(path):
+                # The last path goes on below depth c, so the node there may
+                # be stale: rebuild it from the last step's subterm up.
+                child = nodes[-1]
+                for i in range(len(path) - 1, c, -1):
+                    child = plug(nodes[i], path[i], child)
+                node = plug(node, path[c], child)
+                if c < k:
+                    # The new path parts from the last one here, passing the
+                    # child the last path took: read its width off the text
+                    # rather than render the rebuilt child again.
+                    side = child, len(text) - afters[c + 1] - starts[c + 1]
             binders = pos[:c].count(BODY)
             for name in env[binders:]:
                 in_scope.discard(name)
             del env[binders:], nodes[c:], starts[c:], afters[c:], envs[c:], avoiding[c:]
             for i in range(c, k):
-                nodes.append(new)
+                nodes.append(node)
                 starts.append(s)
                 afters.append(a)
                 envs.append(env_id)
                 avoiding.append(n_avoiding)
                 tag = pos[i]
-                old_child, new = _rebuilt_child(old, new, tag)
                 if tag == BODY:
-                    name = old.hint or "x"
+                    name = node.hint or "x"
                     while name in in_scope:
                         name += "'"
                     if name in tracked:
@@ -626,21 +696,25 @@ def show_steps(start: Term, steps: Iterable[tuple[Position, Term]]) -> Iterator[
                     in_scope.add(name)
                     key = (env_id, name)
                     env_id = env_ids.get(key) or env_ids.setdefault(key, next(new_ids))
+                    node = node.body
                 elif tag == LEFT:
-                    arg = old.arg
+                    arg, w = side or (node.arg, width(node.arg, env_id))
                     kind = type(arg)
-                    a += width(arg, env_id) + (3 if kind is Lam or kind is App else 1)
-                    if type(old.fun) is Lam:
+                    a += w + (3 if kind is Lam or kind is App else 1)
+                    if type(node.fun) is Lam:
                         s += 1
                         a += 1
+                    node = node.fun
                 else:
-                    fun = old.fun
-                    s += width(fun, env_id) + (3 if type(fun) is Lam else 1)
-                    kind = type(old.arg)
+                    fun, w = side or (node.fun, width(node.fun, env_id))
+                    s += w + (3 if type(fun) is Lam else 1)
+                    kind = type(node.arg)
                     if kind is Lam or kind is App:
                         s += 1
                         a += 1
-                old = old_child
+                    node = node.arg
+                side = None
+            old = node
             if n_avoiding and free_names(old) != free_names(new):
                 raise _Redraw  # a binder on the path may gain or lose a prime
             tag = pos[-1] if pos else BODY  # the root, like a body, takes no parentheses
@@ -671,23 +745,8 @@ def show_steps(start: Term, steps: Iterable[tuple[Position, Term]]) -> Iterator[
                 widths.clear()
                 env_ids.clear()
         except _Redraw:
-            text, path = redraw(root), ()
+            text, path = redraw(root()), ()
         yield text
-
-
-def _rebuilt_child(old: Term, new: Term, tag: str) -> tuple[Term, Term]:
-    """The children of `old` and `new` at `tag`, if `new` is `old` with only
-    that child replaced; raises `_Redraw` otherwise."""
-    kind = type(old)
-    if type(new) is kind:
-        if kind is App:
-            if tag == LEFT and new.arg is old.arg:
-                return old.fun, new.fun
-            if tag == RIGHT and new.fun is old.fun:
-                return old.arg, new.arg
-        elif kind is Lam and tag == BODY and new.hint == old.hint:
-            return old.body, new.body
-    raise _Redraw
 
 
 def _in_parens(u: Term, tag: str) -> bool:

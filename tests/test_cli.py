@@ -8,10 +8,12 @@ import sys
 
 import pytest
 
-from essential_rewrite import cli, engine
+from essential_rewrite import cli, engine, reductions
 from essential_rewrite.cli import main
-from essential_rewrite.engine import factorize, trace_from_positions
-from essential_rewrite.terms import parse, show
+from essential_rewrite.engine import SYSTEMS, factorize, trace_from_positions
+from essential_rewrite.reductions import Base, SystemId, Walk
+from essential_rewrite.terms import is_closed, is_locally_closed, parse, show
+from test_terms import HINT_COLLISIONS
 
 
 # the properties checked over every term up to a size
@@ -118,6 +120,58 @@ class TestReduce:
         [step] = data["steps"]
         assert step["position"] == ".".join(["R"] * depth)
         assert step["term"] == "x (" * (depth - 1) + "x z" + ")" * (depth - 1)
+
+
+# the terms with free names whose steps TestShowSteps (test_terms.py) prints
+SHOW_STEPS_OPEN_TERMS = [r"x (\x.(\y.y) x)", r"\x'.x ((\y.y) x')", r"\x'.(\x.x') x",
+                         r"x ((\y.y) z)", r"(\y.y) (\z.z) w", r"(\y.y) z x", r"\v.(\y.y) z",
+                         r"\v.x ((\y.y) z)"]
+# steps that erase the free name w below a binder named like a free name of
+# the term, whose name the printer therefore cannot keep unseen
+ERASING_TERMS = [r"x (\x.(\y.x) w)", r"x (\x.x ((\y.x) w))"]
+
+
+class TestReduceSplices:
+    """`reduce` prints each reduct of the walk's step stream spliced into
+    the text before it; where it cannot splice, it asks the stream for the
+    whole term and renders that."""
+
+    TERMS = ([show(t) for t in HINT_COLLISIONS if is_locally_closed(t)] + SHOW_STEPS_OPEN_TERMS
+             + ERASING_TERMS)
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_every_step_is_show_of_the_run_root(self, capsys, monkeypatch, output):
+        asked = []
+        root = reductions.StepStream.root
+
+        def counting_root(stream):
+            asked.append(stream)
+            return root(stream)
+
+        monkeypatch.setattr(reductions.StepStream, "root", counting_root)
+        redraws = 0
+        for system in ["head", "weak-cbv", "lo", "ll", "beta", "betav"]:
+            plain = system in ("beta", "betav")
+            walk = Walk(Base(system)) if plain else SYSTEMS[SystemId(system)].walk
+            for text in self.TERMS:
+                asked.clear()
+                code, out, _ = run(capsys, "reduce", text, "--system", system,
+                                   "--output", output)
+                t = parse(text)
+                # a strategy's outcome reads the last term once; a closed
+                # term's steps always splice
+                redrawn = len(asked) - (not plain)
+                assert redrawn == 0 or not is_closed(t)
+                redraws += redrawn
+                fired, _ = walk.run(t, 1000)
+                if output == "json":
+                    data = json.loads(out)
+                    texts = [data["start"]] + [step["term"] for step in data["steps"]]
+                else:
+                    lines = out.splitlines()
+                    texts = [lines[0]] + [line.split(" -> ", 1)[1] for line in lines[1:-1]]
+                assert code == 0 and texts == [show(t)] + [show(u) for _, u in fired]
+        assert redraws > 0
 
 
 class TestFactorize:

@@ -25,6 +25,7 @@ from essential_rewrite import (
     check_property,
     check_subst_index,
     derive,
+    enumerate_terms,
     factorize,
     identity_derivation,
     is_normal,
@@ -39,7 +40,7 @@ from essential_rewrite import (
     split,
     trace_from_positions,
 )
-from essential_rewrite import engine
+from essential_rewrite import engine, reductions
 from essential_rewrite.engine import (
     NotComposableError,
     NotInessentialError,
@@ -386,6 +387,107 @@ class TestWalk:
         TestNormalizeOracle.assert_agrees(t, system_id, fuel)
 
 
+# the six walks `reduce` runs, each with the row whose positions it follows
+# (None for plain beta and beta-value reduction)
+_REDUCE_RUNS = [(row.walk, row) for row in SYSTEMS.values()] + [(Walk(b), None) for b in Base]
+
+
+def oracle_run(t, walk, row, fuel):
+    """The run a walk's step stream must reproduce, on whole terms: fire the
+    least position the row lists, or the first redex in preorder.  Returns
+    each step's position and term, the last term and whether a redex is
+    left."""
+    steps = []
+    for _ in range(fuel + 1):
+        positions = row.positions(t) if row else redexes(t, walk.base)
+        if not positions or len(steps) == fuel:
+            return steps, t, bool(positions)
+        pos = min(positions)
+        t = step_at(t, pos, walk.base)
+        steps.append((pos, t))
+
+
+class TestStepStream:
+    """`Walk.steps` fires the steps of its row on a zipper with stale
+    parents, and must agree with the oracle run on whole terms."""
+
+    @staticmethod
+    def assert_agrees(t, walk, row, fuel):
+        stream = walk.steps(t, fuel)
+        got = list(stream)
+        want, end, exhausted = oracle_run(t, walk, row, fuel)
+        assert [pos for pos, _ in got] == [pos for pos, _ in want], show(t)
+        assert all(reduct == subterm_at(u, pos) for (pos, reduct), (_, u) in zip(got, want))
+        assert stream.root() == end and stream.exhausted is exhausted
+        return stream
+
+    @pytest.mark.parametrize("pool", [("x", "y"), ("x",), ()])
+    def test_every_small_term(self, pool):
+        for t in enumerate_terms(EnumSpec(max_size=7, free_names=pool)):
+            for walk, row in _REDUCE_RUNS:
+                self.assert_agrees(t, walk, row, 20)
+
+    @pytest.mark.parametrize("text", [
+        # the least level grows, and its first redex lies before the reduct
+        r"y (z ((\a.a) c)) ((\b.b) d)",
+        # ... behind a redex of a level greater still
+        r"x (y (z ((\a.a) c))) (w ((\b.b) d)) ((\e.e) f)",
+    ])
+    def test_least_level_grows_past_the_reduct(self, text):
+        for walk, row in _REDUCE_RUNS:
+            self.assert_agrees(p(text), walk, row, 20)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_church_exponentials_to_normal_form(self, k):
+        t = p(f"{_church(k)} {_church(2)}")
+        for walk, row in _REDUCE_RUNS:
+            assert not self.assert_agrees(t, walk, row, 10_000).exhausted
+
+
+class TestStreamCost:
+    """A run rebuilds a stale parent only when its walk climbs out of it,
+    not every ancestor at every step."""
+
+    @pytest.fixture
+    def rebuilds(self, monkeypatch):
+        """Counts the parents rebuilt: by the walk as it climbs (`plug`) and
+        by whole-term rebuilds (`rebuild`, as in `root()`)."""
+        count = [0]
+        plug, rebuild = reductions.plug, reductions.rebuild
+
+        def counting_plug(parent, tag, child):
+            count[0] += 1
+            return plug(parent, tag, child)
+
+        def counting_rebuild(node, path, depth=None):
+            count[0] += len(path) if depth is None else depth
+            return rebuild(node, path, depth)
+
+        monkeypatch.setattr(reductions, "plug", counting_plug)
+        monkeypatch.setattr(reductions, "rebuild", counting_rebuild)
+        return count
+
+    @staticmethod
+    def fire(system_id, k, extra=""):
+        stream = SYSTEMS[system_id].walk.steps(p(f"{_church(k)} {_church(2)}{extra}"), 100_000)
+        fired = sum(1 for _ in stream)
+        stream.root()
+        assert not stream.exhausted
+        return fired
+
+    def test_lo_rebuilds_at_most_a_parent_per_step(self, rebuilds):
+        # rebuilding every ancestor at every step took 64,503
+        fired = self.fire(LO, 8)
+        assert fired == 510 and rebuilds[0] <= fired
+
+    @pytest.mark.parametrize("system_id, ladder", [(HEAD, range(3, 10)), (WCBV, range(3, 8))])
+    def test_head_and_weak_cbv_rebuild_nothing(self, rebuilds, system_id, ladder):
+        # applied to two identities, the exponential reduces to one
+        for k in ladder:
+            self.fire(system_id, k, r" (\z.z) (\z.z)")
+        assert rebuilds[0] == 0
+
+
 # (\y.y) z, at the bottom of a tower of binders or of a right spine x (x (...))
 DEEP = 20_000
 
@@ -461,6 +563,26 @@ class TestDeepTerms:
             assert inessential == [[pos], [], []]
         # the one redex is the least-level one, at the level of its argument sides
         assert least == pos.count("R") and leveled == [[pos], []]
+
+    @pytest.mark.parametrize("build", [_deep_under_binders, _deep_right_spine])
+    def test_step_streams_at_default_recursion_limit(self, build):
+        t = build()
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            runs = []
+            for walk, _ in _REDUCE_RUNS:
+                stream = walk.steps(t, 10)
+                runs.append(([pos for pos, _ in stream], stream.root(), stream.exhausted))
+        finally:
+            sys.setrecursionlimit(old_limit)
+        (pos,) = redexes(t, Base.BETA)
+        # equality would recurse, hashes do not
+        reduct = hash(build(Free("z")))
+        for (walk, row), (positions, root, exhausted) in zip(_REDUCE_RUNS, runs):
+            fires = row.positions(t) if row else [pos]
+            assert positions == fires and not exhausted
+            assert root is t if not fires else hash(root) == reduct
 
     @pytest.mark.parametrize("build", [_deep_under_binders, _deep_right_spine])
     def test_position_addressed_steps_at_default_recursion_limit(self, build):
