@@ -14,6 +14,7 @@ nothing was checked).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -120,7 +121,8 @@ def main(argv=None) -> int:
         for key, minimum in _MINIMUM.items():
             if getattr(args, key, minimum) < minimum:
                 raise UsageError(f"{key} must be at least {minimum}, got {getattr(args, key)}")
-        return _run_deep(args.handler, args)
+        # looked up at call time, so that a handler replaced on the module runs
+        return _run_deep(globals()[f"cmd_{args.command}"], args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -201,6 +203,11 @@ def _load_config() -> dict:
     return config
 
 
+# The parser is built on the first `main` call, not at import, and then serves
+# every later call in the process: building it costs more than a short
+# `reduce`.  argparse keeps nothing of one command line for the next, and
+# `main` looks each subcommand's handler up by name (`cmd_<command>`).
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="essential-rewrite",
@@ -213,19 +220,16 @@ def _build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--system", required=True,
                           choices=["head", "lo", "weak-cbv", "ll", "beta", "betav"])
     _add_options(reduce_p, "fuel", "output")
-    reduce_p.set_defaults(handler=cmd_reduce)
 
     fact_p = sub.add_parser("factorize", help="factorize a reduction sequence file")
     fact_p.add_argument("file")
     fact_p.add_argument("--system", required=True,
                         choices=["head", "lo", "weak-cbv", "ll"])
     _add_options(fact_p, "output")
-    fact_p.set_defaults(handler=cmd_factorize)
 
     level_p = sub.add_parser("level", help="least level and per-redex levels")
     level_p.add_argument("term")
     _add_options(level_p, "output")
-    level_p.set_defaults(handler=cmd_level)
 
     check_p = sub.add_parser("check", help="run a property suite")
     check_p.add_argument("property",
@@ -233,7 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--system", choices=["head", "lo", "weak-cbv", "ll"])
     check_p.add_argument("--flavor", choices=["cbn", "cbv"], help="default cbn")
     _add_options(check_p, *DEFAULTS)
-    check_p.set_defaults(handler=cmd_check)
 
     return parser
 
@@ -267,29 +270,54 @@ def cmd_reduce(args) -> int:
     system = None if base else get_system(args.system)
     # plain beta / beta-value reduction fires the first redex in preorder
     stream = (Walk(base) if base else system.walk).steps(term, args.fuel)
-    steps: list[Step] = []
+    positions: list[Position] = []
 
     def fired():
         for pos, reduct in stream:
-            steps.append(Step(pos, StepKind.PLAIN) if base else
-                         Step(pos, StepKind.ESSENTIAL, system.level_of(pos)))
+            positions.append(pos)
             yield pos, reduct
 
     start, *texts = show_spliced(term, fired(), stream.root)
     if base:
+        kind = StepKind.PLAIN
+        levels = [None] * len(positions)
         outcome = Outcome.FUEL_EXHAUSTED if stream.exhausted else Outcome.NORMAL_FORM
     else:
+        kind = StepKind.ESSENTIAL
+        levels = [system.level_of(pos) for pos in positions]
         outcome = system.outcome(stream.root(), stream.exhausted)
-    payload = {
-        "start": start,
-        "system": args.system,
-        "steps": [dict(step.to_json(), term=text) for step, text in zip(steps, texts)],
-        "outcome": outcome.value,
-    }
-    lines = [start] + [_step_line(step, text) for step, text in zip(steps, texts)]
-    lines.append(f"outcome: {outcome.value}")
-    _emit(args, payload, lines)
+    if args.output == "json":
+        _write_reduce_json(sys.stdout.write, start, args.system, kind,
+                           zip(positions, levels, texts), outcome)
+    else:
+        lines = [start]
+        lines += [_step_line(Step(pos, kind, level), text)
+                  for pos, level, text in zip(positions, levels, texts)]
+        lines.append(f"outcome: {outcome.value}")
+        print("\n".join(lines))
     return 2 if outcome is Outcome.FUEL_EXHAUSTED else 0
+
+
+def _write_reduce_json(write, start: str, system: str, kind: StepKind, steps,
+                       outcome: Outcome) -> None:
+    """Write the `reduce` payload as `print(json.dumps(payload, indent=2))`
+    does: start, system, steps and outcome, each step (position, level,
+    reduct text) with the keys of `Step.to_json` and then "term".  The
+    layout is written out here and only the scalars go through `json.dumps`,
+    whose string encoder is C code; with `indent` it runs the pure-Python
+    one.  Each step is written as it is encoded, so no copy of the whole
+    trace is built."""
+    dumps = json.dumps
+    kind_line = f',\n      "kind": {dumps(kind.value)},\n'
+    write(f'{{\n  "start": {dumps(start)},\n  "system": {dumps(system)},\n  "steps": [')
+    sep = "\n"
+    for pos, level, text in steps:
+        level_line = "" if level is None else f'      "level": {dumps(level_json(level))},\n'
+        write(f'{sep}    {{\n      "position": {dumps(".".join(pos))}{kind_line}{level_line}'
+              f'      "term": {dumps(text)}\n    }}')
+        sep = ",\n"
+    write("]" if sep == "\n" else "\n  ]")
+    write(f',\n  "outcome": {dumps(outcome.value)}\n}}\n')
 
 
 def _renderer():

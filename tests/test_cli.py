@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output formats, reproducibility."""
 
+import io
 import json
 import os
 import pathlib
@@ -8,10 +9,11 @@ import sys
 
 import pytest
 
+from conftest import OMEGA, terms_up_to
 from essential_rewrite import cli, engine, reductions
 from essential_rewrite.cli import main
-from essential_rewrite.engine import SYSTEMS, factorize, trace_from_positions
-from essential_rewrite.reductions import Base, SystemId, Walk
+from essential_rewrite.engine import SYSTEMS, Outcome, factorize, trace_from_positions
+from essential_rewrite.reductions import INFINITY, Base, Step, StepKind, SystemId, Walk
 from essential_rewrite.terms import is_closed, is_locally_closed, parse, show
 from test_terms import HINT_COLLISIONS
 
@@ -172,6 +174,147 @@ class TestReduceSplices:
                     texts = [lines[0]] + [line.split(" -> ", 1)[1] for line in lines[1:-1]]
                 assert code == 0 and texts == [show(t)] + [show(u) for _, u in fired]
         assert redraws > 0
+
+
+def _church(k: int) -> str:
+    return r"(\f.\x." + "f (" * k + "x" + ")" * k + ")"
+
+
+class TestReduceJson:
+    """`reduce --output json` writes its trace from a fixed layout; it must
+    be what `json.dumps(payload, indent=2)` prints, each step with the keys
+    of `Step.to_json` and then "term"."""
+
+    # (term, fuel); the runs cut at fuel 3 exit 2
+    CASES = ([(show(t), 3) for t in terms_up_to(5)]
+             + [(show(t), 1000) for t in HINT_COLLISIONS if is_locally_closed(t)]
+             + [(f"{_church(k)} {_church(2)}", fuel) for k in range(6) for fuel in (3, 1000)]
+             + [(OMEGA, 3)])
+
+    @pytest.mark.parametrize("system", ["head", "weak-cbv", "lo", "ll", "beta", "betav"])
+    def test_is_the_indented_dump_of_the_library_steps(self, capsys, monkeypatch, system):
+        dumps = json.dumps
+
+        def flat_dumps(obj, **kwargs):
+            assert "indent" not in kwargs
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", flat_dumps)
+        plain = system in ("beta", "betav")
+        walk = Walk(Base(system)) if plain else SYSTEMS[SystemId(system)].walk
+        row = None if plain else SYSTEMS[SystemId(system)]
+        empty = exhausted = 0
+        for text, fuel in self.CASES:
+            code, out, _ = run(capsys, "reduce", text, "--system", system, "--output", "json",
+                               "--fuel", str(fuel))
+            assert out == dumps(json.loads(out), indent=2) + "\n"
+            fired, cut = walk.run(parse(text), fuel)
+            assert code == (2 if cut else 0)
+            expected = [Step(pos, StepKind.PLAIN) if plain else
+                        Step(pos, StepKind.ESSENTIAL, row.level_of(pos)) for pos, _ in fired]
+            steps = json.loads(out)["steps"]
+            assert [list(step) for step in steps] == [[*s.to_json(), "term"] for s in expected]
+            assert ([{key: value for key, value in step.items() if key != "term"}
+                     for step in steps] == [s.to_json() for s in expected])
+            empty += not steps
+            exhausted += cut
+        assert empty > 0 and exhausted > 0
+
+    @pytest.mark.parametrize("kind, steps", [
+        (StepKind.PLAIN, []),
+        (StepKind.PLAIN, [((), None, "\"quoted\" \\x.x\tx")]),
+        (StepKind.ESSENTIAL, [(("L", "B"), 0, "caf\u00e9 \u2028 \U0001d706"),
+                              (("R",), INFINITY, "\x00\x1f")]),
+    ])
+    def test_writer_escapes_as_json_dumps(self, kind, steps):
+        # text the parser never reads, to pin the escaping to json.dumps's
+        payload = {
+            "start": "\u03bbx.x",
+            "system": "ll",
+            "steps": [dict(Step(pos, kind, level).to_json(), term=text)
+                      for pos, level, text in steps],
+            "outcome": Outcome.FUEL_EXHAUSTED.value,
+        }
+        out = io.StringIO()
+        cli._write_reduce_json(out.write, "\u03bbx.x", "ll", kind, steps, Outcome.FUEL_EXHAUSTED)
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+class TestParserReuse:
+    """`main` builds its argument parser on the first call and reuses it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The parsers `main` constructs from here on, counted afresh."""
+        made = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        yield made
+        cli._build_parser.cache_clear()
+
+    def test_one_parser_for_many_calls(self, capsys, built):
+        assert built == []
+        for _ in range(3):
+            assert run(capsys, "reduce", "x", "--system", "lo")[0] == 0
+            assert run(capsys, "level", "x", "--output", "json")[0] == 0
+        # the top-level parser and one per subcommand
+        assert [parser.prog for parser in built] == [
+            "essential-rewrite", *(f"essential-rewrite {command}"
+                                   for command in ["reduce", "factorize", "level", "check"])]
+
+    def test_import_builds_no_parser(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        probe = ("import argparse\n"
+                 "made = []\n"
+                 "init = argparse.ArgumentParser.__init__\n"
+                 "def counting(self, *args, **kwargs):\n"
+                 "    made.append(self)\n"
+                 "    init(self, *args, **kwargs)\n"
+                 "argparse.ArgumentParser.__init__ = counting\n"
+                 "import essential_rewrite.cli\n"
+                 "print(len(made))\n")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+    def test_options_do_not_carry_into_the_next_call(self, capsys, built):
+        code, out, _ = run(capsys, "reduce", OMEGA, "--system", "lo", "--fuel", "1")
+        assert code == 2 and out.count("->") == 1
+        code, out, _ = run(capsys, "reduce", OMEGA, "--system", "lo")
+        assert code == 2 and out.count("->") == cli.DEFAULTS["fuel"]
+        code, out, _ = run(capsys, "reduce", "x", "--system", "lo", "--output", "json")
+        assert code == 0 and json.loads(out)["steps"] == []
+        code, out, _ = run(capsys, "reduce", "x", "--system", "lo")
+        assert (code, out) == (0, "x\noutcome: normal-form\n")
+        assert len(built) == 5
+
+    def test_reads_a_config_set_between_calls(self, capsys, tmp_path, monkeypatch, built):
+        monkeypatch.delenv("ESSENTIAL_REWRITE_CONFIG", raising=False)
+        code, out, _ = run(capsys, "reduce", OMEGA, "--system", "lo", "--fuel", "2")
+        assert code == 2 and out.count("->") == 2
+        config = tmp_path / "config.txt"
+        config.write_text("fuel = 7\noutput = json\n")
+        monkeypatch.setenv("ESSENTIAL_REWRITE_CONFIG", str(config))
+        code, out, _ = run(capsys, "reduce", OMEGA, "--system", "lo")
+        assert code == 2 and len(json.loads(out)["steps"]) == 7
+        assert len(built) == 5
+
+    @pytest.mark.parametrize("argv", [("reduce", "x", "--system", "bogus"),
+                                      ("reduce", "x"),
+                                      ("level", "x", "--fuel", "3"),
+                                      ("check", "confluence", "--system", "lo")])
+    def test_usage_error_after_a_good_call(self, capsys, built, argv):
+        first = run(capsys, *argv)
+        assert first[:2] == (1, "") and first[2].startswith("error:")
+        assert run(capsys, "reduce", r"(\x.x) y", "--system", "ll", "--fuel", "5")[0] == 0
+        assert run(capsys, *argv) == first
+        assert len(built) == 5
 
 
 class TestFactorize:
