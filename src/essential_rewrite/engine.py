@@ -734,6 +734,19 @@ def check_normalization(sys, size_bound: int = 8, fuel: int = 1000,
 
 def _check_normalization_one(system: EssentialSystem, t: Term, fuel: int,
                              node_budget: int, depth_budget: int):
+    """`_check_normalization_on_graph`, with no graph for a base-normal `t`:
+    that is its own whole graph, so it is relevant and its one maximal
+    sequence is empty."""
+    # budgets below 1 go on to `explore`, which rejects them
+    if node_budget > 0 and depth_budget > 0 and not redexes(t, system.base):
+        return True, None if system.terminal(t) else _halts_badly(system.name, t, t)
+    return _check_normalization_on_graph(system, t, fuel, node_budget, depth_budget)
+
+
+def _check_normalization_on_graph(system: EssentialSystem, t: Term, fuel: int,
+                                  node_budget: int, depth_budget: int):
+    """The rule of `check_normalization` for `t`, read off its explored base
+    graph: whether `t` is relevant, and a failure message or None."""
     graph = explore(t, system.base, node_budget=node_budget, depth_budget=depth_budget)
     # on a whole graph a node without out-edges is normal, so essential-normal
     whole = not graph.truncated
@@ -779,8 +792,7 @@ def _uniform_terminal(t: Term, successors, terminal_ok, fuel: int, budget: int, 
             nexts = successors(u)
             children[u] = nexts
             if not nexts:
-                memo[u] = 0 if terminal_ok(u) else (
-                    f"{what} reduction from {show(t)} halts at the bad term {show(u)}")
+                memo[u] = 0 if terminal_ok(u) else _halts_badly(what, t, u)
                 continue
             # on_path is the sequence from t to u; the first sequence walked
             # is walked whole, so a length shared by all is bounded here
@@ -811,6 +823,10 @@ def _uniform_terminal(t: Term, successors, terminal_ok, fuel: int, budget: int, 
             memo[u] = result
     outcome = memo[t]
     return outcome if isinstance(outcome, str) else None
+
+
+def _halts_badly(what: str, t: Term, u: Term) -> str:
+    return f"{what} reduction from {show(t)} halts at the bad term {show(u)}"
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,12 @@ indices, free variables carry names.  Alpha-equivalence is therefore plain
 structural equality, and substituting a (locally closed) term for a free name
 can never capture.  Binders keep the surface name around as a printing hint;
 the hint is ignored by equality and hashing.
+
+Every node records `loose`, one more than the greatest de Bruijn index that
+dangles out of it (0 when it is locally closed), the loose bound-variable
+range of Lean 4 (de Moura & Ullrich, CADE 2021).  `shift` and `instantiate`
+return a subterm whose indices they would leave alone as it is, so a closed
+argument is shared, not copied, at every occurrence of its variable.
 """
 
 from __future__ import annotations
@@ -14,9 +20,13 @@ from typing import Callable, Iterable, Iterator
 
 
 class Term:
-    """Base class for lambda terms; concrete nodes are Var, Free, Lam, App."""
+    """Base class for lambda terms; concrete nodes are Var, Free, Lam, App.
+
+    `loose` is 1 + the greatest index dangling out of the term, else 0.
+    """
 
     __slots__ = ()
+    loose: int
 
     def __str__(self) -> str:
         return show(self)
@@ -28,10 +38,11 @@ class Term:
 class Var(Term):
     """Bound variable, as the de Bruijn index of its binder."""
 
-    __slots__ = ("index", "_hash")
+    __slots__ = ("index", "loose", "_hash")
 
     def __init__(self, index: int):
         self.index = index
+        self.loose = index + 1
         self._hash = hash(("v", index))
 
     def __eq__(self, other):
@@ -44,10 +55,11 @@ class Var(Term):
 class Free(Term):
     """Free variable with a global name."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "loose", "_hash")
 
     def __init__(self, name: str):
         self.name = name
+        self.loose = 0
         self._hash = hash(("f", name))
 
     def __eq__(self, other):
@@ -60,15 +72,18 @@ class Free(Term):
 class Lam(Term):
     """Abstraction; `hint` is the preferred surface name for the binder."""
 
-    __slots__ = ("body", "hint", "_hash")
+    __slots__ = ("body", "hint", "loose", "_hash")
 
     def __init__(self, body: Term, hint: str = "x"):
         self.body = body
         self.hint = hint
+        loose = body.loose
+        self.loose = loose - 1 if loose else 0
         self._hash = hash(("l", body._hash))
 
     def __eq__(self, other):
-        return type(other) is Lam and other.body == self.body
+        # shared subterms make the identity test pay
+        return self is other or type(other) is Lam and other.body == self.body
 
     def __hash__(self):
         return self._hash
@@ -77,15 +92,18 @@ class Lam(Term):
 class App(Term):
     """Application, left-associative in the surface syntax."""
 
-    __slots__ = ("fun", "arg", "_hash")
+    __slots__ = ("fun", "arg", "loose", "_hash")
 
     def __init__(self, fun: Term, arg: Term):
         self.fun = fun
         self.arg = arg
+        left, right = fun.loose, arg.loose
+        self.loose = left if left > right else right
         self._hash = hash(("a", fun._hash, arg._hash))
 
     def __eq__(self, other):
-        return type(other) is App and other.fun == self.fun and other.arg == self.arg
+        return self is other or (type(other) is App and other.fun == self.fun
+                                 and other.arg == self.arg)
 
     def __hash__(self):
         return self._hash
@@ -125,14 +143,9 @@ def free_names(t: Term) -> frozenset[str]:
 
 
 def is_locally_closed(t: Term, depth: int = 0) -> bool:
-    """True iff every de Bruijn index points at an enclosing binder."""
-    if isinstance(t, Var):
-        return t.index < depth
-    if isinstance(t, Free):
-        return True
-    if isinstance(t, Lam):
-        return is_locally_closed(t.body, depth + 1)
-    return is_locally_closed(t.fun, depth) and is_locally_closed(t.arg, depth)
+    """True iff every de Bruijn index points at an enclosing binder, `depth`
+    binders counted as enclosing `t`."""
+    return t.loose <= depth
 
 
 def is_closed(t: Term) -> bool:
@@ -184,11 +197,13 @@ def count_bound(t: Term, index: int = 0) -> int:
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Add `by` to every dangling index >= cutoff."""
-    if isinstance(t, Var):
-        return Var(t.index + by) if t.index >= cutoff else t
-    if isinstance(t, Free):
+    """Add `by` to every dangling index >= cutoff; a subterm with no such
+    index is returned as it is."""
+    if t.loose <= cutoff:
         return t
+    # below: a Var has index >= cutoff, and a Free never gets here
+    if isinstance(t, Var):
+        return Var(t.index + by)
     if isinstance(t, Lam):
         return Lam(shift(t.body, by, cutoff + 1), t.hint)
     return App(shift(t.fun, by, cutoff), shift(t.arg, by, cutoff))
@@ -198,17 +213,18 @@ def instantiate(body: Term, arg: Term) -> Term:
     """Substitute `arg` for the binder of the abstraction whose body this is.
 
     This is the contraction of a redex: App(Lam(body), arg) -> instantiate(body, arg).
+    A subterm of `body` with no index reaching that binder or past it is
+    returned as it is, and so is a locally closed `arg` at every occurrence.
     """
 
     def go(t: Term, depth: int) -> Term:
+        if t.loose <= depth:
+            return t
+        # below: a Var has index >= depth, and a Free never gets here
         if isinstance(t, Var):
             if t.index == depth:
                 return arg if depth == 0 else shift(arg, depth)
-            if t.index > depth:
-                return Var(t.index - 1)
-            return t
-        if isinstance(t, Free):
-            return t
+            return Var(t.index - 1)
         if isinstance(t, Lam):
             return Lam(go(t.body, depth + 1), t.hint)
         return App(go(t.fun, depth), go(t.arg, depth))

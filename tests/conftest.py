@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
+import random
+
 import pytest
 
-from essential_rewrite import SYSTEMS, EnumSpec, enumerate_terms, parse
+from essential_rewrite import SYSTEMS, EnumSpec, enumerate_terms, parse, random_term
 
 # the identity combinator, spelled out since the grammar has no constants
 I = r"(\z.z)"
@@ -29,6 +31,15 @@ def row_steps(system_id, t):
 
 def terms_up_to(size: int, closed_only: bool = False):
     return list(enumerate_terms(EnumSpec(max_size=size, closed_only=closed_only)))
+
+
+def random_samples():
+    """300 random terms of size 9 to 13: an application with redexes on both
+    sides needs size 9, so only these tell the order of the two sides."""
+    rng = random.Random(3)
+    spec = EnumSpec(max_size=13)
+    return [random_term(rng.randrange(2 ** 30), rng.randint(9, 13), spec)
+            for _ in range(300)]
 
 
 @pytest.fixture(scope="session")

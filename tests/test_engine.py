@@ -52,7 +52,7 @@ from essential_rewrite.engine import (
 )
 from essential_rewrite.parallel import Flavor, all_parallel_steps
 from essential_rewrite.reductions import Step, Walk, _ll_positions, reducts, redexes, step_at
-from essential_rewrite.terms import replace_at, subterm_at
+from essential_rewrite.terms import instantiate, is_locally_closed, replace_at, subterm_at
 from conftest import OMEGA, p, terms_up_to
 
 
@@ -608,6 +608,28 @@ class TestDeepTerms:
         assert [tr.steps[0][0].kind for tr in traces] == [
             StepKind.INESSENTIAL if s is inessential else StepKind.ESSENTIAL for s in SystemId]
 
+    def test_closed_argument_at_default_recursion_limit(self):
+        # (\x.\y.x) D, with D = \z.z z ... z closed and DEEP applications
+        # deep: the contraction holds D under \y as it is
+        spine = Var(0)
+        for _ in range(DEEP):
+            spine = App(spine, Var(0))
+        d = Lam(spine, "z")
+        t = App(Lam(Lam(Var(1), "y"), "x"), d)
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            contracted = instantiate(t.fun.body, t.arg)
+            trace, outcome = normalize(t, HEAD, fuel=10)
+            closed = [is_locally_closed(d), is_locally_closed(spine),
+                      is_locally_closed(spine, 1)]
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert type(contracted) is Lam and contracted.body is d
+        assert len(trace.steps) == 1 and trace.end.body is d
+        assert outcome is Outcome.NORMAL_FORM
+        assert closed == [True, False, True]
+
 
 def _no_positions(t):
     return []
@@ -786,6 +808,26 @@ class TestCheckNormalization:
         broken = dataclasses.replace(SYSTEMS[system], positions=positions)
         report = check_normalization(broken)
         assert (report.result, report.counterexample) == ("FAIL", failure)
+
+    # a base-normal term skips its graph: the rule read off the graph must
+    # say the same, and budgets `explore` rejects are still rejected
+    @pytest.mark.parametrize("system", [HEAD, LO, LL, WCBV])
+    def test_base_normal_terms_agree_with_their_graphs(self, system):
+        row = SYSTEMS[system]
+        rejecting = dataclasses.replace(row, terminal=lambda t: False)
+        normal = [t for t in terms_up_to(8) if not redexes(t, row.base)]
+        assert normal
+        for r in (row, rejecting):
+            for t in normal:
+                for budgets in ((1000, 20000, 64), (1, 1, 1)):
+                    assert (engine._check_normalization_one(r, t, *budgets)
+                            == engine._check_normalization_on_graph(r, t, *budgets))
+        bad = engine._check_normalization_one(rejecting, normal[0], 1000, 20000, 64)
+        assert bad == (True, f"{row.name} reduction from {show(normal[0])} halts at the "
+                             f"bad term {show(normal[0])}")
+        for budgets in ((1000, 0, 64), (1000, 20000, 0)):
+            with pytest.raises(ValueError, match="budgets must be positive"):
+                engine._check_normalization_one(row, normal[0], *budgets)
 
     def test_one_inconclusive_term(self, monkeypatch):
         term = p(r"(\x.x) ((\x.x) x)")

@@ -41,7 +41,7 @@ from essential_rewrite.terms import (
     is_normal,
     is_value,
 )
-from conftest import OMEGA, first_reduct, p, row_steps, terms_up_to
+from conftest import OMEGA, first_reduct, p, random_samples, row_steps, terms_up_to
 
 
 # The recursive definitions of the redex lists and of the least level, kept
@@ -150,15 +150,6 @@ def oracle_neg_ll_positions(t):
     return [pos for pos in oracle_beta_redexes(t) if position_level(pos) > ll]
 
 
-def _random_samples():
-    """300 random terms of size 9 to 13: an application with redexes on both
-    sides needs size 9, so only these tell the order of the two sides."""
-    rng = random.Random(3)
-    spec = EnumSpec(max_size=13)
-    return [random_term(rng.randrange(2 ** 30), rng.randint(9, 13), spec)
-            for _ in range(300)]
-
-
 def _nested_args(n):
     """x (I x) (I x) ... with n arguments."""
     t = p("x")
@@ -227,7 +218,7 @@ class TestRedexEnumeration:
 
     def test_walk_matches_recursive_oracles(self):
         weak = SYSTEMS[SystemId.WEAK_CBV].positions
-        for t in terms_up_to(8) + _random_samples() + [p(r"(\x.(\y.y) x) ((\y.y) (\y.y))")]:
+        for t in terms_up_to(8) + random_samples() + [p(r"(\x.(\y.y) x) ((\y.y) (\y.y))")]:
             beta = oracle_beta_redexes(t)
             betav = oracle_betav_redexes(t)
             assert beta_redexes(t) == redexes(t, Base.BETA) == beta
@@ -239,7 +230,7 @@ class TestRedexEnumeration:
         # each row's inessential redexes, in preorder, without repeats
         head, weak, lo = (SYSTEMS[s] for s in (SystemId.HEAD, SystemId.WEAK_CBV, SystemId.LO))
         args, nested = _nested_args(200), _nested_lo(200)
-        for t in terms_up_to(8) + _random_samples() + [args, nested]:
+        for t in terms_up_to(8) + random_samples() + [args, nested]:
             assert head.neg_positions(t) == sorted(oracle_neg_head_positions(t))
             assert weak.neg_positions(t) == sorted(oracle_neg_weak_positions(t))
             assert lo.neg_positions(t) == sorted(oracle_neg_lo_positions(t))
@@ -408,7 +399,7 @@ class TestLeastLevel:
     def test_loops_match_recursive_oracles(self):
         # the least level, and each redex list in preorder
         ll = SYSTEMS[SystemId.LEAST_LEVEL]
-        for t in terms_up_to(8) + _random_samples():
+        for t in terms_up_to(8) + random_samples():
             assert least_level(t) == oracle_least_level(t)
             essential = oracle_ll_positions(t)
             assert ll.positions(t) == essential

@@ -19,23 +19,26 @@ from essential_rewrite.terms import (
     RIGHT,
     Var,
     alpha_eq,
+    bound_positions,
     count_bound,
     count_occurrences,
     free_names,
     instantiate,
+    is_locally_closed,
     is_neutral,
     is_normal,
     is_value,
     parse,
     parse_position,
     replace_at,
+    shift,
     show,
     show_steps,
     size,
     substitute,
     subterm_at,
 )
-from conftest import OMEGA, p, terms_up_to
+from conftest import OMEGA, p, random_samples, terms_up_to
 
 
 class TestParse:
@@ -356,6 +359,156 @@ class TestInstantiate:
         t = p(r"\y.(\x.\w.x) y")
         redex = t.body
         assert instantiate(redex.fun.body, redex.arg) == p(r"\y.\w.y").body
+
+
+# The copying definitions `shift`, `instantiate` and `is_locally_closed` had
+# before every node recorded its loose bound: the oracles the sharing ones
+# must agree with.
+
+
+def oracle_shift(t, by, cutoff=0):
+    """Add `by` to every dangling index >= cutoff, copying every node."""
+    if isinstance(t, Var):
+        return Var(t.index + by) if t.index >= cutoff else t
+    if isinstance(t, Free):
+        return t
+    if isinstance(t, Lam):
+        return Lam(oracle_shift(t.body, by, cutoff + 1), t.hint)
+    return App(oracle_shift(t.fun, by, cutoff), oracle_shift(t.arg, by, cutoff))
+
+
+def oracle_instantiate(body, arg):
+    def go(t, depth):
+        if isinstance(t, Var):
+            if t.index == depth:
+                return arg if depth == 0 else oracle_shift(arg, depth)
+            if t.index > depth:
+                return Var(t.index - 1)
+            return t
+        if isinstance(t, Free):
+            return t
+        if isinstance(t, Lam):
+            return Lam(go(t.body, depth + 1), t.hint)
+        return App(go(t.fun, depth), go(t.arg, depth))
+
+    return go(body, 0)
+
+
+def oracle_is_locally_closed(t, depth=0):
+    if isinstance(t, Var):
+        return t.index < depth
+    if isinstance(t, Free):
+        return True
+    if isinstance(t, Lam):
+        return oracle_is_locally_closed(t.body, depth + 1)
+    return oracle_is_locally_closed(t.fun, depth) and oracle_is_locally_closed(t.arg, depth)
+
+
+def oracle_loose(t):
+    """1 + the greatest index dangling out of `t`, else 0."""
+    def greatest(u, depth):  # the greatest index less `depth`, -1 if none
+        if isinstance(u, Var):
+            return u.index - depth
+        if isinstance(u, Free):
+            return -1
+        if isinstance(u, Lam):
+            return greatest(u.body, depth + 1)
+        return max(greatest(u.fun, depth), greatest(u.arg, depth))
+
+    return max(greatest(t, 0) + 1, 0)
+
+
+def subterms(terms):
+    """Every distinct subterm object of `terms`; most have dangling indices."""
+    seen, pending = {}, list(terms)
+    while pending:
+        u = pending.pop()
+        if id(u) not in seen:
+            seen[id(u)] = u
+            if isinstance(u, Lam):
+                pending.append(u.body)
+            elif isinstance(u, App):
+                pending += [u.fun, u.arg]
+    return list(seen.values())
+
+
+class TestLooseBound:
+    @pytest.mark.parametrize("pool", [("x", "y"), ()])
+    def test_small_terms_against_the_oracle(self, pool):
+        for u in subterms(enumerate_terms(EnumSpec(max_size=7, free_names=pool))):
+            assert u.loose == oracle_loose(u)
+            for depth in range(3):
+                assert is_locally_closed(u, depth) == oracle_is_locally_closed(u, depth)
+
+    def test_random_terms_against_the_oracle(self):
+        for u in subterms(random_samples()):
+            assert u.loose == oracle_loose(u)
+            for depth in range(3):
+                assert is_locally_closed(u, depth) == oracle_is_locally_closed(u, depth)
+
+    def test_constructors(self):
+        assert [Var(2).loose, Free("x").loose] == [3, 0]
+        assert [Lam(Var(0)).loose, Lam(Var(2)).loose, Lam(Free("x")).loose] == [0, 2, 0]
+        assert [App(Var(0), Var(3)).loose, App(Var(1), Free("x")).loose] == [4, 2]
+
+
+# bodies and arguments: every subterm of the small terms and of the samples
+_BODIES = subterms(terms_up_to(6))
+_ARGS = subterms(terms_up_to(4))
+_SAMPLES = subterms(random_samples())
+
+
+class TestSharing:
+    """`shift` and `instantiate` return a subterm they would leave alone as
+    it is, and otherwise agree with the copying oracles."""
+
+    @pytest.mark.parametrize("terms", [_BODIES, _SAMPLES], ids=["small", "random"])
+    def test_shift(self, terms):
+        for t in terms:
+            for cutoff in range(3):
+                for by in (1, 2):
+                    shifted = shift(t, by, cutoff)
+                    assert shifted == oracle_shift(t, by, cutoff)
+                    if t.loose <= cutoff:
+                        assert shifted is t
+
+    def test_instantiate_small_terms(self):
+        for body in _BODIES:
+            for arg in _ARGS:
+                assert instantiate(body, arg) == oracle_instantiate(body, arg)
+
+    def test_instantiate_random_redexes(self):
+        redexes = [t for t in _SAMPLES if isinstance(t, App) and isinstance(t.fun, Lam)]
+        assert redexes
+        for t in redexes:
+            assert instantiate(t.fun.body, t.arg) == oracle_instantiate(t.fun.body, t.arg)
+        for body in _SAMPLES:
+            for arg in _ARGS:
+                assert instantiate(body, arg) == oracle_instantiate(body, arg)
+
+    def test_closed_argument_is_held_at_every_occurrence(self):
+        closed = [arg for arg in _ARGS if arg.loose == 0]
+        under_binders = 0
+        for body in _BODIES:
+            occurrences = list(bound_positions(body))
+            under_binders += sum(BODY in pos for pos in occurrences)
+            for arg in closed:
+                result = instantiate(body, arg)
+                assert all(subterm_at(result, pos) is arg for pos in occurrences)
+        assert under_binders
+
+    def test_closed_argument_under_inner_binders(self):
+        arg = p(r"\z.z z")
+        result = instantiate(p(r"\x.\y.x (\w.y x) x").body, arg)
+        assert result == p(r"\y.(\z.z z) (\w.y (\z.z z)) (\z.z z)")
+        assert result.body.fun.fun is arg and result.body.arg is arg
+        assert result.body.fun.arg.body.arg is arg
+
+    def test_untouched_subterms_are_kept(self):
+        # the identity neither holds the substituted index nor one past it
+        body = p(r"\x.\y.x (\z.z)").body.body
+        result = instantiate(body, Free("a"))
+        assert result.arg is body.arg
 
 
 # the walks of the six `reduce` systems: the four strategies, then plain
