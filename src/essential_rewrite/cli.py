@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-import threading
 
 from .engine import (
     InvalidTraceError,
@@ -89,12 +88,6 @@ _CHECK_READS = {
 }
 _EXHAUSTIVE_READS = {"system", "parallel"}
 
-# term operations recurse on term depth, and reducts can grow deep well
-# within the default fuel; commands therefore run on a thread with a large
-# (lazily committed) stack instead of the ~10k-frame default
-_STACK_BYTES = 256 * 1024 * 1024
-_RECURSION_LIMIT = 150_000
-
 
 class UsageError(ValueError):
     """The command line or an option value from the config file is invalid."""
@@ -109,7 +102,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
-    args = None
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "check":
@@ -121,8 +113,10 @@ def main(argv=None) -> int:
         for key, minimum in _MINIMUM.items():
             if getattr(args, key, minimum) < minimum:
                 raise UsageError(f"{key} must be at least {minimum}, got {getattr(args, key)}")
-        # looked up at call time, so that a handler replaced on the module runs
-        return _run_deep(globals()[f"cmd_{args.command}"], args)
+        # looked up at call time, so that a handler replaced on the module
+        # runs; it runs on the calling thread, as no term operation recurses
+        # on the depth of a term
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -130,17 +124,6 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        advice = "; lower --fuel" if _reads_fuel(args) else ""
-        print(f"error: term grew too deep to process{advice}", file=sys.stderr)
-        return 1
-
-
-def _reads_fuel(args) -> bool:
-    """Does the command read --fuel?  `reduce` and `check normalization` do."""
-    if getattr(args, "command", None) == "check":
-        return "fuel" in _CHECK_READS.get(args.property, _EXHAUSTIVE_READS)
-    return hasattr(args, "fuel")
 
 
 def _reject_unread_options(args) -> None:
@@ -151,30 +134,6 @@ def _reject_unread_options(args) -> None:
               if name not in reads and getattr(args, name) is not None]
     if unread:
         raise UsageError(f"check {args.property} does not take {', '.join(unread)}")
-
-
-def _run_deep(handler, args) -> int:
-    outcome: dict = {}
-
-    def run():
-        try:
-            outcome["code"] = handler(args)
-        except BaseException as exc:  # transported back to the caller
-            outcome["error"] = exc
-
-    old_stack = threading.stack_size(_STACK_BYTES)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_RECURSION_LIMIT)
-    try:
-        worker = threading.Thread(target=run, daemon=True)
-        worker.start()
-        worker.join()
-    finally:
-        sys.setrecursionlimit(old_limit)
-        threading.stack_size(old_stack)
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["code"]
 
 
 def _load_config() -> dict:

@@ -737,8 +737,9 @@ def _check_normalization_one(system: EssentialSystem, t: Term, fuel: int,
     """`_check_normalization_on_graph`, with no graph for a base-normal `t`:
     that is its own whole graph, so it is relevant and its one maximal
     sequence is empty."""
-    # budgets below 1 go on to `explore`, which rejects them
-    if node_budget > 0 and depth_budget > 0 and not redexes(t, system.base):
+    # budgets below 1 go on to `explore`, which rejects them; the walk stops
+    # at the first redex rather than list them all
+    if node_budget > 0 and depth_budget > 0 and system.base_normal(t):
         return True, None if system.terminal(t) else _halts_badly(system.name, t, t)
     return _check_normalization_on_graph(system, t, fuel, node_budget, depth_budget)
 
@@ -775,8 +776,8 @@ def _uniform_terminal(t: Term, successors, terminal_ok, fuel: int, budget: int, 
     failure message or None; raises `_Inconclusive` when a sequence outgrows
     `fuel` or the search outgrows `budget` terms.
 
-    Iterative post-order walk: terms can outgrow the Python stack long before
-    they exhaust the node budget.
+    A post-order walk over an explicit stack, like every walk of the
+    package: the sequences can run as long as `fuel` allows.
     """
     memo: dict[Term, object] = {}
     children: dict[Term, list[Term]] = {}

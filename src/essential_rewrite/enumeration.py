@@ -37,28 +37,40 @@ def enumerate_terms(spec: EnumSpec) -> Iterator[Term]:
 
 
 def count_terms(spec: EnumSpec) -> dict[int, int]:
-    """Term counts by exact size, via the same recursion as the enumerator."""
+    """Term counts by exact size, from the same lists as the enumerator."""
     memo: dict[tuple[int, int], list[Term]] = {}
     return {n: len(_exact(n, 0, spec.pool(), memo)) for n in range(1, spec.max_size + 1)}
 
 
 def _exact(n: int, depth: int, pool: tuple[str, ...], memo) -> list[Term]:
-    key = (n, depth)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    out: list[Term] = []
-    if n == 1:
-        out.extend(Var(i) for i in range(depth))
-        out.extend(Free(name) for name in pool)
-    else:
-        out.extend(Lam(body) for body in _exact(n - 1, depth + 1, pool, memo))
-        for left_size in range(1, n - 1):
-            rights = _exact(n - 1 - left_size, depth, pool, memo)
-            for fun in _exact(left_size, depth, pool, memo):
-                out.extend(App(fun, arg) for arg in rights)
-    memo[key] = out
-    return out
+    """Every term of size `n` under `depth` binders, in `memo` by (n, depth)."""
+    # each list is built once the lists it is made of are in `memo`:
+    # `pending` holds the keys still to build, the one at the end first
+    pending = [(n, depth)]
+    while pending:
+        key = pending[-1]
+        if key in memo:
+            pending.pop()
+            continue
+        m, d = key
+        parts = [(m - 1, d + 1)] + [(k, d) for k in range(1, m - 1)] if m > 1 else []
+        missing = [part for part in parts if part not in memo]
+        if missing:
+            pending += missing
+            continue
+        pending.pop()
+        out: list[Term] = []
+        if m == 1:
+            out.extend(Var(i) for i in range(d))
+            out.extend(Free(name) for name in pool)
+        else:
+            out.extend(Lam(body) for body in memo[m - 1, d + 1])
+            for left_size in range(1, m - 1):
+                rights = memo[m - 1 - left_size, d]
+                for fun in memo[left_size, d]:
+                    out.extend(App(fun, arg) for arg in rights)
+        memo[key] = out
+    return memo[n, depth]
 
 
 def random_term(seed: int, target_size: int, spec: EnumSpec | None = None) -> Term:
@@ -74,24 +86,43 @@ def random_term(seed: int, target_size: int, spec: EnumSpec | None = None) -> Te
 
 
 def _random(rng: random.Random, n: int, depth: int, pool: tuple[str, ...]) -> Term:
-    leaves = depth + len(pool)
-    if n == 1:
-        i = rng.randrange(leaves)
-        return Var(i) if i < depth else Free(pool[i - depth])
-    choices = []
-    if n >= 2:
-        choices.append("lam")
-    # an application needs both sides buildable: size-1 sides need a leaf in scope
-    if n >= 3 and (leaves > 0 or n >= 5):
-        choices.append("app")
-        choices.append("app")  # favour branching so terms are not lambda towers
-    kind = rng.choice(choices)
-    if kind == "lam":
-        return Lam(_random(rng, n - 1, depth + 1, pool))
-    lo = 1 if leaves > 0 else 2
-    hi = n - 1 - lo
-    left = rng.randint(lo, hi)
-    return App(
-        _random(rng, left, depth, pool),
-        _random(rng, n - 1 - left, depth, pool),
-    )
+    # The draws are made in preorder, each node's before its children's and
+    # a function side's before its argument's.  `path` holds each node still
+    # to build: None for an abstraction, the size and depth of its argument
+    # for an application whose function side is being drawn, and then that
+    # function side.
+    path: list = []
+    while True:
+        leaves = depth + len(pool)
+        if n == 1:
+            i = rng.randrange(leaves)
+            t = Var(i) if i < depth else Free(pool[i - depth])
+        else:
+            # an application needs both sides buildable: size-1 sides need a
+            # leaf in scope; it is drawn twice as often, so that terms are
+            # not lambda towers
+            app = n >= 3 and (leaves > 0 or n >= 5)
+            if rng.choice(("lam", "app", "app") if app else ("lam",)) == "lam":
+                path.append(None)
+                n -= 1
+                depth += 1
+                continue
+            lo = 1 if leaves > 0 else 2
+            hi = n - 1 - lo
+            left = rng.randint(lo, hi)
+            path.append((n - 1 - left, depth))
+            n = left
+            continue
+        while path:
+            frame = path.pop()
+            if frame is None:
+                t = Lam(t)
+                depth -= 1
+            elif type(frame) is tuple:
+                path.append(t)
+                n, depth = frame
+                break
+            else:
+                t = App(frame, t)
+        else:
+            return t

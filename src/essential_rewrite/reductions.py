@@ -10,8 +10,9 @@ and `rebuild` plugs its reduct in.  So
 `step_at` contracts one redex, `reducts` lists one-step reducts, and
 `redexes_where` lists the redexes in a system's inessential contexts, told
 by a rule on their paths (`_head_context`, `_weak_context`, `_lo_context`).
-The `is_neutral` test of `_leftmost_positions` and `_lo_context` still
-recurses on the depth of the term.
+The `is_neutral` test of `_leftmost_positions` and `_lo_context` walks a
+whole function side at each argument passed, so both take time quadratic in
+the depth of the term, though like every walk of the package none recurses.
 A `Walk` finds and fires a strategy's steps one at a time on a zipper
 (`Walk.steps`).  Between steps the parents on its path are stale, each still
 holding the child the step replaced, and a parent is rebuilt from its live

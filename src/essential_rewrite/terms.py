@@ -11,10 +11,15 @@ dangles out of it (0 when it is locally closed), the loose bound-variable
 range of Lean 4 (de Moura & Ullrich, CADE 2021).  `shift` and `instantiate`
 return a subterm whose indices they would leave alone as it is, so a closed
 argument is shared, not copied, at every occurrence of its variable.
+
+No function here recurses on the depth of a term: each walk is a loop that
+goes down function sides and bodies itself and keeps a stack of the
+argument sides still to visit, or of the ancestors still to rebuild.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import count
 from typing import Callable, Iterable, Iterator
 
@@ -83,7 +88,7 @@ class Lam(Term):
 
     def __eq__(self, other):
         # shared subterms make the identity test pay
-        return self is other or type(other) is Lam and other.body == self.body
+        return self is other or type(other) is Lam and _same(self, other)
 
     def __hash__(self):
         return self._hash
@@ -102,11 +107,37 @@ class App(Term):
         self._hash = hash(("a", fun._hash, arg._hash))
 
     def __eq__(self, other):
-        return self is other or (type(other) is App and other.fun == self.fun
-                                 and other.arg == self.arg)
+        return self is other or type(other) is App and _same(self, other)
 
     def __hash__(self):
         return self._hash
+
+
+def _same(s: Term, t: Term) -> bool:
+    """Structural equality of two terms of one type, hints ignored."""
+    if s._hash != t._hash:
+        return False
+    pending = []  # pairs of arguments still to compare
+    while True:
+        if s is not t:
+            kind = type(s)
+            if kind is not type(t):
+                return False
+            if kind is App:
+                pending.append((s.arg, t.arg))
+                s, t = s.fun, t.fun
+                continue
+            if kind is Lam:
+                s, t = s.body, t.body
+                continue
+            if kind is Var:
+                if s.index != t.index:
+                    return False
+            elif s.name != t.name:
+                return False
+        if not pending:
+            return True
+        s, t = pending.pop()
 
 
 def alpha_eq(t: Term, s: Term) -> bool:
@@ -114,13 +145,21 @@ def alpha_eq(t: Term, s: Term) -> bool:
     return t == s
 
 
+def _nodes(t: Term) -> Iterator[Term]:
+    """Every node of `t`, in preorder."""
+    pending = [t]
+    while pending:
+        u = pending.pop()
+        yield u
+        if type(u) is App:
+            pending += (u.arg, u.fun)
+        elif type(u) is Lam:
+            pending.append(u.body)
+
+
 def size(t: Term) -> int:
     """Node count: variables are 1, Lam adds 1 to its body, App adds 1."""
-    if isinstance(t, (Var, Free)):
-        return 1
-    if isinstance(t, Lam):
-        return 1 + size(t.body)
-    return 1 + size(t.fun) + size(t.arg)
+    return sum(1 for _ in _nodes(t))
 
 
 def free_names(t: Term) -> frozenset[str]:
@@ -162,51 +201,79 @@ def substitute(t: Term, name: str, replacement: Term) -> Term:
     Capture-free by construction: binders are indices, so the free names of
     `replacement` cannot be caught by them.
     """
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, Free):
-        return replacement if t.name == name else t
-    if isinstance(t, Lam):
-        body = substitute(t.body, name, replacement)
-        return t if body is t.body else Lam(body, t.hint)
-    fun = substitute(t.fun, name, replacement)
-    arg = substitute(t.arg, name, replacement)
-    return t if fun is t.fun and arg is t.arg else App(fun, arg)
+    # at depth -inf no subterm counts as locally closed: every leaf is seen
+    return _map_open(t, -math.inf, lambda u, depth: (
+        replacement if type(u) is Free and u.name == name else u))
 
 
 def count_occurrences(t: Term, name: str) -> int:
     """Number of free occurrences of `name` in `t`."""
-    if isinstance(t, Free):
-        return 1 if t.name == name else 0
-    if isinstance(t, Lam):
-        return count_occurrences(t.body, name)
-    if isinstance(t, App):
-        return count_occurrences(t.fun, name) + count_occurrences(t.arg, name)
-    return 0
+    return sum(type(u) is Free and u.name == name for u in _nodes(t))
 
 
 def count_bound(t: Term, index: int = 0) -> int:
     """Occurrences in `t` of the dangling de Bruijn index `index`."""
-    if isinstance(t, Var):
-        return 1 if t.index == index else 0
-    if isinstance(t, Lam):
-        return count_bound(t.body, index + 1)
-    if isinstance(t, App):
-        return count_bound(t.fun, index) + count_bound(t.arg, index)
-    return 0
+    n = 0
+    pending = [(t, index)]
+    while pending:
+        u, i = pending.pop()
+        # a subterm under d binders holds index + d only if its bound is past it
+        while u.loose > i:
+            kind = type(u)
+            if kind is App:
+                pending.append((u.arg, i))
+                u = u.fun
+            elif kind is Lam:
+                u = u.body
+                i += 1
+            else:
+                n += u.index == i
+                break
+    return n
+
+
+def _map_open(t: Term, depth: int | float, leaf: Callable[[Term, int], Term]) -> Term:
+    """`t` with each leaf `u` that is not locally closed under the `depth`
+    binders around `t` and the d binders of `t` above it replaced by
+    `leaf(u, depth + d)`.  A subterm without such a leaf is returned as it
+    is, and so is a node whose children come back as they are."""
+    # `path` holds each ancestor still to rebuild with the side the loop
+    # took down from it (LEFT or BODY) or, once its function side is
+    # rebuilt, that new function side
+    path: list[tuple[Term, object]] = []
+    node = t
+    while True:
+        if node.loose > depth:
+            kind = type(node)
+            if kind is App:
+                path.append((node, LEFT))
+                node = node.fun
+                continue
+            if kind is Lam:
+                path.append((node, BODY))
+                node = node.body
+                depth += 1
+                continue
+            node = leaf(node, depth)
+        while path:
+            parent, tag = path.pop()
+            if tag is LEFT:
+                path.append((parent, node))
+                node = parent.arg
+                break
+            if tag is BODY:
+                depth -= 1
+                node = parent if node is parent.body else Lam(node, parent.hint)
+            else:
+                node = parent if tag is parent.fun and node is parent.arg else App(tag, node)
+        else:
+            return node
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every dangling index >= cutoff; a subterm with no such
     index is returned as it is."""
-    if t.loose <= cutoff:
-        return t
-    # below: a Var has index >= cutoff, and a Free never gets here
-    if isinstance(t, Var):
-        return Var(t.index + by)
-    if isinstance(t, Lam):
-        return Lam(shift(t.body, by, cutoff + 1), t.hint)
-    return App(shift(t.fun, by, cutoff), shift(t.arg, by, cutoff))
+    return _map_open(t, cutoff, lambda u, depth: Var(u.index + by))
 
 
 def instantiate(body: Term, arg: Term) -> Term:
@@ -217,19 +284,13 @@ def instantiate(body: Term, arg: Term) -> Term:
     returned as it is, and so is a locally closed `arg` at every occurrence.
     """
 
-    def go(t: Term, depth: int) -> Term:
-        if t.loose <= depth:
-            return t
-        # below: a Var has index >= depth, and a Free never gets here
-        if isinstance(t, Var):
-            if t.index == depth:
-                return arg if depth == 0 else shift(arg, depth)
-            return Var(t.index - 1)
-        if isinstance(t, Lam):
-            return Lam(go(t.body, depth + 1), t.hint)
-        return App(go(t.fun, depth), go(t.arg, depth))
+    def leaf(u: Var, depth: int) -> Term:
+        # the index reaches the binder (depth) or one outside it
+        if u.index == depth:
+            return arg if depth == 0 else shift(arg, depth)
+        return Var(u.index - 1)
 
-    return go(body, 0)
+    return _map_open(body, 0, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +371,30 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
 
 def bound_positions(t: Term, index: int = 0, prefix: Position = ()) -> Iterator[Position]:
     """Positions of the dangling index `index`, in preorder."""
-    if isinstance(t, Var):
-        if t.index == index:
-            yield prefix
-    elif isinstance(t, Lam):
-        yield from bound_positions(t.body, index + 1, prefix + (BODY,))
-    elif isinstance(t, App):
-        yield from bound_positions(t.fun, index, prefix + (LEFT,))
-        yield from bound_positions(t.arg, index, prefix + (RIGHT,))
+    # `tags` is the position of `u`, and `pending` holds each argument still
+    # to visit with the index it may hold and the depth of its application
+    tags, pending = list(prefix), []
+    u, i = t, index
+    while True:
+        if u.loose > i:
+            kind = type(u)
+            if kind is App:
+                pending.append((u.arg, i, len(tags)))
+                tags.append(LEFT)
+                u = u.fun
+                continue
+            if kind is Lam:
+                tags.append(BODY)
+                u = u.body
+                i += 1
+                continue
+            if u.index == i:
+                yield tuple(tags)
+        if not pending:
+            return
+        u, i, depth = pending.pop()
+        del tags[depth:]
+        tags.append(RIGHT)
 
 
 def format_position(pos: Position) -> str:
@@ -346,18 +423,26 @@ def is_value(t: Term) -> bool:
 
 def is_neutral(t: Term) -> bool:
     """Neutral = a variable, or a neutral term applied to a normal one."""
-    if isinstance(t, (Var, Free)):
-        return True
-    if isinstance(t, App):
-        return is_neutral(t.fun) and is_normal(t.arg)
-    return False
+    return type(t) is not Lam and is_normal(t)
 
 
 def is_normal(t: Term) -> bool:
     """No beta-redex anywhere: neutral, or an abstraction over a normal body."""
-    if isinstance(t, Lam):
-        return is_normal(t.body)
-    return is_neutral(t)
+    pending = [t]
+    while pending:
+        u = pending.pop()
+        while True:
+            kind = type(u)
+            if kind is App:
+                if type(u.fun) is Lam:
+                    return False
+                pending.append(u.arg)
+                u = u.fun
+            elif kind is Lam:
+                u = u.body
+            else:
+                break
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +469,64 @@ def parse(text: str) -> Term:
     Free variables are allowed; both lambda sigils are accepted.
     """
     tokens = list(_tokenize(text))
-    term, at = _parse_term(text, tokens, 0, [])
-    if at != len(tokens):
-        raise ParseError("unexpected input after term", text, tokens[at][2])
-    return term
+    end = len(tokens)
+    # the binders around the term being read: their number, and for each
+    # name the numbers of binders outside each of its binders, innermost last
+    depth = 0
+    bound: dict[str, list[int]] = {}
+    # what the term being read lies in, innermost last: the name of the
+    # abstraction it is the body of, or a parenthesis, as a list holding the
+    # atoms read before it in its application (None if it is the first)
+    frames: list = []
+    fun = None  # the atoms read so far of the application being read
+    at = 0
+    while True:
+        # a term starts: its binders, then an atom
+        while at < end and tokens[at][0] == "lam":
+            if at + 1 >= end or tokens[at + 1][0] != "ident":
+                raise ParseError("expected binder name after lambda", text,
+                                 tokens[at][2] + 1 if at + 1 >= end else tokens[at + 1][2])
+            name = tokens[at + 1][1]
+            if at + 2 >= end or tokens[at + 2][0] != ".":
+                raise ParseError("expected '.' after binder", text,
+                                 len(text) if at + 2 >= end else tokens[at + 2][2])
+            bound.setdefault(name, []).append(depth)
+            depth += 1
+            frames.append(name)
+            at += 3
+        if at >= end:
+            raise ParseError("unexpected end of input", text, len(text))
+        kind, value, idx = tokens[at]
+        at += 1
+        if kind == "(":
+            frames.append([fun])
+            fun = None
+            continue
+        if kind != "ident":
+            raise ParseError(f"unexpected token {value!r}", text, idx)
+        binders = bound.get(value)
+        atom = Var(depth - 1 - binders[-1]) if binders else Free(value)
+        # The atom ends the application unless another atom follows.  An
+        # application ends the bodies around it, then the term in a
+        # parenthesis, which is an atom in turn.
+        while True:
+            fun = atom if fun is None else App(fun, atom)
+            if at < end and tokens[at][0] in ("ident", "("):
+                break
+            atom = fun
+            while frames and type(frames[-1]) is str:
+                name = frames.pop()
+                bound[name].pop()
+                depth -= 1
+                atom = Lam(atom, name)
+            if not frames:
+                if at != end:
+                    raise ParseError("unexpected input after term", text, tokens[at][2])
+                return atom
+            if at >= end or tokens[at][0] != ")":
+                raise ParseError("expected ')'", text, len(text) if at >= end else tokens[at][2])
+            at += 1
+            (fun,) = frames.pop()
 
 
 def _tokenize(text: str):
@@ -413,45 +552,6 @@ def _tokenize(text: str):
             raise ParseError(f"unexpected character {c!r}", text, i)
 
 
-def _parse_term(text: str, tokens, at: int, env: list[str]):
-    if at < len(tokens) and tokens[at][0] == "lam":
-        if at + 1 >= len(tokens) or tokens[at + 1][0] != "ident":
-            raise ParseError("expected binder name after lambda", text,
-                             tokens[at][2] + 1 if at + 1 >= len(tokens) else tokens[at + 1][2])
-        name = tokens[at + 1][1]
-        if at + 2 >= len(tokens) or tokens[at + 2][0] != ".":
-            raise ParseError("expected '.' after binder", text,
-                             len(text) if at + 2 >= len(tokens) else tokens[at + 2][2])
-        body, at = _parse_term(text, tokens, at + 3, env + [name])
-        return Lam(body, name), at
-    return _parse_app(text, tokens, at, env)
-
-
-def _parse_app(text: str, tokens, at: int, env: list[str]):
-    atom, at = _parse_atom(text, tokens, at, env)
-    while at < len(tokens) and tokens[at][0] in ("ident", "("):
-        right, at = _parse_atom(text, tokens, at, env)
-        atom = App(atom, right)
-    return atom, at
-
-
-def _parse_atom(text: str, tokens, at: int, env: list[str]):
-    if at >= len(tokens):
-        raise ParseError("unexpected end of input", text, len(text))
-    kind, value, idx = tokens[at]
-    if kind == "ident":
-        for depth, binder in enumerate(reversed(env)):
-            if binder == value:
-                return Var(depth), at + 1
-        return Free(value), at + 1
-    if kind == "(":
-        term, at = _parse_term(text, tokens, at + 1, env)
-        if at >= len(tokens) or tokens[at][0] != ")":
-            raise ParseError("expected ')'", text, len(text) if at >= len(tokens) else tokens[at][2])
-        return term, at + 1
-    raise ParseError(f"unexpected token {value!r}", text, idx)
-
-
 # ---------------------------------------------------------------------------
 # Printing
 
@@ -463,7 +563,7 @@ def show(t: Term) -> str:
     free name of the body or shadow an enclosing binder.
     """
     out: list[str] = []
-    _emitter(out, [], set(), free_names(t))(t)
+    _emitter(out, [], _Scope(), free_names(t))(t)
     return "".join(out)
 
 
@@ -472,7 +572,31 @@ class _Redraw(Exception):
     text, and by the emitter when a free name turns up it was not told of."""
 
 
-def _emitter(out: list[str], env: list[str], in_scope: set[str],
+class _Scope(set):
+    """The names of the binders in scope, which are distinct.  A hint's
+    primed names are built once per scope and kept, so passing the k names
+    of one hint in scope costs k lookups, not the k² characters of building
+    and hashing each anew."""
+
+    __slots__ = ("_primed",)
+
+    def __init__(self):
+        super().__init__()
+        self._primed: dict[str, list[str]] = {}
+
+    def candidates(self, name: str) -> Iterator[str]:
+        """name, name', name'', ..."""
+        primed = self._primed.setdefault(name, [name])
+        for i in count():
+            if i == len(primed):
+                primed.append(primed[-1] + "'")
+            yield primed[i]
+
+
+_CLOSE = ")"  # a closing parenthesis still to write, told apart by identity
+
+
+def _emitter(out: list[str], env: list[str], in_scope: _Scope,
              term_free: frozenset[str], shared: Term | None = None,
              shared_text: Callable[[], str] | None = None) -> Callable[[Term], None]:
     """The printing rules of `show`: a function that appends the text of a
@@ -492,51 +616,85 @@ def _emitter(out: list[str], env: list[str], in_scope: set[str],
     depth = len(env)
 
     def emit(u: Term) -> None:
-        kind = type(u)
-        if kind is Var:
-            i = u.index
-            # a dangling index appears in internal subterms only
-            append(env[-1 - i] if i < len(env) else f"?{i}")
-        elif kind is Free:
-            if u.name not in term_free:
-                raise _Redraw(u.name)
-            append(u.name)
-        elif u is shared and len(env) == depth:
-            append(shared_text())
-        elif kind is Lam:
-            name = u.hint or "x"
-            if name in in_scope or name in term_free:
-                name = _fresh(name, in_scope, term_free, u.body)
-            append(f"\\{name}.")
-            env.append(name)
-            in_scope.add(name)
-            emit(u.body)
-            env.pop()
-            in_scope.discard(name)
-        else:
-            fun, arg = u.fun, u.arg
-            if type(fun) is Lam:
-                append("(")
-                emit(fun)
-                append(") ")
+        # what is still to write after the subterm at hand, last first: an
+        # argument with the text before it, a closing parenthesis, or None
+        # for the end of a binder's scope
+        pending: list = []
+        while True:
+            kind = type(u)
+            if kind is Var:
+                i = u.index
+                # a dangling index appears in internal subterms only
+                append(env[-1 - i] if i < len(env) else f"?{i}")
+            elif kind is Free:
+                if u.name not in term_free:
+                    raise _Redraw(u.name)
+                append(u.name)
+            elif u is shared and len(env) == depth:
+                append(shared_text())
+            elif kind is Lam:
+                name = u.hint or "x"
+                if name in in_scope or name in term_free:
+                    name = _fresh(name, in_scope, term_free, u.body)
+                append(f"\\{name}.")
+                env.append(name)
+                in_scope.add(name)
+                pending.append(None)
+                u = u.body
+                continue
             else:
-                emit(fun)
-                append(" ")
-            kind = type(arg)
-            if kind is Lam or kind is App:
-                append("(")
-                emit(arg)
-                append(")")
+                fun, arg = u.fun, u.arg
+                kind = type(fun)
+                if kind is Lam:
+                    append("(")
+                    pending.append((arg, ") "))
+                    u = fun
+                    continue
+                if kind is App:
+                    pending.append((arg, " "))
+                    u = fun
+                    continue
+                # a variable applied: written here, and the argument next
+                if kind is Var:
+                    i = fun.index
+                    append(env[-1 - i] if i < len(env) else f"?{i}")
+                else:
+                    if fun.name not in term_free:
+                        raise _Redraw(fun.name)
+                    append(fun.name)
+                kind = type(arg)
+                if kind is Lam or kind is App:
+                    append(" (")
+                    pending.append(_CLOSE)
+                else:
+                    append(" ")
+                u = arg
+                continue
+            while pending:
+                item = pending.pop()
+                if item is None:
+                    in_scope.discard(env.pop())
+                elif item is _CLOSE:
+                    append(item)
+                else:
+                    u, gap = item
+                    kind = type(u)
+                    if kind is Lam or kind is App:
+                        append(gap + "(")
+                        pending.append(_CLOSE)
+                    else:
+                        append(gap)
+                    break
             else:
-                emit(arg)
+                return
 
     return emit
 
 
-def _fresh(name: str, in_scope: set[str], term_free: frozenset[str], body: Term) -> str:
+def _fresh(name: str, in_scope: _Scope, term_free: frozenset[str], body: Term) -> str:
     """First of name, name', name'', ... neither in scope nor free in `body`."""
     body_free = None
-    while True:
+    for name in in_scope.candidates(name):
         if name not in in_scope:
             if name not in term_free:
                 return name
@@ -544,7 +702,6 @@ def _fresh(name: str, in_scope: set[str], term_free: frozenset[str], body: Term)
                 body_free = free_names(body)
             if name not in body_free:
                 return name
-        name += "'"
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +772,7 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
     before.
     """
     env: list[str] = []  # names of the binders on the path, innermost last
-    in_scope: set[str] = set()
+    in_scope = _Scope()
     # text width by (id, environment id) of a subterm; each entry keeps its
     # term alive, so ids stay unique
     widths: dict[tuple[int, int], tuple[Term, int]] = {}
@@ -696,8 +853,8 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
                 tag = pos[i]
                 if tag == BODY:
                     name = node.hint or "x"
-                    while name in in_scope:
-                        name += "'"
+                    if name in in_scope:
+                        name = next(c for c in in_scope.candidates(name) if c not in in_scope)
                     if name in tracked:
                         # the name depends on the free names of the body, so
                         # read it from the text: it ends at the first dot

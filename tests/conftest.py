@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from essential_rewrite import SYSTEMS, EnumSpec, enumerate_terms, parse, random_term
+from essential_rewrite import SYSTEMS, App, EnumSpec, Lam, enumerate_terms, parse, random_term
 
 # the identity combinator, spelled out since the grammar has no constants
 I = r"(\z.z)"
@@ -40,6 +40,20 @@ def random_samples():
     spec = EnumSpec(max_size=13)
     return [random_term(rng.randrange(2 ** 30), rng.randint(9, 13), spec)
             for _ in range(300)]
+
+
+def subterms(terms):
+    """Every distinct subterm object of `terms`; most have dangling indices."""
+    seen, pending = {}, list(terms)
+    while pending:
+        u = pending.pop()
+        if id(u) not in seen:
+            seen[id(u)] = u
+            if isinstance(u, Lam):
+                pending.append(u.body)
+            elif isinstance(u, App):
+                pending += [u.fun, u.arg]
+    return list(seen.values())
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -432,22 +433,90 @@ class TestLevel:
         assert len(show_calls) == 3
 
 
-class TestTooDeep:
-    @pytest.mark.parametrize("argv, advice", [
-        (["reduce", "x", "--system", "lo"], "; lower --fuel"),
-        (["check", "normalization", "--system", "lo", "--size", "1"], "; lower --fuel"),
-        (["level", "x"], ""),
-        (["check", "determinism", "--system", "lo", "--size", "1"], ""),
-    ])
-    def test_names_fuel_only_where_the_command_reads_it(self, capsys, monkeypatch, argv,
-                                                        advice):
-        def too_deep(args):
-            raise RecursionError("maximum recursion depth exceeded")
+# the redex (\y.y) z at the end of a right spine x (x (...)) or under
+# binders, each with its own name, 20,000 deep: the term, the redex's
+# position and the reduct
+DEEP = 20_000
+_BINDERS = "".join(f"\\w{i}." for i in range(DEEP))
+_DEEP_TERMS = {
+    "spine": ("x (" * DEEP + r"(\y.y) z" + ")" * DEEP, ".".join("R" * DEEP),
+              "x (" * (DEEP - 1) + "x z" + ")" * (DEEP - 1)),
+    "binders": (_BINDERS + r"(\y.y) z", ".".join("B" * DEEP), _BINDERS + "z"),
+}
 
-        monkeypatch.setattr(cli, f"cmd_{argv[0]}", too_deep)
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err == f"error: term grew too deep to process{advice}\n"
+
+@pytest.fixture
+def one_thread(monkeypatch):
+    """Runs each command at CPython's default recursion limit and records,
+    as each command handler starts, the threads alive, the recursion limit
+    and the thread it runs on, against the same before `main` is called."""
+    seen = []
+
+    def spy(handler):
+        def run_handler(args):
+            seen.append((threading.active_count(), sys.getrecursionlimit(),
+                         threading.current_thread()))
+            return handler(args)
+        return run_handler
+
+    for name in ("cmd_reduce", "cmd_level", "cmd_factorize", "cmd_check"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield seen, (threading.active_count(), 1000, threading.current_thread())
+    finally:
+        sys.setrecursionlimit(old_limit)
+
+
+class TestDeepTerms:
+    """Commands run on the calling thread, with no recursion limit of their
+    own, on terms far deeper than the default limit."""
+
+    @pytest.mark.parametrize("shape", sorted(_DEEP_TERMS))
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_reduce(self, capsys, one_thread, shape, output):
+        seen, before = one_thread
+        term, _, reduct = _DEEP_TERMS[shape]
+        code, out, err = run(capsys, "reduce", term, "--system", "lo", "--output", output)
+        assert (code, err) == (0, "") and seen == [before]
+        assert (threading.active_count(), sys.getrecursionlimit()) == before[:2]
+        if output == "json":
+            payload = json.loads(out)
+            assert payload["start"] == term and payload["steps"][0]["term"] == reduct
+        else:
+            assert out.splitlines()[0] == term and out.splitlines()[1].endswith(reduct)
+
+    @pytest.mark.parametrize("shape", sorted(_DEEP_TERMS))
+    def test_level(self, capsys, one_thread, shape):
+        seen, before = one_thread
+        term, pos, _ = _DEEP_TERMS[shape]
+        code, out, err = run(capsys, "level", term, "--output", "json")
+        assert (code, err) == (0, "") and seen == [before]
+        payload = json.loads(out)
+        assert payload["least_level"] == pos.count("R")
+        assert [step["position"] for step in payload["steps"]] == [pos]
+
+    @pytest.mark.parametrize("shape", sorted(_DEEP_TERMS))
+    def test_factorize(self, capsys, tmp_path, one_thread, shape):
+        seen, before = one_thread
+        term, pos, _ = _DEEP_TERMS[shape]
+        path = tmp_path / "seq.txt"
+        path.write_text(f"{term}\npos {pos}\n", encoding="utf-8")
+        code, out, err = run(capsys, "factorize", str(path), "--system", "head",
+                             "--output", "json")
+        assert (code, err) == (0, "") and seen == [before]
+        payload = json.loads(out)
+        # the step is essential for head reduction under binders only
+        essential = shape == "binders"
+        assert len(payload["essential" if essential else "inessential"]["steps"]) == 1
+
+    def test_check_subst_index_on_large_terms(self, capsys, one_thread):
+        seen, before = one_thread
+        code, out, err = run(capsys, "check", "subst-index", "--size", "2000",
+                             "--samples", "1")
+        assert (code, err) == (0, "") and seen == [before]
+        assert "PASS (1 checked)" in out
 
 
 class TestCheck:

@@ -1,8 +1,10 @@
 """Split, merge, factorization, normalization and the report harness."""
 
+import contextlib
 import dataclasses
 import json
 import pickle
+import random
 import sys
 
 import pytest
@@ -50,9 +52,36 @@ from essential_rewrite.engine import (
     _essential_redex,
     _residual,
 )
-from essential_rewrite.parallel import Flavor, all_parallel_steps
+from essential_rewrite.enumeration import count_terms
+from essential_rewrite.graphs import explore
+from essential_rewrite.parallel import (
+    Flavor,
+    all_parallel_steps,
+    contracts,
+    parallel_level,
+    realize,
+    sequentialize,
+    subst_parallel,
+)
 from essential_rewrite.reductions import Step, Walk, _ll_positions, reducts, redexes, step_at
-from essential_rewrite.terms import instantiate, is_locally_closed, replace_at, subterm_at
+from essential_rewrite.terms import (
+    bound_positions,
+    count_bound,
+    count_occurrences,
+    free_names,
+    instantiate,
+    is_closed,
+    is_locally_closed,
+    is_neutral,
+    is_value,
+    parse,
+    replace_at,
+    shift,
+    show_steps,
+    size,
+    substitute,
+    subterm_at,
+)
 from conftest import OMEGA, p, terms_up_to
 
 
@@ -490,24 +519,61 @@ class TestStreamCost:
 
 # (\y.y) z, at the bottom of a tower of binders or of a right spine x (x (...))
 DEEP = 20_000
+_CORE = App(Lam(Var(0), "y"), Free("z"))
 
 
-def _deep_under_binders(core=App(Lam(Var(0), "y"), Free("z"))):
+def _deep_under_binders(core=_CORE, depth=DEEP):
+    # each binder its own hint: under one hint the text would name them w,
+    # w', w'', ... and run to 200 million characters
     t = core
-    for _ in range(DEEP):
-        t = Lam(t, "w")
+    for i in range(depth):
+        t = Lam(t, f"w{i}")
     return t
 
 
-def _deep_right_spine(core=App(Lam(Var(0), "y"), Free("z"))):
+def _deep_right_spine(core=_CORE, depth=DEEP):
     t = core
-    for _ in range(DEEP):
+    for _ in range(depth):
         t = App(Free("x"), t)
     return t
 
 
+@contextlib.contextmanager
+def _recursion_limit(limit):
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old_limit)
+
+
+def _depth() -> int:
+    """The recursion depth of the caller as the interpreter counts it: the
+    least limit it accepts, as it rejects a limit at or below the depth."""
+    limit = sys.getrecursionlimit()
+    for n in range(1, limit):
+        try:
+            sys.setrecursionlimit(n)
+        except RecursionError:
+            continue
+        sys.setrecursionlimit(limit)
+        return n
+    raise AssertionError("no limit below the current one is accepted")
+
+
+def _json_depth(tree) -> int:
+    """How deep `ParDerivation.to_json` nests; json.dumps would recurse."""
+    deepest, pending = 0, [(tree, 1)]
+    while pending:
+        node, depth = pending.pop()
+        deepest = max(deepest, depth)
+        pending += ((child, depth + 1) for child in node["children"])
+    return deepest
+
+
 class TestDeepTerms:
-    """Search and rebuild never recurse on the depth of the term."""
+    """No function recurses on the depth of a term, a derivation or a size."""
 
     @pytest.mark.parametrize("build, system_id, steps, outcome", [
         (_deep_under_binders, HEAD, 1, Outcome.NORMAL_FORM),
@@ -521,22 +587,17 @@ class TestDeepTerms:
     ])
     def test_normalize_at_default_recursion_limit(self, build, system_id, steps, outcome):
         t = build()
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)  # CPython's default
-        try:
+        with _recursion_limit(1000):  # CPython's default
             trace, got = normalize(t, system_id, fuel=10)
-        finally:
-            sys.setrecursionlimit(old_limit)
         assert len(trace.steps) == steps and got is outcome
         if steps:
             assert len(trace.steps[0][0].position) == DEEP
+            assert trace.end == build(Free("z"))
 
     @pytest.mark.parametrize("build", [_deep_under_binders, _deep_right_spine])
     def test_redex_lists_at_default_recursion_limit(self, build):
         t = build()
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)  # CPython's default
-        try:
+        with _recursion_limit(1000):
             lists = [redexes(t, Base.BETA), redexes(t, Base.BETAV),
                      beta_redexes(t), betav_redexes(t)]
             found = list(reducts(t, Base.BETA))
@@ -545,13 +606,12 @@ class TestDeepTerms:
             inessential = [SYSTEMS[s].neg_positions(t) for s in (HEAD, WCBV, LO)]
             least = least_level(t)
             leveled = [SYSTEMS[LL].positions(t), SYSTEMS[LL].neg_positions(t)]
-        finally:
-            sys.setrecursionlimit(old_limit)
+            # (\y.y) z contracts to z in place
+            [(reduct_pos, reduct)] = found
+            assert reduct == build(Free("z"))
         (pos,) = lists[0]
         assert len(pos) == DEEP and lists == [[pos]] * 4
-        # (\y.y) z contracts to z in place; equality would recurse, hashes do not
-        [(reduct_pos, reduct)] = found
-        assert reduct_pos == pos and hash(reduct) == hash(build(Free("z")))
+        assert reduct_pos == pos
         # weak CbV never enters an abstraction, and head reduction no argument
         assert weak == ([] if build is _deep_under_binders else [pos])
         assert spine == ([[pos], [pos]] if build is _deep_under_binders else [[], [pos]])
@@ -567,42 +627,32 @@ class TestDeepTerms:
     @pytest.mark.parametrize("build", [_deep_under_binders, _deep_right_spine])
     def test_step_streams_at_default_recursion_limit(self, build):
         t = build()
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)  # CPython's default
-        try:
+        reduct = build(Free("z"))
+        with _recursion_limit(1000):
             runs = []
             for walk, _ in _REDUCE_RUNS:
                 stream = walk.steps(t, 10)
                 runs.append(([pos for pos, _ in stream], stream.root(), stream.exhausted))
-        finally:
-            sys.setrecursionlimit(old_limit)
-        (pos,) = redexes(t, Base.BETA)
-        # equality would recurse, hashes do not
-        reduct = hash(build(Free("z")))
-        for (walk, row), (positions, root, exhausted) in zip(_REDUCE_RUNS, runs):
-            fires = row.positions(t) if row else [pos]
-            assert positions == fires and not exhausted
-            assert root is t if not fires else hash(root) == reduct
+            (pos,) = redexes(t, Base.BETA)
+            for (walk, row), (positions, root, exhausted) in zip(_REDUCE_RUNS, runs):
+                fires = row.positions(t) if row else [pos]
+                assert positions == fires and not exhausted
+                assert root is t if not fires else root == reduct
 
     @pytest.mark.parametrize("build", [_deep_under_binders, _deep_right_spine])
     def test_position_addressed_steps_at_default_recursion_limit(self, build):
         t = build()
         (pos,) = redexes(t, Base.BETA)
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)  # CPython's default
-        try:
+        reduct = build(Free("z"))
+        with _recursion_limit(1000):
             redex = subterm_at(t, pos)
             replaced = replace_at(t, pos, Free("z"))
             stepped = step_at(t, pos)
             traces = [trace_from_positions(t, [pos], s) for s in SystemId]
-        finally:
-            sys.setrecursionlimit(old_limit)
+            assert replaced == stepped == reduct
+            assert [(len(tr), tr.steps[0][0].position, tr.end) for tr in traces] == \
+                [(1, pos, reduct)] * len(SystemId)
         assert redex == App(Lam(Var(0)), Free("z"))
-        # equality would recurse, hashes do not
-        reduct = hash(build(Free("z")))
-        assert hash(replaced) == hash(stepped) == reduct
-        assert [(len(tr), tr.steps[0][0].position, hash(tr.end)) for tr in traces] == \
-            [(1, pos, reduct)] * len(SystemId)
         # the step is inessential where the row's neg_positions list it
         inessential = {_deep_under_binders: WCBV, _deep_right_spine: HEAD}[build]
         assert [tr.steps[0][0].kind for tr in traces] == [
@@ -616,19 +666,152 @@ class TestDeepTerms:
             spine = App(spine, Var(0))
         d = Lam(spine, "z")
         t = App(Lam(Lam(Var(1), "y"), "x"), d)
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)  # CPython's default
-        try:
+        with _recursion_limit(1000):
             contracted = instantiate(t.fun.body, t.arg)
             trace, outcome = normalize(t, HEAD, fuel=10)
             closed = [is_locally_closed(d), is_locally_closed(spine),
                       is_locally_closed(spine, 1)]
-        finally:
-            sys.setrecursionlimit(old_limit)
         assert type(contracted) is Lam and contracted.body is d
         assert len(trace.steps) == 1 and trace.end.body is d
         assert outcome is Outcome.NORMAL_FORM
         assert closed == [True, False, True]
+
+    @pytest.mark.parametrize("build", [_deep_under_binders, _deep_right_spine])
+    def test_term_functions_at_default_recursion_limit(self, build):
+        under_binders = build is _deep_under_binders
+        t, reduct = build(), build(Free("z"))
+        (pos,) = redexes(t, Base.BETA)
+        # the same shape with the redex's argument the one index that
+        # dangles out of `body`, one binder below the outermost
+        open_core = App(Lam(Var(0), "y"), Var(DEEP - 1 if under_binders else 0))
+        body = build(open_core).body if under_binders else build(open_core)
+        rest = DEEP - 1 if under_binders else DEEP
+
+        def shape(core):
+            return build(core, rest)
+
+        with _recursion_limit(1000):
+            assert t == build() and t != reduct and alpha_eq(t, build())
+            assert size(t) == (DEEP if under_binders else 2 * DEEP) + 4
+            assert free_names(t) == ({"z"} if under_binders else {"x", "z"})
+            assert is_locally_closed(t) and not is_closed(t)
+            assert [is_value(t), is_neutral(t), is_normal(t)] == [under_binders, False, False]
+            assert is_normal(reduct) and is_neutral(reduct) is not under_binders
+            assert substitute(t, "z", Free("q")) == build(App(Lam(Var(0)), Free("q")))
+            assert substitute(t, "q", Free("z")) is t
+            assert count_occurrences(t, "z") == 1
+            assert count_bound(body) == 1 and count_bound(t) == 0
+            (occurrence,) = bound_positions(body)
+            assert occurrence == pos[1 if under_binders else 0:] + ("R",)
+            assert shift(body, 2) == shape(App(Lam(Var(0)), Var(open_core.arg.index + 2)))
+            assert shift(t, 2) is t
+            assert instantiate(body, Free("q")) == shape(App(Lam(Var(0)), Free("q")))
+            text = show(t)
+            assert parse(text) == t and show(parse(text)) == text
+            assert list(show_steps(t, [(pos, reduct)])) == [text, show(reduct)]
+        assert text.endswith("((\\y.y) z)" + ")" * (DEEP - 1)) is not under_binders
+
+    @pytest.mark.parametrize("build", [_deep_under_binders, _deep_right_spine])
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_derivations_at_default_recursion_limit(self, build, flavor):
+        t, reduct = build(), build(Free("z"))
+        (pos,) = redexes(t, Base.BETA)
+        with _recursion_limit(1000):
+            d = derive(t, [pos], flavor)
+            identity = identity_derivation(t, flavor)
+            steps = list(all_parallel_steps(t, flavor))
+            assert [s.target for s in steps] == [t, reduct]
+            assert d.target == reduct and identity.target is t
+            assert selection_of(d) == {pos} and contracts(d, pos)
+            assert realize(d) == [pos] and realize(identity) == []
+            if flavor is Flavor.LEVELED:
+                assert parallel_level(d) == pos.count("R")
+            else:
+                assert sequential_index(d) == 1 and sequential_index(identity) == 0
+                assert sequentialize(d) == [pos]
+                grafted = subst_parallel(d, "z", identity_derivation(Free("q"), flavor), flavor)
+                assert grafted.source == substitute(t, "z", Free("q"))
+                assert grafted.target == build(Free("q"))
+            tree = d.to_json()
+        assert _json_depth(tree) == len(pos) + 2
+
+    @pytest.mark.parametrize("build", [_deep_under_binders, _deep_right_spine])
+    def test_engine_at_default_recursion_limit(self, build):
+        t, reduct = build(), build(Free("z"))
+        (pos,) = redexes(t, Base.BETA)
+        lo, head = SYSTEMS[LO], SYSTEMS[HEAD]
+        with _recursion_limit(1000):
+            for row in SYSTEMS.values():
+                steps = row.essential_steps(t) + row.inessential_steps(t)
+                assert [u for _, u in steps] == [reduct]
+                assert row.make_step(t, pos).kind is row.classify(t, pos)
+                assert not row.base_normal(t) and row.outcome(reduct, False) is Outcome.NORMAL_FORM
+            # leftmost-outermost reduction contracts the redex on both
+            # shapes: split peels it off, and merge puts it back
+            prefix, rest = split(derive(t, [pos], lo.flavor), lo)
+            merged = merge(identity_derivation(t, lo.flavor), lo.essential_steps(t)[0], lo)
+            assert prefix.end == merged.target == reduct
+            assert rest.source is rest.target and is_parallel_inessential(rest, lo)
+            # head reduction counts the redex in the spine's argument
+            # inessential: factorizing moves its derivation along
+            facts = [factorize(trace_from_positions(t, [pos], row), row) for row in (lo, head)]
+            payload = [fact.to_json() for fact in facts]
+            graph = explore(t)
+            assert list(graph.edges) == [t, reduct] and not graph.truncated
+            graph_json = graph.to_json()
+        assert [len(fact.essential.steps) for fact in facts] == [
+            1, int(build is _deep_under_binders)]
+        if build is _deep_right_spine:
+            assert payload[1]["inessential"]["steps"][0]["position"] == ".".join(pos)
+        text = payload[0]["essential"]["start"]
+        assert graph_json["nodes"][text][0]["to"] == payload[0]["essential"]["steps"][0]["term"]
+
+
+    def test_factorize_a_long_head_trace_at_default_recursion_limit(self):
+        # the head trace of c_10 c_2 contracting a deepest redex each step
+        # (ties broken by a seeded choice), stopped before a normal form:
+        # its terms are some 500 nodes deep
+        church = [r"(\f.\x." + "f (" * (k - 1) + "f x" + ")" * (k - 1) + ")" for k in (10, 2)]
+        current = start = p(" ".join(church))
+        rng, positions = random.Random(1), []
+        while True:
+            candidates = redexes(current, Base.BETA)
+            deepest = max(map(len, candidates))
+            pos = rng.choice([q for q in candidates if len(q) == deepest])
+            following = step_at(current, pos)
+            if not redexes(following, Base.BETA):
+                break
+            positions.append(pos)
+            current = following
+        trace = trace_from_positions(start, positions, HEAD)
+        with _recursion_limit(1000):
+            fact = factorize(trace, HEAD)
+        assert len(positions) == 28
+        assert [len(fact.essential.steps), len(fact.inessential.steps)] == [3, 72]
+        assert fact.inessential.end == trace.end
+
+    def test_enumeration_needs_no_frame_per_size(self):
+        # a frame per size, or per level of a drawn term, would need more
+        # than the frames left here
+        spec = EnumSpec(max_size=10, closed_only=True)
+        t = random_term(0, 200, EnumSpec(max_size=200, closed_only=True))
+        with _recursion_limit(_depth() + 12):
+            counts = count_terms(spec)
+            drawn = random_term(0, 200, EnumSpec(max_size=200, closed_only=True))
+        assert sum(counts.values()) == 10180
+        assert drawn == t and _term_depth(t) == 31
+
+
+def _term_depth(t) -> int:
+    deepest, pending = 0, [(t, 1)]
+    while pending:
+        u, depth = pending.pop()
+        deepest = max(deepest, depth)
+        if type(u) is Lam:
+            pending.append((u.body, depth + 1))
+        elif type(u) is App:
+            pending += [(u.fun, depth + 1), (u.arg, depth + 1)]
+    return deepest
 
 
 def _no_positions(t):

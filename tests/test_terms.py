@@ -38,7 +38,7 @@ from essential_rewrite.terms import (
     substitute,
     subterm_at,
 )
-from conftest import OMEGA, p, random_samples, terms_up_to
+from conftest import OMEGA, p, random_samples, subterms, terms_up_to
 
 
 class TestParse:
@@ -416,20 +416,6 @@ def oracle_loose(t):
         return max(greatest(u.fun, depth), greatest(u.arg, depth))
 
     return max(greatest(t, 0) + 1, 0)
-
-
-def subterms(terms):
-    """Every distinct subterm object of `terms`; most have dangling indices."""
-    seen, pending = {}, list(terms)
-    while pending:
-        u = pending.pop()
-        if id(u) not in seen:
-            seen[id(u)] = u
-            if isinstance(u, Lam):
-                pending.append(u.body)
-            elif isinstance(u, App):
-                pending += [u.fun, u.arg]
-    return list(seen.values())
 
 
 class TestLooseBound:
