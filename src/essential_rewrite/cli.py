@@ -79,14 +79,15 @@ _BASE_ONLY = {"beta": Base.BETA, "betav": Base.BETAV}
 
 # The options of `check` that only some properties read, and which each one
 # reads; the exhaustive properties read those of _EXHAUSTIVE_READS.  Every
-# property takes --size, --output and --seed (a rerun may pass the seed
-# it used, whether or not the property draws samples).
+# property takes those of _ALWAYS_READ (a rerun may pass the seed it used,
+# whether or not the property draws samples).
 _SELECTIVE = ("system", "flavor", "samples", "fuel", "budget", "depth", "parallel")
 _CHECK_READS = {
     "subst-index": {"flavor", "samples"},
     "normalization": {"system", "fuel", "budget", "depth"},
 }
 _EXHAUSTIVE_READS = {"system", "parallel"}
+_ALWAYS_READ = {"size", "output", "seed"}
 
 
 class UsageError(ValueError):
@@ -104,14 +105,15 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "check":
-            _reject_unread_options(args)
+        reads = _check_reads(args) if args.command == "check" else vars(args)
         config = _load_config()
         for key, fallback in DEFAULTS.items():
-            if getattr(args, key, None) is None and hasattr(args, key):
+            if key not in reads:
+                continue
+            if getattr(args, key) is None:
                 setattr(args, key, config.get(key, fallback))
-        for key, minimum in _MINIMUM.items():
-            if getattr(args, key, minimum) < minimum:
+            minimum = _MINIMUM.get(key)
+            if minimum is not None and getattr(args, key) < minimum:
                 raise UsageError(f"{key} must be at least {minimum}, got {getattr(args, key)}")
         # looked up at call time, so that a handler replaced on the module
         # runs; it runs on the calling thread, as no term operation recurses
@@ -126,14 +128,25 @@ def main(argv=None) -> int:
         return 1
 
 
-def _reject_unread_options(args) -> None:
-    """A `check` option given on the command line that the property does not
-    read is a usage error; options from the config file are not checked."""
+def _check_reads(args) -> set[str]:
+    """The options `check` reads for its property, which `main` fills in and
+    range-checks.  One given on the command line that the property does not
+    read is a usage error; the config file's are skipped."""
     reads = _CHECK_READS.get(args.property, _EXHAUSTIVE_READS)
     unread = [f"--{name}" for name in _SELECTIVE
               if name not in reads and getattr(args, name) is not None]
     if unread:
         raise UsageError(f"check {args.property} does not take {', '.join(unread)}")
+    return reads | _ALWAYS_READ
+
+
+def _read_lines(path: str) -> list[str]:
+    """The lines of a text file, which must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_config() -> dict:
@@ -141,24 +154,23 @@ def _load_config() -> dict:
     if not path:
         return {}
     config = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if isinstance(DEFAULTS.get(key), int):
-                try:
-                    config[key] = int(value)
-                except ValueError:
-                    raise UsageError(
-                        f"{CONFIG_ENV}: {key} must be an integer, got {value!r}") from None
-            elif key == "output":
-                if value not in ("text", "json"):
-                    raise UsageError(
-                        f"{CONFIG_ENV}: output must be text or json, got {value!r}")
-                config[key] = value
+    for line in _read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        key, value = line.split("=", 1)
+        key, value = key.strip(), value.strip()
+        if isinstance(DEFAULTS.get(key), int):
+            try:
+                config[key] = int(value)
+            except ValueError:
+                raise UsageError(
+                    f"{CONFIG_ENV}: {key} must be an integer, got {value!r}") from None
+        elif key == "output":
+            if value not in ("text", "json"):
+                raise UsageError(
+                    f"{CONFIG_ENV}: output must be text or json, got {value!r}")
+            config[key] = value
     return config
 
 
@@ -299,8 +311,7 @@ def _read_sequence_file(path: str) -> tuple:
     """Sequence files: first line a term, then one `pos <path>` line per step,
     with <path> a dot-separated string of L|R|B (omitted or `root` for the
     root redex)."""
-    with open(path, encoding="utf-8") as handle:
-        raw = [line.rstrip("\n") for line in handle]
+    raw = [line.rstrip("\n") for line in _read_lines(path)]
     lines = [(i + 1, line.strip()) for i, line in enumerate(raw)
              if line.strip() and not line.strip().startswith("#")]
     if not lines:

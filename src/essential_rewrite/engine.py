@@ -32,6 +32,8 @@ from .parallel import (
     FlavorMismatchError,
     InvalidSelectionError,
     ParDerivation,
+    _derive,
+    _node_at,
     all_parallel_steps,
     base_of,
     contracts,
@@ -64,11 +66,8 @@ from .reductions import (
     step_at,
 )
 from .terms import (
-    BODY,
     InvalidPositionError,
-    LEFT,
     Position,
-    RIGHT,
     Term,
     alpha_eq,
     bound_positions,
@@ -79,7 +78,6 @@ from .terms import (
     is_value,
     show,
     substitute,
-    subterm_at,
 )
 
 
@@ -296,43 +294,42 @@ def _residual(d: ParDerivation, pos: Position, flavor: Flavor) -> ParDerivation:
 
     Selections outside the redex stay put; selections in its body keep their
     paths; selections in its argument reappear once per binder occurrence.
+    The new selection is valid by construction, so it is not checked.
     """
-    sel = selection_of(d)
-    body_prefix = pos + (LEFT, BODY)
-    arg_prefix = pos + (RIGHT,)
-    nb, na = len(body_prefix), len(arg_prefix)
-    keep = {p for p in sel if p[: len(pos)] != pos}
-    body_sel = [p[nb:] for p in sel if p[:nb] == body_prefix]
-    arg_sel = [p[na:] for p in sel if p[:na] == arg_prefix]
-    redex = subterm_at(d.source, pos)
-    occurrences = list(bound_positions(redex.fun.body))
-    new_sel = keep
+    body, arg = _node_at(d, pos).children
+    body_sel, arg_sel = realize(body), realize(arg)
+    new_sel = {p for p in realize(d) if p[:len(pos)] != pos}
     new_sel.update(pos + q for q in body_sel)
-    new_sel.update(pos + o + r for o in occurrences for r in arg_sel)
-    return derive(step_at(d.source, pos, base_of(flavor)), new_sel, flavor)
+    new_sel.update(pos + o + r for o in bound_positions(body.source) for r in arg_sel)
+    return _derive(step_at(d.source, pos, base_of(flavor)), new_sel, flavor)
+
+
+def _peel(d: ParDerivation, system: EssentialSystem):
+    """Each essential redex `split` fires, in order, with the derivation left
+    after it.  Each round decreases the sequential index by exactly one,
+    which bounds the loop."""
+    for _ in range(sequential_index(d) + 1):
+        pos = _essential_redex(d, system)
+        if pos is None:
+            return
+        d = _residual(d, pos, system.flavor)
+        yield pos, d
+    raise AssertionError("split did not terminate within its index bound")
 
 
 def split(d: ParDerivation, sys) -> tuple[Trace, ParDerivation]:
-    """Decompose a parallel step into essential steps and an inessential rest.
-
-    Iterates single essential extractions; each round decreases the
-    sequential index by exactly one, which bounds the loop.
-    """
+    """Decompose a parallel step into essential steps and an inessential rest."""
     system = get_system(sys)
     if d.flavor is not system.flavor:
         raise FlavorMismatchError(
             f"{system.id.value} splits {system.flavor.value} derivations, got {d.flavor.value}")
     steps: list[tuple[Step, Term]] = []
-    current = d
-    for _ in range(sequential_index(d) + 1):
-        pos = _essential_redex(current, system)
-        if pos is None:
-            return Trace(d.source, steps), current
-        source = current.source
+    rest = d
+    # `_essential_redex` found each position among the essential ones
+    for pos, rest in _peel(d, system):
         # the residual's source is the reduct: the redex is contracted once
-        current = _residual(current, pos, system.flavor)
-        steps.append((system.make_step(source, pos), current.source))
-    raise AssertionError("split did not terminate within its index bound")
+        steps.append((Step(pos, StepKind.ESSENTIAL, system.level_of(pos)), rest.source))
+    return Trace(d.source, steps), rest
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +429,9 @@ def _lift(trace: Trace, system: EssentialSystem):
         real = _trace_step(current, step.position, system.base, i)
         if not alpha_eq(real, target):
             raise InvalidTraceError(f"step {i + 1}: recorded reduct does not match", index=i)
-        if system.classify(current, step.position) is StepKind.ESSENTIAL:
-            items.append((system.make_step(current, step.position), target))
+        lifted = system.make_step(current, step.position)
+        if lifted.kind is StepKind.ESSENTIAL:
+            items.append((lifted, target))
         else:
             items.append(derive(current, {step.position}, system.flavor))
         current = target
@@ -605,13 +603,8 @@ def _check_split(system: EssentialSystem, t: Term) -> Optional[str]:
 
 def _check_indexed_split(system: EssentialSystem, t: Term) -> Optional[str]:
     for d in all_parallel_steps(t, system.flavor):
-        current = d
         index = sequential_index(d)
-        while True:
-            pos = _essential_redex(current, system)
-            if pos is None:
-                break
-            current = _residual(current, pos, system.flavor)
+        for _, current in _peel(d, system):
             if sequential_index(current) != index - 1:
                 return (f"peeling the essential redex of {show(t)} changed the index by "
                         f"{index - sequential_index(current)}")

@@ -234,13 +234,19 @@ def contracts(d: ParDerivation, pos: Position) -> bool:
     `pos` must be a redex position of d.source; the walk follows it down the
     tree without building the whole selection.
     """
+    return _node_at(d, pos).rule is _BETA_RULE
+
+
+def _node_at(d: ParDerivation, pos: Position) -> ParDerivation:
+    """The node of `d` whose source is the subterm of d.source at `pos`,
+    which is not the abstraction of a contracted redex."""
     i = 0
     while i < len(pos):
         if d.rule is _BETA_RULE and pos[i] == LEFT:
             d, i = d.children[0], i + 2  # L.B steps into the contracted body
         else:
             d, i = d.children[pos[i] == RIGHT], i + 1
-    return d.rule is _BETA_RULE
+    return d
 
 
 def all_parallel_steps(t: Term, flavor: Flavor, cap: int = 2 ** 14) -> Iterator[ParDerivation]:

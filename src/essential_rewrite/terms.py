@@ -163,22 +163,7 @@ def size(t: Term) -> int:
 
 
 def free_names(t: Term) -> frozenset[str]:
-    out: set[str] = set()
-    pending = [t]
-    while pending:
-        u = pending.pop()
-        while True:
-            kind = type(u)
-            if kind is App:
-                pending.append(u.arg)
-                u = u.fun
-            elif kind is Lam:
-                u = u.body
-            else:
-                if kind is Free:
-                    out.add(u.name)
-                break
-    return frozenset(out)
+    return frozenset(u.name for u in _nodes(t) if type(u) is Free)
 
 
 def is_locally_closed(t: Term, depth: int = 0) -> bool:

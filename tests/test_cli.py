@@ -355,6 +355,13 @@ class TestFactorize:
         assert code == 1
         assert "line 2" in err
 
+    def test_file_that_is_not_utf8_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(b"x y\npos \xff\xfe\n")
+        code, out, err = run(capsys, "factorize", str(path), "--system", "head")
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 8)\n"
+
     def test_bad_position_tag_names_line(self, capsys, tmp_path):
         path = self.write(tmp_path, ["x y", "pos Q"])
         code, _, err = run(capsys, "factorize", path, "--system", "head")
@@ -676,6 +683,36 @@ class TestConfig:
         assert code == 0 and out.startswith("subst-index [cbn] size<=5: PASS (4 checked)")
         code, out, _ = run(capsys, "check", "determinism", "--system", "head", "--size", "4")
         assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize("key, value, argv", [
+        ("parallel", 0, ("check", "normalization", "--system", "lo", "--size", "3")),
+        ("fuel", 0, ("check", "diamond", "--system", "ll", "--size", "3")),
+        ("budget", 0, ("check", "subst-index", "--size", "4", "--samples", "3")),
+        ("samples", -5, ("check", "decomposition", "--system", "lo", "--size", "3")),
+    ])
+    def test_out_of_range_config_keys_a_property_does_not_read_are_skipped(
+            self, capsys, tmp_path, monkeypatch, key, value, argv):
+        config = tmp_path / "config.txt"
+        config.write_text(f"{key} = {value}\n")
+        monkeypatch.setenv("ESSENTIAL_REWRITE_CONFIG", str(config))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and ": PASS (" in out
+
+    def test_out_of_range_config_key_a_property_reads_exits_1(self, capsys, tmp_path,
+                                                              monkeypatch):
+        config = tmp_path / "config.txt"
+        config.write_text("parallel = 0\n")
+        monkeypatch.setenv("ESSENTIAL_REWRITE_CONFIG", str(config))
+        code, out, err = run(capsys, "check", "split", "--system", "lo", "--size", "3")
+        assert (code, out, err) == (1, "", "error: parallel must be at least 1, got 0\n")
+
+    def test_config_that_is_not_utf8_exits_1(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.txt"
+        config.write_bytes(b"\xff\xfe\n")
+        monkeypatch.setenv("ESSENTIAL_REWRITE_CONFIG", str(config))
+        code, out, err = run(capsys, "level", "x")
+        assert (code, out) == (1, "")
+        assert err == f"error: {config}: not UTF-8 text (invalid start byte at byte 0)\n"
 
     def test_unknown_config_output_exits_1(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.txt"

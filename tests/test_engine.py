@@ -57,6 +57,7 @@ from essential_rewrite.graphs import explore
 from essential_rewrite.parallel import (
     Flavor,
     all_parallel_steps,
+    base_of,
     contracts,
     parallel_level,
     realize,
@@ -150,6 +151,93 @@ class TestSplit:
                         current = _residual(current, pos, system.flavor)
                         assert sequential_index(current) == index - 1
                         index -= 1
+
+    def test_residual_agrees_with_oracle(self, small_terms):
+        # every peeling round of every parallel step of every term up to size
+        # 6, and of a sample of sizes 7 and 8, which have several redexes
+        larger = [t for t in terms_up_to(8)[::10] if size(t) > 6]
+        for t in small_terms + larger:
+            for system in SYSTEMS.values():
+                for d in all_parallel_steps(t, system.flavor):
+                    before = d
+                    for pos, after in engine._peel(d, system):
+                        expected = oracle_residual(before, pos, system.flavor)
+                        assert after.to_json() == expected.to_json(), show(t)
+                        assert show(after.source) == show(expected.source)
+                        assert show(after.target) == show(expected.target)
+                        before = after
+
+
+def oracle_residual(d, pos, flavor):
+    """The residual of `d` after firing its redex at `pos`: the selection
+    re-rooted by slicing every selected position against the redex's body and
+    argument prefixes, and the reduct derived through the checking `derive`."""
+    sel = selection_of(d)
+    body_prefix = pos + ("L", "B")
+    arg_prefix = pos + ("R",)
+    nb, na = len(body_prefix), len(arg_prefix)
+    new_sel = {q for q in sel if q[:len(pos)] != pos}
+    body_sel = [q[nb:] for q in sel if q[:nb] == body_prefix]
+    arg_sel = [q[na:] for q in sel if q[:na] == arg_prefix]
+    occurrences = list(bound_positions(subterm_at(d.source, pos).fun.body))
+    new_sel.update(pos + q for q in body_sel)
+    new_sel.update(pos + o + r for o in occurrences for r in arg_sel)
+    return derive(step_at(d.source, pos, base_of(flavor)), new_sel, flavor)
+
+
+def _counting(row):
+    """`row` with a `positions` that records the terms it is called on."""
+    calls = []
+
+    def positions(t):
+        calls.append(t)
+        return row.positions(t)
+    return dataclasses.replace(row, positions=positions), calls
+
+
+class TestSplitCost:
+    """A peeling round reads its source's essential positions once and builds
+    its residual without checking the selection again."""
+
+    @pytest.fixture(scope="class")
+    def terms(self):
+        # terms of size 7 and 8 have several redexes
+        return terms_up_to(8)[::20]
+
+    @pytest.mark.parametrize("system_id", list(SystemId))
+    def test_split_reads_positions_once_per_round(self, terms, system_id):
+        row, calls = _counting(SYSTEMS[system_id])
+        peeled = set()
+        for t in terms:
+            for d in all_parallel_steps(t, row.flavor):
+                calls.clear()
+                prefix, _ = split(d, row)
+                assert len(calls) == len(prefix.steps) + 1, show(t)
+                peeled.add(len(prefix.steps))
+        assert {0, 1, 2} <= peeled
+
+    @pytest.mark.parametrize("system_id", list(SystemId))
+    def test_lift_reads_positions_once_per_step(self, terms, system_id):
+        row, calls = _counting(SYSTEMS[system_id])
+        kinds = set()
+        for t in terms:
+            for pos, u in reducts(t, row.base):
+                for second in [[]] + [[q] for q, _ in reducts(u, row.base)]:
+                    trace = trace_from_positions(t, [pos] + second, system_id)
+                    calls.clear()
+                    engine._lift(trace, row)
+                    assert len(calls) == len(trace), show(t)
+                    kinds.update(s.kind for s, _ in trace.steps)
+        assert kinds == {StepKind.ESSENTIAL, StepKind.INESSENTIAL}
+
+    def test_split_does_not_call_derive(self, terms, monkeypatch):
+        def derive_called(*args):
+            raise AssertionError("split called derive")
+        monkeypatch.setattr(engine, "derive", derive_called)
+        for t in terms:
+            for system in SYSTEMS.values():
+                for d in all_parallel_steps(t, system.flavor):
+                    split(d, system)
 
 
 class TestMerge:
