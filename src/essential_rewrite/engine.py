@@ -13,14 +13,17 @@ about such systems executable:
   followed by inessential ones by iterating merge and split,
 * `normalize` runs a strategy to its (essential) normal form,
 * `check_property` / `check_normalization` sweep every term up to a size
-  bound and report the first counterexample, if any.
+  bound through one loop, serial or over a process pool, and report the
+  first counterexample, if any; a sweep that met no relevant term, or an
+  inconclusive one, is INCONCLUSIVE.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, partial
 from typing import Callable, Iterable, Optional
@@ -477,6 +480,12 @@ def normalize(t: Term, sys, fuel: int = 1000) -> tuple[Trace, Outcome]:
 
 @dataclass
 class Report:
+    """The verdict of one sweep.  `checked_count` counts the relevant terms
+    examined, a counterexample included: every term for a property, those
+    the theorem's hypothesis holds for in a normalization check, and never
+    an inconclusive one.  A sweep with an inconclusive term, or with no
+    relevant term, is INCONCLUSIVE, and `counterexample` gives the reason."""
+
     property: str
     system: str
     size_bound: int
@@ -484,17 +493,8 @@ class Report:
     result: str  # PASS | FAIL | INCONCLUSIVE
     counterexample: Optional[str] = None
 
-    def to_json(self):
-        out = {
-            "property": self.property,
-            "system": self.system,
-            "size_bound": self.size_bound,
-            "checked_count": self.checked_count,
-            "result": self.result,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
+    def to_json(self) -> dict:
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 class _Inconclusive(Exception):
@@ -642,44 +642,43 @@ def check_property(prop: str, sys, size_bound: int = 8,
     if system.id not in supported:
         raise UnsupportedPropertyError(
             f"property {prop!r} is not claimed for system {system.id.value!r}")
-    terms = list(enumerate_terms(EnumSpec(max_size=size_bound, free_names=free_names)))
-    checked = 0
-    counterexample = None
-    if workers > 1:
-        counterexample, checked = _parallel_sweep(prop, system, terms, workers)
+    return _sweep(prop, system, EnumSpec(max_size=size_bound, free_names=free_names),
+                  partial(checker, system), workers)
+
+
+def _sweep(prop: str, system: EssentialSystem, spec: EnumSpec, check, workers: int = 1) -> Report:
+    """Report on `check(t)` for every term `spec` enumerates: None passes
+    `t`, a message fails it, False skips it as irrelevant and an
+    `_Inconclusive` counts it as cut off.  With `workers > 1` a process pool
+    runs the checks, so `check` and its verdicts must pickle."""
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    terms = list(enumerate_terms(spec))
+    if workers == 1:
+        pool, run = nullcontext(), map
     else:
-        for t in terms:
-            checked += 1
-            counterexample = checker(system, t)
-            if counterexample is not None:
-                break
-    result = "PASS" if counterexample is None else "FAIL"
-    return Report(prop, system.id.value, size_bound, checked, result, counterexample)
-
-
-def _sweep_chunk(args):
-    prop, system, chunk = args
-    checker, _ = PROPERTY_CHECKS[prop]
-    for i, t in enumerate(chunk):
-        failure = checker(system, t)
-        if failure is not None:
-            return i + 1, failure
-    return len(chunk), None
-
-
-def _parallel_sweep(prop: str, system: EssentialSystem, terms, workers: int):
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk_size = max(1, len(terms) // (workers * 8))
-    chunks = [terms[i:i + chunk_size] for i in range(0, len(terms), chunk_size)]
-    checked = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for done, failure in pool.map(
-                _sweep_chunk, [(prop, system, c) for c in chunks]):
-            checked += done
-            if failure is not None:
-                return failure, checked
-    return None, checked
+        # imported here: at module level it would slow every CLI start several-fold
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers)
+        run = partial(pool.map, chunksize=max(1, len(terms) // (workers * 8)))
+    checked, inconclusive, reason = 0, 0, None
+    with pool:
+        # only this loop holds the verdicts: leaving it at a failure drops
+        # them, which cancels the chunks no worker has started
+        for t, verdict in zip(terms, run(check, terms)):
+            if verdict is None:
+                checked += 1
+            elif isinstance(verdict, _Inconclusive):
+                inconclusive += 1
+                reason = reason or f"{show(t)}: {verdict}"
+            elif verdict is not False:
+                return Report(prop, system.id.value, spec.max_size, checked + 1, "FAIL", verdict)
+    if inconclusive:
+        reason += f" ({inconclusive} {'term' if inconclusive == 1 else 'terms'} inconclusive)"
+    elif not checked:
+        reason = "no term satisfied the theorem's hypothesis"
+    result = "PASS" if reason is None else "INCONCLUSIVE"
+    return Report(prop, system.id.value, spec.max_size, checked, result, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -699,30 +698,18 @@ def check_normalization(sys, size_bound: int = 8, fuel: int = 1000,
     """
     system = get_system(sys)
     spec = EnumSpec(max_size=size_bound, closed_only=system.closed_only)
-    checked = 0
-    inconclusive = None
-    inconclusive_terms = 0
-    for t in enumerate_terms(spec):
-        try:
-            relevant, failure = _check_normalization_one(system, t, fuel,
-                                                         node_budget, depth_budget)
-        except _Inconclusive as stop:
-            if inconclusive is None:
-                inconclusive = f"{show(t)}: {stop}"
-            inconclusive_terms += 1
-            continue
-        if relevant:
-            checked += 1
-        if failure is not None:
-            return Report("normalization", system.id.value, size_bound, checked,
-                          "FAIL", failure)
-    if inconclusive_terms:
-        noun = "term" if inconclusive_terms == 1 else "terms"
-        inconclusive += f" ({inconclusive_terms} {noun} inconclusive)"
-    elif checked == 0:
-        inconclusive = "no term satisfied the theorem's hypothesis"
-    result = "PASS" if inconclusive is None else "INCONCLUSIVE"
-    return Report("normalization", system.id.value, size_bound, checked, result, inconclusive)
+    return _sweep("normalization", system, spec,
+                  partial(_normalization_verdict, system, fuel, node_budget, depth_budget))
+
+
+def _normalization_verdict(system: EssentialSystem, fuel: int, node_budget: int,
+                           depth_budget: int, t: Term):
+    """`_check_normalization_one` as a verdict of `_sweep`."""
+    try:
+        relevant, failure = _check_normalization_one(system, t, fuel, node_budget, depth_budget)
+    except _Inconclusive as stop:
+        return stop
+    return failure if relevant else False
 
 
 def _check_normalization_one(system: EssentialSystem, t: Term, fuel: int,

@@ -17,11 +17,17 @@ from .terms import App, Free, Lam, Term, Var
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """What to enumerate: size bound, allowed free names, closedness."""
+    """What to enumerate: size bound, allowed free names (each given once,
+    or terms would repeat), closedness."""
 
     max_size: int
     free_names: tuple[str, ...] = ("x", "y")
     closed_only: bool = False
+
+    def __post_init__(self):
+        for i, name in enumerate(self.free_names):
+            if name in self.free_names[:i]:
+                raise ValueError(f"free name {name!r} is given twice")
 
     def pool(self) -> tuple[str, ...]:
         return () if self.closed_only else self.free_names

@@ -284,6 +284,14 @@ class TestParserReuse:
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
+    def test_import_loads_no_process_pool(self):
+        # only a `check --parallel` sweep needs the pool machinery
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        probe = "import sys, essential_rewrite.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
     def test_options_do_not_carry_into_the_next_call(self, capsys, built):
         code, out, _ = run(capsys, "reduce", OMEGA, "--system", "lo", "--fuel", "1")
         assert code == 2 and out.count("->") == 1

@@ -906,6 +906,11 @@ def _no_positions(t):
     return []
 
 
+def _verdict_by_text(t):
+    """A sweep check that passes x, skips y and cuts z off, and fails the rest."""
+    return {"x": None, "y": False, "z": engine._Inconclusive("cut off")}.get(show(t), "broken")
+
+
 class TestCheckProperty:
     @pytest.mark.parametrize("prop, system", [
         ("determinism", HEAD), ("determinism", LO),
@@ -988,6 +993,38 @@ class TestCheckProperty:
         system = dataclasses.replace(SYSTEMS[HEAD], positions=lambda t: [])
         with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
             check_property("decomposition", system, size_bound=5, workers=2)
+
+    # no term has size 1 without free names, so the sweep examines nothing
+    def test_nothing_checked_is_inconclusive(self):
+        solo = check_property("persistence", LO, size_bound=1, free_names=())
+        multi = check_property("persistence", LO, size_bound=1, free_names=(), workers=2)
+        assert (solo.result, solo.checked_count) == ("INCONCLUSIVE", 0)
+        assert multi.to_json() == solo.to_json()
+
+    def test_repeated_free_name_rejected(self):
+        assert check_property("persistence", LO, size_bound=2, free_names=("x",)).checked_count == 3
+        with pytest.raises(ValueError, match="'x'"):
+            check_property("persistence", LO, size_bound=2, free_names=("x", "x"))
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            check_property("persistence", LO, size_bound=2, workers=workers)
+
+    # one loop reads every verdict, whether the checks ran here or in workers
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("texts, result, checked, reason", [
+        (["x", "y", "z", "x", "z"], "INCONCLUSIVE", 2, "z: cut off (2 terms inconclusive)"),
+        (["y", "y"], "INCONCLUSIVE", 0, "no term satisfied the theorem's hypothesis"),
+        (["y", "x", "w", "z"], "FAIL", 2, "broken"),
+        (["y", "x"], "PASS", 1, None),
+    ], ids=["inconclusive", "none-relevant", "fail", "pass"])
+    def test_sweep_reads_every_verdict(self, monkeypatch, workers, texts, result, checked,
+                                       reason):
+        monkeypatch.setattr(engine, "enumerate_terms", lambda spec: iter(map(p, texts)))
+        report = engine._sweep("probe", SYSTEMS[HEAD], EnumSpec(1), _verdict_by_text, workers)
+        assert (report.result, report.checked_count, report.counterexample) == (
+            result, checked, reason)
 
 
 class TestCheckNormalization:

@@ -73,6 +73,12 @@ class TestEnumeration:
         assert first == second
         assert [show(t) for t in first[:5]] == ["x", "y", r"\x.x", r"\x'.x", r"\x.y"]
 
+    @pytest.mark.parametrize("names", [("x", "x"), ("x", "y", "x")])
+    def test_repeated_free_name_rejected(self, names):
+        # terms are alpha-distinct only over distinct names
+        with pytest.raises(ValueError, match="free name 'x' is given twice"):
+            EnumSpec(2, free_names=names)
+
     def test_closed_terms_are_closed(self):
         assert all(is_closed(t) for t in enumerate_terms(EnumSpec(6, closed_only=True)))
 
