@@ -618,9 +618,7 @@ def _emitter(out: list[str], env: list[str], in_scope: _Scope,
             elif u is shared and len(env) == depth:
                 append(shared_text())
             elif kind is Lam:
-                name = u.hint or "x"
-                if name in in_scope or name in term_free:
-                    name = _fresh(name, in_scope, term_free, u.body)
+                name = _binder_name(u, in_scope, term_free)
                 append(f"\\{name}.")
                 env.append(name)
                 in_scope.add(name)
@@ -676,15 +674,19 @@ def _emitter(out: list[str], env: list[str], in_scope: _Scope,
     return emit
 
 
-def _fresh(name: str, in_scope: _Scope, term_free: frozenset[str], body: Term) -> str:
-    """First of name, name', name'', ... neither in scope nor free in `body`."""
+def _binder_name(u: Lam, in_scope: _Scope, term_free: frozenset[str]) -> str:
+    """The name `show` gives the binder of `u`: the first of its hint h (or
+    x), h', h'', ... neither in scope nor free in its body."""
+    name = u.hint or "x"
+    if name not in in_scope and name not in term_free:
+        return name
     body_free = None
     for name in in_scope.candidates(name):
         if name not in in_scope:
             if name not in term_free:
                 return name
             if body_free is None:
-                body_free = free_names(body)
+                body_free = free_names(u.body)
             if name not in body_free:
                 return name
 
@@ -749,12 +751,13 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
 
     Only `new` is rendered and spliced into the old text.  The offsets found
     along one step's path serve the next step down to where the two paths
-    part; below that, the walk adds up the widths of the siblings it passes,
-    which a memo keeps.  The whole term, `root()`, is rendered for a step
-    with no position, a step that erases or adds a free name below a binder
-    whose name was chosen against the free names of its body (the binder
-    may gain or lose a prime), or a free name that was not in the term
-    before.
+    part; below that, the walk adds up the widths of the siblings it passes.
+    Each width is measured from the widths of the node's children, never
+    rendered, and a memo keeps it per node and environment.  The whole
+    term, `root()`, is rendered for a step with no position, a step that
+    erases or adds a free name below a binder whose name was chosen against
+    the free names of its body (the binder may gain or lose a prime), or a
+    free name that was not in the term before.
     """
     env: list[str] = []  # names of the binders on the path, innermost last
     in_scope = _Scope()
@@ -778,13 +781,7 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
     avoiding: list[int] = []
 
     def width(u: Term, env_id: int) -> int:
-        key = (id(u), env_id)
-        entry = widths.get(key)
-        if entry is None:
-            out: list[str] = []
-            _emitter(out, env, in_scope, tracked)(u)
-            entry = widths[key] = (u, sum(map(len, out)))
-        return entry[1]
+        return _measure(u, env, in_scope, tracked, env_id, widths, env_ids, new_ids)
 
     def redraw(whole: Term) -> str:
         nonlocal tracked
@@ -905,6 +902,61 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
         except _Redraw:
             text, path = redraw(root()), ()
         yield text
+
+
+def _measure(u: Term, env: list[str], in_scope: _Scope, term_free: frozenset[str],
+             env_id: int, widths: dict[tuple[int, int], tuple[Term, int]],
+             env_ids: dict[tuple[int, str], int], new_ids: Iterator[int]) -> int:
+    """The width of the text `_emitter(out, env, in_scope, term_free)`
+    writes for `u`, added up from the widths of its children: no text is
+    written.  `env_id` is the id of the environment `env`.  Each App and Lam
+    node of `u` is looked up in `widths`, and entered there when measured,
+    under (id(node), environment id); the environment ids below a binder of
+    `u` are interned in `env_ids`, new ones drawn from `new_ids`.  A free
+    name outside `term_free` raises `_Redraw`; else `env` and `in_scope`
+    are restored.
+    """
+    done: list[int] = []  # widths of the subterms measured, innermost last
+    # subterms still to measure, and parents waiting for their children's
+    # widths as (node, binder name or None, environment id)
+    pending: list = [u]
+    while pending:
+        u = pending.pop()
+        kind = type(u)
+        if kind is tuple:
+            u, name, env_id = u
+            w = done.pop()
+            if name is None:
+                w += done.pop() + (3 if type(u.fun) is Lam else 1)
+                kind = type(u.arg)
+                if kind is Lam or kind is App:
+                    w += 2
+            else:
+                in_scope.discard(env.pop())
+                w += len(name) + 2
+            widths[(id(u), env_id)] = (u, w)
+            done.append(w)
+        elif kind is Var:
+            i = u.index
+            done.append(len(env[-1 - i]) if i < len(env) else len(str(i)) + 1)
+        elif kind is Free:
+            if u.name not in term_free:
+                raise _Redraw(u.name)
+            done.append(len(u.name))
+        else:
+            entry = widths.get((id(u), env_id))
+            if entry is not None:
+                done.append(entry[1])
+            elif kind is App:
+                pending += ((u, None, env_id), u.arg, u.fun)
+            else:
+                name = _binder_name(u, in_scope, term_free)
+                pending += ((u, name, env_id), u.body)
+                env.append(name)
+                in_scope.add(name)
+                key = (env_id, name)
+                env_id = env_ids.get(key) or env_ids.setdefault(key, next(new_ids))
+    return done.pop()
 
 
 def _in_parens(u: Term, tag: str) -> bool:

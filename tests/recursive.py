@@ -3,7 +3,9 @@
 Each function here recurses on the depth of a term, a derivation or a
 requested size, as the package did before every such walk became a loop over
 an explicit stack.  `test_loops.py` checks that each loop agrees with its
-original; deep inputs need a raised recursion limit here.
+original; deep inputs need a raised recursion limit here.  `width` is
+the render-to-measure definition that `show_spliced`'s measuring walk
+replaced, kept as the oracle `test_terms.py` checks the walk against.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from essential_rewrite.terms import (
     RIGHT,
     Var,
     _Redraw,
+    _emitter,
     _tokenize,
     free_names,
 )
@@ -201,7 +204,7 @@ def show(t) -> str:
 
 
 def emitter(out, env, in_scope, term_free, shared=None, shared_text=None):
-    """The recursive emitter, with its one-prime-at-a-time `_fresh`."""
+    """The recursive emitter, with its one-prime-at-a-time `fresh`."""
     append = out.append
     depth = len(env)
 
@@ -257,6 +260,14 @@ def fresh(name, in_scope, term_free, body):
             if name not in body_free:
                 return name
         name += "'"
+
+
+def width(u, env, in_scope, term_free) -> int:
+    """The width of the text the emitter writes for `u`: the lengths of its
+    pieces, rendered and added up."""
+    out: list[str] = []
+    _emitter(out, env, in_scope, term_free)(u)
+    return sum(map(len, out))
 
 
 # ---------------------------------------------------------------------------

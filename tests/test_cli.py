@@ -502,6 +502,20 @@ class TestDeepTerms:
         else:
             assert out.splitlines()[0] == term and out.splitlines()[1].endswith(reduct)
 
+    @pytest.mark.parametrize("shape", ["beside", "copied"])
+    def test_reduce_measures_deep_siblings(self, capsys, one_thread, shape):
+        # x x ... x, a left spine DEEP applications deep, beside a redex or
+        # as the argument a redex copies: the first step's text measures it
+        seen, before = one_thread
+        spine = "x" + " x" * DEEP
+        term, reduct = {"beside": (spine + r" ((\y.y) z)", spine + " z"),
+                        "copied": (rf"(\v.v v) ({spine})", f"{spine} ({spine})")}[shape]
+        code, out, err = run(capsys, "reduce", term, "--system", "lo", "--output", "json")
+        assert (code, err) == (0, "") and seen == [before]
+        payload = json.loads(out)
+        assert payload["start"] == show(parse(term))
+        assert [step["term"] for step in payload["steps"]] == [show(parse(reduct))]
+
     @pytest.mark.parametrize("shape", sorted(_DEEP_TERMS))
     def test_level(self, capsys, one_thread, shape):
         seen, before = one_thread

@@ -42,7 +42,7 @@ from essential_rewrite import (
     split,
     trace_from_positions,
 )
-from essential_rewrite import engine, reductions
+from essential_rewrite import engine, reductions, terms
 from essential_rewrite.engine import (
     NotComposableError,
     NotInessentialError,
@@ -78,6 +78,7 @@ from essential_rewrite.terms import (
     parse,
     replace_at,
     shift,
+    show_spliced,
     show_steps,
     size,
     substitute,
@@ -605,6 +606,28 @@ class TestStreamCost:
         assert rebuilds[0] == 0
 
 
+class TestSpliceCost:
+    """`show_spliced` renders the first term and each step's reduct, and
+    nothing else: the siblings it passes are measured, not rendered."""
+
+    @pytest.mark.parametrize("system_id", [HEAD, LO, LL])
+    def test_one_render_per_step(self, monkeypatch, system_id):
+        calls = [0]
+        emitter = terms._emitter
+
+        def counting_emitter(*args):
+            calls[0] += 1
+            return emitter(*args)
+
+        monkeypatch.setattr(terms, "_emitter", counting_emitter)
+        t = p(f"{_church(6)} {_church(2)}")
+        stream = SYSTEMS[system_id].walk.steps(t, 100_000)
+        texts = list(show_spliced(t, stream, stream.root))
+        assert not stream.exhausted and len(texts) > 1
+        # a closed term never renders whole after its first text
+        assert calls[0] == len(texts)
+
+
 # (\y.y) z, at the bottom of a tower of binders or of a right spine x (x (...))
 DEEP = 20_000
 _CORE = App(Lam(Var(0), "y"), Free("z"))
@@ -763,6 +786,19 @@ class TestDeepTerms:
         assert len(trace.steps) == 1 and trace.end.body is d
         assert outcome is Outcome.NORMAL_FORM
         assert closed == [True, False, True]
+
+    def test_spliced_text_measures_deep_siblings(self):
+        # x x ... x, a left spine DEEP applications deep, beside a redex and
+        # as the argument a redex copies: the step's text measures it
+        spine = Free("x")
+        for _ in range(DEEP):
+            spine = App(spine, Free("x"))
+        copy = Lam(App(Var(0), Var(0)), "v")
+        for t, pos, reduct in [(App(spine, _CORE), ("R",), App(spine, Free("z"))),
+                               (App(copy, spine), (), App(spine, spine))]:
+            with _recursion_limit(1000):
+                texts = list(show_steps(t, [(pos, reduct)]))
+            assert texts == [show(t), show(reduct)]
 
     @pytest.mark.parametrize("build", [_deep_under_binders, _deep_right_spine])
     def test_term_functions_at_default_recursion_limit(self, build):

@@ -1,6 +1,7 @@
 """Term syntax: parsing, printing, substitution and the structural predicates."""
 
 import random
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,7 @@ from essential_rewrite.terms import (
     substitute,
     subterm_at,
 )
+import recursive
 from conftest import OMEGA, p, random_samples, subterms, terms_up_to
 
 
@@ -639,3 +641,70 @@ class TestShowSteps:
         t = App(Free("f"), App(Lam(Var(0), "y"), a))
         steps = [((RIGHT,), App(t.fun, Lam(a, "s")))]
         assert list(show_steps(t, steps)) == ["f ((\\y.y) (\\s.s))", "f (\\s.\\s'.s')"]
+
+
+# environments to measure a subterm in: the empty one, where its indices
+# dangle, and ones whose names clash with the hints x, y and x' and with
+# the free names x and y
+_MEASURE_ENVS = [[], ["x"], ["y", "x"], ["x", "x'", "y"]]
+
+
+def _scope(env):
+    scope = terms._Scope()
+    scope.update(env)
+    return scope
+
+
+def _env_named(env_id, base, env_ids):
+    """The binder names the environment id `env_id` stands for, where id 0
+    stands for `base`."""
+    outer = {i: key for key, i in env_ids.items()}
+    names = []
+    while env_id:
+        env_id, name = outer[env_id]
+        names.append(name)
+    return base + names[::-1]
+
+
+class TestMeasure:
+    """`_measure` adds up the width of a subterm's text from its children's
+    widths, and it agrees with the oracle, which renders the text."""
+
+    def check(self, subterms_, term_free):
+        for base in _MEASURE_ENVS:
+            widths, env_ids, new_ids = {}, {}, count(1)
+            for u in subterms_:
+                env, in_scope = list(base), _scope(base)
+                try:
+                    want = recursive.width(u, list(base), _scope(base), term_free)
+                except terms._Redraw:
+                    # a free name outside `term_free`
+                    with pytest.raises(terms._Redraw):
+                        terms._measure(u, env, in_scope, term_free, 0, widths, env_ids, new_ids)
+                    continue
+                got = terms._measure(u, env, in_scope, term_free, 0, widths, env_ids, new_ids)
+                assert got == want
+                assert env == base and in_scope == set(base)
+                if type(u) in (App, Lam):
+                    assert widths[(id(u), 0)] == (u, want)
+            # every node entered, under a binder of a measured subterm too,
+            # has its width in the environment its id stands for
+            for (key, env_id), (node, w) in widths.items():
+                env = _env_named(env_id, base, env_ids)
+                assert key == id(node) and w == recursive.width(node, env, _scope(env), term_free)
+
+    @pytest.mark.parametrize("pool, term_free", [
+        (("x", "y"), {"x", "y"}),
+        # y missing, and x' a candidate name checked against a body's names
+        (("x", "y"), {"x", "x'"}),
+        ((), set()),
+        ((), {"x", "x'"}),
+    ])
+    def test_every_subterm_of_small_terms(self, pool, term_free):
+        terms_ = list(enumerate_terms(EnumSpec(max_size=7, free_names=pool)))
+        self.check(subterms(terms_), frozenset(term_free))
+
+    def test_random_hints(self):
+        rng = random.Random(5)
+        terms_ = [_rehint(t, rng) for t in random_samples()]
+        self.check(subterms(terms_), frozenset({"x", "y", "x'"}))
