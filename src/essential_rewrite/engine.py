@@ -98,6 +98,12 @@ class InvalidTraceError(ValueError):
         super().__init__(message)
 
 
+# The members as module names: reading one off its class costs about 0.1 µs
+# on Python 3.11, and the row's methods read them per step.
+_ESSENTIAL, _INESSENTIAL = StepKind.ESSENTIAL, StepKind.INESSENTIAL
+_LEVELED = Flavor.LEVELED
+
+
 class Outcome(Enum):
     NORMAL_FORM = "normal-form"
     ESSENTIAL_NORMAL = "essential-normal"
@@ -157,17 +163,19 @@ class EssentialSystem:
                 for pos in sorted(set(positions))]
 
     def classify(self, t: Term, pos: Position) -> StepKind:
-        return StepKind.ESSENTIAL if pos in self.positions(t) else StepKind.INESSENTIAL
+        return _ESSENTIAL if pos in self.positions(t) else _INESSENTIAL
 
     def make_step(self, t: Term, pos: Position) -> Step:
         return Step(pos, self.classify(t, pos), self.level_of(pos))
 
     def level_of(self, pos: Position):
         # leveled systems record the level of every step they take
-        return position_level(pos) if self.flavor is Flavor.LEVELED else None
+        return position_level(pos) if self.flavor is _LEVELED else None
 
     def base_normal(self, t: Term) -> bool:
-        return self.base_walk.find(t, [])[2] == INFINITY
+        """Has `t` no `base` redex?  A beta-normal term has none, and under
+        beta every other term has one."""
+        return t.normal or self.base is not Base.BETA and self.base_walk.find(t, [])[2] == INFINITY
 
     def outcome(self, end: Term, exhausted: bool) -> Outcome:
         """How a run of the strategy ended at `end`, with or without a
@@ -331,7 +339,7 @@ def split(d: ParDerivation, sys) -> tuple[Trace, ParDerivation]:
     # `_essential_redex` found each position among the essential ones
     for pos, rest in _peel(d, system):
         # the residual's source is the reduct: the redex is contracted once
-        steps.append((Step(pos, StepKind.ESSENTIAL, system.level_of(pos)), rest.source))
+        steps.append((Step(pos, _ESSENTIAL, system.level_of(pos)), rest.source))
     return Trace(d.source, steps), rest
 
 
@@ -433,7 +441,7 @@ def _lift(trace: Trace, system: EssentialSystem):
         if not alpha_eq(real, target):
             raise InvalidTraceError(f"step {i + 1}: recorded reduct does not match", index=i)
         lifted = system.make_step(current, step.position)
-        if lifted.kind is StepKind.ESSENTIAL:
+        if lifted.kind is _ESSENTIAL:
             items.append((lifted, target))
         else:
             items.append(derive(current, {step.position}, system.flavor))
@@ -469,7 +477,7 @@ def normalize(t: Term, sys, fuel: int = 1000) -> tuple[Trace, Outcome]:
     system = get_system(sys)
     # each step fires the least essential position, found by the system's walk
     fired, exhausted = system.walk.run(t, fuel)
-    trace = Trace(t, [(Step(pos, StepKind.ESSENTIAL, system.level_of(pos)), u)
+    trace = Trace(t, [(Step(pos, _ESSENTIAL, system.level_of(pos)), u)
                       for pos, u in fired])
     return trace, system.outcome(trace.end, exhausted)
 
@@ -589,7 +597,7 @@ def _check_split(system: EssentialSystem, t: Term) -> Optional[str]:
             return f"split moved the start of {show(t)}"
         current = t
         for s, u in prefix.steps:
-            if system.classify(current, s.position) is not StepKind.ESSENTIAL:
+            if system.classify(current, s.position) is not _ESSENTIAL:
                 return f"split emitted a non-essential step on {show(t)}"
             current = u
         if not alpha_eq(rest.source, current):

@@ -10,15 +10,17 @@ and `rebuild` plugs its reduct in.  So
 `step_at` contracts one redex, `reducts` lists one-step reducts, and
 `redexes_where` lists the redexes in a system's inessential contexts, told
 by a rule on their paths (`_head_context`, `_weak_context`, `_lo_context`).
-The `is_neutral` test of `_leftmost_positions` and `_lo_context` walks a
-whole function side at each argument passed, so both take time quadratic in
-the depth of the term, though like every walk of the package none recurses.
-A `Walk` finds and fires a strategy's steps one at a time on a zipper
-(`Walk.steps`).  Between steps the parents on its path are stale, each still
-holding the child the step replaced, and a parent is rebuilt from its live
-child (`plug`) only when the walk climbs out of it; the whole term is built
-only when asked for.  Each system's steps are built from these positions by
-its `SYSTEMS` row (engine.py).
+Every search reads the `normal` flag of the nodes it meets (terms.py): it
+never enters a normal subterm, which holds no redex, and the neutrality
+test of `_leftmost_positions` and `_lo_context` reads one flag.  So
+`_leftmost_positions` takes time linear in the depth of the term; a row's
+`neg_positions` stays quadratic, as the positions it returns are.  A `Walk`
+finds and fires a strategy's steps one at a time on a zipper (`Walk.steps`).
+Between steps the parents on its path are stale, each still holding the
+child the step replaced, and a parent is rebuilt from its live child
+(`plug`) only when the walk climbs out of it; the whole term is built only
+when asked for.  Each system's steps are built from these positions by its
+`SYSTEMS` row (engine.py).
 
 Every enumerator returns steps sorted by position, which coincides with
 leftmost-outermost traversal order, so step lists and traces are reproducible.
@@ -75,6 +77,10 @@ class StepKind(Enum):
     PLAIN = "plain"
 
 
+# The member as a module name: reading it off its class costs about 0.1 µs
+# on Python 3.11, and `admits` reads it per redex candidate.
+_BETA = Base.BETA
+
 # A level is a natural number, and a normal term's least level is infinite.
 INFINITY = math.inf
 
@@ -125,7 +131,7 @@ def step_at(t: Term, pos: Position, base: Base = Base.BETA) -> Term:
 def admits(t: Term, base: Base) -> bool:
     """Is `t` a redex of `base`: a beta-redex, whose argument is a value for
     beta-value reduction?"""
-    return type(t) is App and type(t.fun) is Lam and (base is Base.BETA or is_value(t.arg))
+    return type(t) is App and type(t.fun) is Lam and (base is _BETA or is_value(t.arg))
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,10 @@ class Walk:
     parents are stale: each still holds the child the step replaced.  A
     parent is rebuilt from its live child (`plug`) only when the walk climbs
     out of it, so a step below the last one rebuilds nothing, and the whole
-    term is built only when it is asked for.
+    term is built only when it is asked for.  The walk never enters a
+    normal subtree, and it reads that flag on live nodes only: a stale
+    parent's flag is stale too, so it is rebuilt before the walk goes on
+    to its argument side.
     """
 
     base: Base = Base.BETA
@@ -175,7 +184,8 @@ class Walk:
         bound = sys.maxsize
         best = None
         while True:
-            if level < bound:
+            # a normal subtree holds no redex
+            if level < bound and not node.normal:
                 kind = type(node)
                 if kind is App:
                     if admits(node, base):
@@ -206,7 +216,7 @@ class Walk:
                 node = parent
                 if tag is RIGHT:
                     level -= 1
-                elif tag is LEFT and args and level + 1 < bound:
+                elif tag is LEFT and args and level + 1 < bound and not parent.arg.normal:
                     path.append((parent, RIGHT))
                     node = parent.arg
                     level += 1
@@ -244,7 +254,7 @@ class Walk:
             parent, tag = path[-1]
             if tag is not BODY:
                 fun, arg = (reduct, parent.arg) if tag is LEFT else (parent.fun, reduct)
-                if type(fun) is Lam and (self.base is Base.BETA or is_value(arg)):
+                if type(fun) is Lam and (self.base is _BETA or is_value(arg)):
                     path.pop()
                     return App(fun, arg), path, level - (tag is RIGHT), min(dirty, len(path))
         return self.find(reduct, path, level, least=level, dirty=dirty)
@@ -300,22 +310,25 @@ def redexes(t: Term, base: Base, binders: bool = True) -> list[Position]:
     without `binders`, only those under no abstraction."""
     # no generator, as sweeps call this on many tiny terms: `tags` is the
     # position of `node`, and `pending` holds each argument still to visit
-    # with the depth of its application
+    # with the depth of its application; a normal node holds no redex, so
+    # the loop treats it as a leaf
     out, tags, pending = [], [], []
     node = t
     while True:
-        kind = type(node)
-        if kind is App:
-            if admits(node, base):
-                out.append(tuple(tags))
-            if type(node.arg) is App or type(node.arg) is Lam:
-                pending.append((node.arg, len(tags)))
-            tags.append(LEFT)
-            node = node.fun
-        elif kind is Lam and binders:
-            tags.append(BODY)
-            node = node.body
-        elif pending:
+        if not node.normal:
+            if type(node) is App:
+                if admits(node, base):
+                    out.append(tuple(tags))
+                if not node.arg.normal:
+                    pending.append((node.arg, len(tags)))
+                tags.append(LEFT)
+                node = node.fun
+                continue
+            if binders:
+                tags.append(BODY)
+                node = node.body
+                continue
+        if pending:
             node, depth = pending.pop()
             del tags[depth:]
             tags.append(RIGHT)
@@ -383,16 +396,16 @@ def _leftmost_positions(t: Term, arguments: bool = True) -> list[Position]:
     the leftmost-outermost one in no argument."""
     tags = []
     while True:
-        kind = type(t)
-        if kind is Lam:
+        if t.normal:
+            return []
+        if type(t) is Lam:
             tags.append(BODY)
             t = t.body
-        elif kind is not App:
-            return []
         elif type(t.fun) is Lam:
             return [tuple(tags)]
-        elif arguments and is_neutral(t.fun):
-            # function side is neutral: the step, if any, is on the argument side
+        elif arguments and t.fun.normal:
+            # the function side, no abstraction, is normal and so neutral:
+            # the step is on the argument side
             tags.append(RIGHT)
             t = t.arg
         else:

@@ -10,7 +10,15 @@ Every node records `loose`, one more than the greatest de Bruijn index that
 dangles out of it (0 when it is locally closed), the loose bound-variable
 range of Lean 4 (de Moura & Ullrich, CADE 2021).  `shift` and `instantiate`
 return a subterm whose indices they would leave alone as it is, so a closed
-argument is shared, not copied, at every occurrence of its variable.
+argument is shared, not copied, at every occurrence of its variable.  Beside
+it every node records `normal`, whether it is beta-normal (no abstraction
+applied anywhere in it), a cached flag of the same kind: a variable is
+normal, an abstraction is as normal as its body, and an application is
+normal when both sides are and its function side is no abstraction.  The
+redex searches of reductions.py read it to skip normal subterms, and
+`is_normal` and `is_neutral` read only it.  A stale parent on a zipper path
+(reductions.Walk) still holds the child a step replaced, so its flag is
+stale too: the searches read the flag of live nodes only.
 
 No function here recurses on the depth of a term: each walk is a loop that
 goes down function sides and bodies itself and keeps a stack of the
@@ -27,11 +35,13 @@ from typing import Callable, Iterable, Iterator
 class Term:
     """Base class for lambda terms; concrete nodes are Var, Free, Lam, App.
 
-    `loose` is 1 + the greatest index dangling out of the term, else 0.
+    `loose` is 1 + the greatest index dangling out of the term, else 0, and
+    `normal` tells whether the term is beta-normal.
     """
 
     __slots__ = ()
     loose: int
+    normal: bool
 
     def __str__(self) -> str:
         return show(self)
@@ -44,6 +54,7 @@ class Var(Term):
     """Bound variable, as the de Bruijn index of its binder."""
 
     __slots__ = ("index", "loose", "_hash")
+    normal = True
 
     def __init__(self, index: int):
         self.index = index
@@ -61,6 +72,7 @@ class Free(Term):
     """Free variable with a global name."""
 
     __slots__ = ("name", "loose", "_hash")
+    normal = True
 
     def __init__(self, name: str):
         self.name = name
@@ -77,13 +89,14 @@ class Free(Term):
 class Lam(Term):
     """Abstraction; `hint` is the preferred surface name for the binder."""
 
-    __slots__ = ("body", "hint", "loose", "_hash")
+    __slots__ = ("body", "hint", "loose", "normal", "_hash")
 
     def __init__(self, body: Term, hint: str = "x"):
         self.body = body
         self.hint = hint
         loose = body.loose
         self.loose = loose - 1 if loose else 0
+        self.normal = body.normal
         self._hash = hash(("l", body._hash))
 
     def __eq__(self, other):
@@ -97,13 +110,14 @@ class Lam(Term):
 class App(Term):
     """Application, left-associative in the surface syntax."""
 
-    __slots__ = ("fun", "arg", "loose", "_hash")
+    __slots__ = ("fun", "arg", "loose", "normal", "_hash")
 
     def __init__(self, fun: Term, arg: Term):
         self.fun = fun
         self.arg = arg
         left, right = fun.loose, arg.loose
         self.loose = left if left > right else right
+        self.normal = fun.normal and arg.normal and type(fun) is not Lam
         self._hash = hash(("a", fun._hash, arg._hash))
 
     def __eq__(self, other):
@@ -407,27 +421,15 @@ def is_value(t: Term) -> bool:
 
 
 def is_neutral(t: Term) -> bool:
-    """Neutral = a variable, or a neutral term applied to a normal one."""
-    return type(t) is not Lam and is_normal(t)
+    """Neutral = a variable, or a neutral term applied to a normal one: a
+    normal term that is not an abstraction.  Reads one flag."""
+    return type(t) is not Lam and t.normal
 
 
 def is_normal(t: Term) -> bool:
-    """No beta-redex anywhere: neutral, or an abstraction over a normal body."""
-    pending = [t]
-    while pending:
-        u = pending.pop()
-        while True:
-            kind = type(u)
-            if kind is App:
-                if type(u.fun) is Lam:
-                    return False
-                pending.append(u.arg)
-                u = u.fun
-            elif kind is Lam:
-                u = u.body
-            else:
-                break
-    return True
+    """No beta-redex anywhere: neutral, or an abstraction over a normal body.
+    Reads the flag the node was built with."""
+    return t.normal
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,22 @@ def is_normal(t) -> bool:
     return is_neutral(t)
 
 
+def leftmost_outermost(t):
+    """The position of the first beta-redex of `t` in preorder, or None: the
+    leftmost-outermost redex by its definition, with no neutrality test."""
+    if isinstance(t, Lam):
+        pos = leftmost_outermost(t.body)
+        return None if pos is None else (BODY,) + pos
+    if isinstance(t, App):
+        if isinstance(t.fun, Lam):
+            return ()
+        for tag, child in ((LEFT, t.fun), (RIGHT, t.arg)):
+            pos = leftmost_outermost(child)
+            if pos is not None:
+                return (tag,) + pos
+    return None
+
+
 def parse(text):
     tokens = list(_tokenize(text))
     term, at = _parse_term(text, tokens, 0, [])

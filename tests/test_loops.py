@@ -1,15 +1,18 @@
 """Every loop that replaced a recursion on depth agrees with its recursive
 original, kept in `recursive.py`: on all terms up to size 8, on the random
-samples, and on every parallel step of those terms in each flavour."""
+samples, and on every parallel step of those terms in each flavour.  So does
+every node's `normal` flag, whichever builder made the node."""
 
 import json
+import pickle
 import random
 import sys
 
 import pytest
 
 import recursive
-from essential_rewrite.enumeration import EnumSpec, _exact, random_term
+from essential_rewrite.engine import SYSTEMS
+from essential_rewrite.enumeration import EnumSpec, _exact, enumerate_terms, random_term
 from essential_rewrite.parallel import (
     Flavor,
     all_parallel_steps,
@@ -21,11 +24,15 @@ from essential_rewrite.parallel import (
     sequentialize,
     subst_parallel,
 )
+from essential_rewrite.reductions import Base, Walk, reducts
 from essential_rewrite.terms import (
     App,
+    BODY,
     Free,
+    LEFT,
     Lam,
     ParseError,
+    RIGHT,
     Var,
     bound_positions,
     count_bound,
@@ -34,6 +41,9 @@ from essential_rewrite.terms import (
     is_neutral,
     is_normal,
     parse,
+    path_to,
+    plug,
+    rebuild,
     shift,
     show,
     size,
@@ -226,3 +236,83 @@ class TestEnumerationLoops:
                 got = random_term(seed, n, spec)
                 want = recursive.random_term(seed, n, pool)
                 assert recursive.equal(got, want) and size(got) == n
+
+
+def assert_flags(terms):
+    """Every node of `terms` carries the `normal` flag the recursive
+    `is_normal` computes for it."""
+    for u in subterms(terms):
+        assert u.normal is recursive.is_normal(u), show(u)
+
+
+def positions(t):
+    """The position of every node of `t`."""
+    out, pending = [], [(t, ())]
+    while pending:
+        u, pos = pending.pop()
+        out.append(pos)
+        if type(u) is App:
+            pending += ((u.fun, pos + (LEFT,)), (u.arg, pos + (RIGHT,)))
+        elif type(u) is Lam:
+            pending.append((u.body, pos + (BODY,)))
+    return out
+
+
+class TestNormalFlag:
+    """Each node records whether it is beta-normal when it is built: the
+    flag must be the recursive `is_normal` of the node, whichever builder
+    made it."""
+
+    @pytest.mark.parametrize("spec", [
+        EnumSpec(max_size=8, free_names=()),
+        EnumSpec(max_size=8, free_names=("x",)),
+        EnumSpec(max_size=8, free_names=("x", "y")),
+        EnumSpec(max_size=8, closed_only=True),
+    ], ids=["no-names", "one-name", "two-names", "closed"])
+    def test_enumerated_terms_and_their_reducts(self, spec):
+        terms = list(enumerate_terms(spec))
+        assert_flags(terms)
+        for base in Base:
+            assert_flags([u for t in terms for _, u in reducts(t, base)])
+
+    def test_kernel_builders(self):
+        redex = App(Lam(Var(0)), Free("z"))
+        # a normal and a non-normal replacement for each builder
+        news = (Free("z"), redex)
+        args = subterms(terms_up_to(4))[::9] + [redex]
+        built = [parse(show(t)) for t in TERMS]
+        for t in SUBTERMS[::7]:
+            built += [shift(t, 2, cutoff) for cutoff in range(3)]
+            built += [substitute(t, name, new) for name in ("x", "y") for new in news]
+            built += [instantiate(t, arg) for arg in args]
+            for pos in positions(t):
+                for new in news:
+                    _, path = path_to(t, pos)
+                    built += [plug(parent, tag, new) for parent, tag in path]
+                    built.append(rebuild(new, path))
+        assert_flags(built)
+
+    @pytest.mark.parametrize("flavor", list(Flavor), ids=lambda f: f.value)
+    def test_parallel_step_targets(self, flavor):
+        assert_flags([d.target for t in TERMS for d in all_parallel_steps(t, flavor)])
+
+    def test_stream_roots_of_a_church_run(self):
+        # c_3 c_2, with the identity applied for the weak systems
+        church = [r"(\f.\x." + "f (" * k + "x" + ")" * k + ")" for k in (3, 2)]
+        t = parse(" ".join(church) + r" (\z.z)")
+        walks = [row.walk for row in SYSTEMS.values()] + [Walk(base) for base in Base]
+        for walk in walks:
+            stream = walk.steps(t, 10_000)
+            fired = 0
+            for _, reduct in stream:
+                # each root rebuilds the stale parents the stream keeps
+                assert_flags([reduct, stream.root()])
+                fired += 1
+            assert fired and not stream.exhausted
+
+    def test_pickle_round_trip(self):
+        # how `check --parallel` sends terms to its workers
+        for t in TERMS[::5]:
+            back = pickle.loads(pickle.dumps(t))
+            assert back == t
+            assert_flags([back])

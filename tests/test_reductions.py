@@ -1,8 +1,12 @@
 """Single-step relations: strategy steps, their complements, and levels."""
 
 import random
+import sys
+from functools import partial
 
 import pytest
+
+import recursive
 
 from essential_rewrite import (
     INFINITY,
@@ -37,7 +41,6 @@ from essential_rewrite.terms import (
     InvalidPositionError,
     Lam,
     Var,
-    is_neutral,
     is_normal,
     is_value,
 )
@@ -118,7 +121,7 @@ def oracle_neg_lo_positions(t, prefix=()):
     if isinstance(t, App):
         if isinstance(t.fun, Lam):
             out.update(prefix + ("L", "B") + q for q in oracle_beta_redexes(t.fun.body))
-        if not is_neutral(t.fun):
+        if not recursive.is_neutral(t.fun):
             out.update(prefix + ("R",) + q for q in oracle_beta_redexes(t.arg))
         out.update(oracle_neg_lo_positions(t.fun, prefix + ("L",)))
         out.update(oracle_neg_lo_positions(t.arg, prefix + ("R",)))
@@ -230,10 +233,16 @@ class TestRedexEnumeration:
         # each row's inessential redexes, in preorder, without repeats
         head, weak, lo = (SYSTEMS[s] for s in (SystemId.HEAD, SystemId.WEAK_CBV, SystemId.LO))
         args, nested = _nested_args(200), _nested_lo(200)
-        for t in terms_up_to(8) + random_samples() + [args, nested]:
-            assert head.neg_positions(t) == sorted(oracle_neg_head_positions(t))
-            assert weak.neg_positions(t) == sorted(oracle_neg_weak_positions(t))
-            assert lo.neg_positions(t) == sorted(oracle_neg_lo_positions(t))
+        old_limit = sys.getrecursionlimit()
+        # the LO oracle's neutrality test recurses below its own frames
+        sys.setrecursionlimit(5_000)
+        try:
+            for t in terms_up_to(8) + random_samples() + [args, nested]:
+                assert head.neg_positions(t) == sorted(oracle_neg_head_positions(t))
+                assert weak.neg_positions(t) == sorted(oracle_neg_weak_positions(t))
+                assert lo.neg_positions(t) == sorted(oracle_neg_lo_positions(t))
+        finally:
+            sys.setrecursionlimit(old_limit)
         # every argument redex of x (I x)... is inessential for head, and
         # every I y of the nested shape for leftmost-outermost
         assert len(head.neg_positions(args)) == len(lo.neg_positions(nested)) == 200
@@ -357,6 +366,45 @@ class TestLeftmostOutermost:
             lo = {s.position for s, _ in lo_steps(t)}
             neg = {s.position for s, _ in neg_lo_steps(t)}
             assert neg == set(beta_redexes(t)) - lo
+
+
+def _child_reads(call, *args):
+    """`call(*args)`, and how many child nodes it read: each read of an
+    application's `fun` or `arg`, or of an abstraction's `body`, counts."""
+    count = [0]
+
+    def counting(slot, node):
+        count[0] += 1
+        return slot.__get__(node)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, attr in ((App, "fun"), (App, "arg"), (Lam, "body")):
+            patch.setattr(cls, attr, property(partial(counting, cls.__dict__[attr])))
+        result = call(*args)
+    return result, count[0]
+
+
+class TestLeftmostCost:
+    """LO `positions` reads each node a bounded number of times: the
+    neutrality test at each argument side reads a flag, where it used to
+    walk the whole function side, which made the search quadratic in depth.
+    (`neg_positions` stays quadratic: the positions it returns are.)"""
+
+    def test_nested_shape_reads_linearly_many_nodes(self):
+        lo = SYSTEMS[SystemId.LO]
+        reads = {}
+        for n in (800, 3200):
+            t = _nested_lo(n)
+            got, reads[n] = _child_reads(lo.positions, t)
+            old_limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(20_000)  # the oracle takes a frame per node
+            try:
+                assert got == [recursive.leftmost_outermost(t)]
+            finally:
+                sys.setrecursionlimit(old_limit)
+        # the walks of the function sides read about 16 times as many nodes
+        # at 3200 deep as at 800
+        assert reads[800] > 800 and reads[3200] <= 4 * reads[800]
 
 
 class TestLeastLevel:
