@@ -51,7 +51,6 @@ from .terms import (
     InvalidPositionError,
     ParseError,
     Position,
-    Term,
     format_position,
     parse,
     parse_position,
@@ -291,22 +290,6 @@ def _write_reduce_json(write, start: str, system: str, kind: StepKind, steps,
     write(f',\n  "outcome": {dumps(outcome.value)}\n}}\n')
 
 
-def _renderer():
-    """`show` that renders each term once.  A command's JSON payload and its
-    text lines share the strings; reducts can be large, so rendering
-    dominates a long trace."""
-    # keyed by identity; each entry keeps its term alive, so ids stay unique
-    texts: dict[int, tuple[Term, str]] = {}
-
-    def render(t: Term) -> str:
-        entry = texts.get(id(t))
-        if entry is None:
-            entry = texts[id(t)] = (t, show(t))
-        return entry[1]
-
-    return render
-
-
 def _read_sequence_file(path: str) -> tuple:
     """Sequence files: first line a term, then one `pos <path>` line per step,
     with <path> a dot-separated string of L|R|B (omitted or `root` for the
@@ -345,12 +328,15 @@ def cmd_factorize(args) -> int:
             raise InvalidTraceError(f"line {line_numbers[exc.index]}: {exc}") from exc
         raise
     result = factorize(trace, system)
-    render = _renderer()
-    payload = result.to_json(render)
-    lines = [f"input: {render(term)} ({len(trace.steps)} steps)", "essential prefix:"]
-    lines += [_step_line(s, render(u)) for s, u in result.essential.steps] or ["  (empty)"]
-    lines.append("inessential suffix:")
-    lines += [_step_line(s, render(u)) for s, u in result.inessential.steps] or ["  (empty)"]
+    payload = result.to_json()
+
+    def step_lines(part: str) -> list[str]:
+        steps = zip(getattr(result, part).steps, payload[part]["steps"])
+        return [_step_line(s, data["term"]) for (s, _), data in steps] or ["  (empty)"]
+
+    lines = [f"input: {payload['essential']['start']} ({len(trace.steps)} steps)",
+             "essential prefix:", *step_lines("essential"),
+             "inessential suffix:", *step_lines("inessential")]
     _emit(args, payload, lines)
     return 0
 
@@ -361,16 +347,17 @@ def cmd_level(args) -> int:
     ll = SYSTEMS[SystemId.LEAST_LEVEL]
     steps = sorted(ll.essential_steps(term) + ll.inessential_steps(term),
                    key=lambda step: step[0].position)
-    render = _renderer()
+    text = show(term)
+    texts = [show(u) for _, u in steps]
     payload = {
-        "term": render(term),
+        "term": text,
         "least_level": level_json(level),
-        "steps": steps_to_json(steps, render),
+        "steps": steps_to_json(steps, texts),
     }
-    lines = [f"least level of {render(term)}: {level}"]
-    for s, u in steps:
+    lines = [f"least level of {text}: {level}"]
+    for (s, _), reduct in zip(steps, texts):
         lines.append(f"  level {s.level} @ {format_position(s.position)} [{s.kind.value}] "
-                     f"-> {render(u)}")
+                     f"-> {reduct}")
     _emit(args, payload, lines)
     return 0
 

@@ -26,7 +26,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .enumeration import EnumSpec, enumerate_terms, random_term
 from .graphs import explore
@@ -70,6 +70,7 @@ from .reductions import (
 )
 from .terms import (
     InvalidPositionError,
+    Lam,
     Position,
     Term,
     alpha_eq,
@@ -80,6 +81,7 @@ from .terms import (
     is_normal,
     is_value,
     show,
+    show_steps,
     substitute,
 )
 
@@ -248,8 +250,15 @@ class Trace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def to_json(self, render: Callable[[Term], str] = show) -> dict:
-        return {"start": render(self.start), "steps": steps_to_json(self.steps, render)}
+    def texts(self) -> Iterator[str]:
+        """`show` of the start, then of each step's reduct, each printed by
+        `show_steps`: a reduct that replaces only the subterm at its step's
+        position is spliced into the text before it."""
+        return show_steps(self.start, [(step.position, u) for step, u in self.steps])
+
+    def to_json(self) -> dict:
+        start, *texts = self.texts()
+        return {"start": start, "steps": steps_to_json(self.steps, texts)}
 
 
 @dataclass
@@ -269,14 +278,14 @@ class Factorization:
             if step.kind is not StepKind.INESSENTIAL:
                 raise InvalidTraceError("suffix contains a non-inessential step")
 
-    def to_json(self, render: Callable[[Term], str] = show) -> dict:
-        return {"essential": self.essential.to_json(render),
-                "inessential": self.inessential.to_json(render)}
+    def to_json(self) -> dict:
+        return {"essential": self.essential.to_json(),
+                "inessential": self.inessential.to_json()}
 
 
-def steps_to_json(steps: list[tuple[Step, Term]], render: Callable[[Term], str]) -> list[dict]:
-    """Each step's JSON with its reduct rendered by `render`."""
-    return [dict(step.to_json(), term=render(term)) for step, term in steps]
+def steps_to_json(steps: list[tuple[Step, Term]], texts: list[str]) -> list[dict]:
+    """Each step's JSON with its reduct's text, `texts` in the order of `steps`."""
+    return [dict(step.to_json(), term=text) for (step, _), text in zip(steps, texts)]
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +418,9 @@ def factorize(trace: Trace, sys) -> Factorization:
     for d in residuals:
         if not alpha_eq(d.source, current):
             raise InvalidTraceError("inessential remainder does not compose")
-        for pos in realize(d):
-            nxt = step_at(current, pos, system.base)
-            i_steps.append((system.make_step(current, pos), nxt))
-            current = nxt
+        expanded = trace_from_positions(current, realize(d), system)
+        i_steps += expanded.steps
+        current = expanded.end
     result = Factorization(essential, Trace(middle, i_steps))
     if not alpha_eq(result.inessential.end, trace.end):
         raise InvalidTraceError("factorization changed the endpoint")
@@ -704,6 +712,8 @@ def check_normalization(sys, size_bound: int = 8, fuel: int = 1000,
     Budget hits (the first one is reported, with how many terms hit one) and
     sweeps where no term is relevant yield INCONCLUSIVE, not PASS.
     """
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
     system = get_system(sys)
     spec = EnumSpec(max_size=size_bound, closed_only=system.closed_only)
     return _sweep("normalization", system, spec,
@@ -838,6 +848,8 @@ def check_subst_index(flavor: Flavor, samples: int = 500, seed: int = 0,
         raise UnsupportedPropertyError("substitutivity indexes exist for CBN and CBV")
     if max_size < SUBST_INDEX_MIN_SIZE:
         raise ValueError(f"max_size must be at least {SUBST_INDEX_MIN_SIZE}, got {max_size}")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     rng = random.Random(seed)
     spec = EnumSpec(max_size=max_size)
     checked = 0
@@ -880,6 +892,5 @@ def _random_substituend(rng: random.Random, flavor: Flavor, spec: EnumSpec,
                         max_size: int) -> Term:
     s = random_term(rng.randrange(2 ** 30), rng.randint(2, max_size - 1), spec)
     if flavor is Flavor.CBV and not is_value(s):
-        from .terms import Lam
         s = Lam(s, "v")  # dangling-free wrapper: any abstraction is a value
     return s

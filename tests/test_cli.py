@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from conftest import OMEGA, terms_up_to
-from essential_rewrite import cli, engine, reductions
+from essential_rewrite import cli, engine, reductions, terms
 from essential_rewrite.cli import main
 from essential_rewrite.engine import SYSTEMS, Outcome, factorize, trace_from_positions
 from essential_rewrite.reductions import INFINITY, Base, Step, StepKind, SystemId, Walk
@@ -387,12 +387,20 @@ class TestFactorize:
         assert result.to_json()["inessential"]["start"] == show(result.essential.end)
 
     @pytest.mark.parametrize("output", ["text", "json"])
-    def test_renders_each_term_once(self, capsys, tmp_path, show_calls, output):
+    def test_renders_each_term_once(self, capsys, tmp_path, monkeypatch, output):
         path = self.write(tmp_path, [r"(\z.z) (x ((\z.z) (\z.z)))", "pos R.R", "pos"])
+        calls = [0]
+        emitter = terms._emitter
+
+        def counting_emitter(*args):
+            calls[0] += 1
+            return emitter(*args)
+
+        monkeypatch.setattr(terms, "_emitter", counting_emitter)
         code, _, _ = run(capsys, "factorize", path, "--system", "head", "--output", output)
         assert code == 0
-        # the start term and the two reducts
-        assert len(show_calls) == 3
+        # each part's start rendered whole, and each of the two steps' reducts
+        assert calls[0] == 4
 
 
 class TestLevel:

@@ -1083,6 +1083,12 @@ class TestCheckNormalization:
         report = check_normalization(system, size_bound=size, fuel=200, node_budget=4000)
         assert (report.result, report.checked_count) == ("PASS", count)
 
+    @pytest.mark.parametrize("fuel", [0, -3])
+    def test_fuel_below_one_rejected(self, fuel):
+        # as `normalize` does: no sweep runs on fuel that allows no step
+        with pytest.raises(ValueError, match="fuel must be positive"):
+            check_normalization(LO, size_bound=4, fuel=fuel)
+
     def test_nothing_relevant_is_inconclusive(self):
         # no closed term has size 1, so the weak CbV theorem is never exercised
         report = check_normalization(WCBV, size_bound=1)
@@ -1194,6 +1200,10 @@ class TestCheckSubstIndex:
     def test_no_samples_is_inconclusive(self):
         report = check_subst_index(Flavor.CBN, samples=0)
         assert (report.result, report.checked_count) == ("INCONCLUSIVE", 0)
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be at least 0"):
+            check_subst_index(Flavor.CBN, samples=-1)
 
     def test_size_below_sampled_sizes_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):

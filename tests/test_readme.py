@@ -2,6 +2,9 @@
 
 import pathlib
 import re
+import shlex
+
+from essential_rewrite import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +19,24 @@ def test_library_quick_tour():
     exec("\n".join(body), namespace)
     assert expression.strip().startswith("least_level(")
     assert eval(expression, namespace) == int(comment) == 1
+
+
+def test_cli_examples(capsys, monkeypatch, tmp_path):
+    """Each line of the CLI block runs in-process and exits 0, or with the
+    code its `# exit N` comment names; `sequence.txt` is the sequence file
+    the README shows."""
+    text = README.read_text()
+    section = text[text.index("## CLI"):]
+    lines = re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1).splitlines()
+    sequence = re.search(r"Sequence files for `factorize`.*?```\n(.*?)```",
+                         section, re.DOTALL).group(1)
+    (tmp_path / "sequence.txt").write_text(sequence)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    assert lines
+    for line in lines:
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "essential-rewrite"
+        expected = re.search(r"#\s*exit (\d+)", line)
+        assert cli.main(argv) == (int(expected.group(1)) if expected else 0), line
+        capsys.readouterr()
