@@ -13,13 +13,14 @@ about such systems executable:
   followed by inessential ones by iterating merge and split,
 * `normalize` runs a strategy to its (essential) normal form,
 * `check_property` / `check_normalization` sweep every term up to a size
-  bound through one loop, serial or over a process pool, and report the
-  first counterexample, if any; a sweep that met no relevant term, or an
-  inconclusive one, is INCONCLUSIVE.
+  bound through one loop (`check_property` serial or over a process pool)
+  and report the first counterexample, if any; a sweep that met no
+  relevant term, or an inconclusive one, is INCONCLUSIVE.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from collections import deque
 from contextlib import nullcontext
@@ -675,6 +676,9 @@ def _sweep(prop: str, system: EssentialSystem, spec: EnumSpec, check, workers: i
     else:
         # imported here: at module level it would slow every CLI start several-fold
         from concurrent.futures import ProcessPoolExecutor
+        # the pool forks all its processes at its first task, each a copy of
+        # this one holding every term: at most one per CPU
+        workers = min(workers, os.cpu_count() or 1)
         pool = ProcessPoolExecutor(workers)
         run = partial(pool.map, chunksize=max(1, len(terms) // (workers * 8)))
     checked, inconclusive, reason = 0, 0, None
@@ -714,6 +718,8 @@ def check_normalization(sys, size_bound: int = 8, fuel: int = 1000,
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    if node_budget <= 0 or depth_budget <= 0:
+        raise ValueError("budgets must be positive")
     system = get_system(sys)
     spec = EnumSpec(max_size=size_bound, closed_only=system.closed_only)
     return _sweep("normalization", system, spec,
@@ -722,30 +728,23 @@ def check_normalization(sys, size_bound: int = 8, fuel: int = 1000,
 
 def _normalization_verdict(system: EssentialSystem, fuel: int, node_budget: int,
                            depth_budget: int, t: Term):
-    """`_check_normalization_one` as a verdict of `_sweep`."""
+    """`_check_normalization_on_graph` as a verdict of `_sweep`, with no
+    graph for a base-normal `t`: that is its own whole graph, so it is
+    relevant and its one maximal sequence is empty."""
     try:
-        relevant, failure = _check_normalization_one(system, t, fuel, node_budget, depth_budget)
+        # the walk stops at the first redex rather than list them all
+        if system.base_normal(t):
+            return None if system.terminal(t) else _halts_badly(system.name, t, t)
+        return _check_normalization_on_graph(system, t, fuel, node_budget, depth_budget)
     except _Inconclusive as stop:
         return stop
-    return failure if relevant else False
-
-
-def _check_normalization_one(system: EssentialSystem, t: Term, fuel: int,
-                             node_budget: int, depth_budget: int):
-    """`_check_normalization_on_graph`, with no graph for a base-normal `t`:
-    that is its own whole graph, so it is relevant and its one maximal
-    sequence is empty."""
-    # budgets below 1 go on to `explore`, which rejects them; the walk stops
-    # at the first redex rather than list them all
-    if node_budget > 0 and depth_budget > 0 and system.base_normal(t):
-        return True, None if system.terminal(t) else _halts_badly(system.name, t, t)
-    return _check_normalization_on_graph(system, t, fuel, node_budget, depth_budget)
 
 
 def _check_normalization_on_graph(system: EssentialSystem, t: Term, fuel: int,
                                   node_budget: int, depth_budget: int):
     """The rule of `check_normalization` for `t`, read off its explored base
-    graph: whether `t` is relevant, and a failure message or None."""
+    graph, as a verdict of `_sweep`: False when `t` is not relevant, else a
+    failure message or None.  A cut-off search raises `_Inconclusive`."""
     graph = explore(t, system.base, node_budget=node_budget, depth_budget=depth_budget)
     # on a whole graph a node without out-edges is normal, so essential-normal
     whole = not graph.truncated
@@ -755,7 +754,7 @@ def _check_normalization_on_graph(system: EssentialSystem, t: Term, fuel: int,
             # an essential-normal term may lie beyond the cut
             raise _Inconclusive(f"{system.base.value} graph search hit a budget "
                                 "before an essential-normal term")
-        return False, None
+        return False
 
     def successors(u: Term) -> list[Term]:
         # a whole graph's edges hold every base step of u in preorder, the
@@ -764,8 +763,7 @@ def _check_normalization_on_graph(system: EssentialSystem, t: Term, fuel: int,
             return [v for _, v in system.essential_steps(u)]
         essential = set(system.positions(u))
         return [v for step, v in graph.edges[u] if step.position in essential]
-    return True, _uniform_terminal(t, successors, system.terminal, fuel, node_budget,
-                                   system.name)
+    return _uniform_terminal(t, successors, system.terminal, fuel, node_budget, system.name)
 
 
 def _uniform_terminal(t: Term, successors, terminal_ok, fuel: int, budget: int, what: str):

@@ -769,18 +769,15 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
     env_ids: dict[tuple[int, str], int] = {}  # (outer environment, name) -> id
     new_ids = count(1)  # 0 is the empty environment
     tracked: frozenset[str] = frozenset()  # holds every free name of the term
-    # for each depth of the last step's path: the node, where its text starts
-    # (after any parentheses its parent adds), how many characters follow it,
-    # the id of its environment, and how many binders above it have a name
-    # chosen against the free names of their bodies.  Above the last step
-    # the nodes are stale: each has the constructor and hint of the term's
-    # node there, and its children off the path are the term's, but its
-    # child on the path may be one that a step has since replaced.
-    nodes: list[Term] = []
-    starts: list[int] = []
-    afters: list[int] = []
-    envs: list[int] = []
-    avoiding: list[int] = []
+    # one frame for each depth of the last step's path: (the node, where its
+    # text starts after any parentheses its parent adds, how many characters
+    # follow it, the id of its environment, how many binders above it have a
+    # name chosen against the free names of their bodies).  Above the last
+    # step the nodes are stale: each has the constructor and hint of the
+    # term's node there, and its children off the path are the term's, but
+    # its child on the path may be one that a step has since replaced.  Every
+    # parenthesis counted on the way down is read from `_in_parens`.
+    frames: list[tuple[Term, int, int, int, int]] = []
 
     def width(u: Term, env_id: int) -> int:
         return _measure(u, env, in_scope, tracked, env_id, widths, env_ids, new_ids)
@@ -790,7 +787,7 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
         tracked = free_names(whole)
         env.clear()
         in_scope.clear()
-        nodes[:], starts[:], afters[:], envs[:], avoiding[:] = [whole], [0], [0], [0], [0]
+        frames[:] = [(whole, 0, 0, 0, 0)]
         out: list[str] = []
         _emitter(out, env, in_scope, tracked)(whole)
         return "".join(out)
@@ -810,30 +807,27 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
                 c, common = 0, min(k, c)
                 while c < common and pos[c] == path[c]:
                     c += 1
-            node, s, a, env_id, n_avoiding = nodes[c], starts[c], afters[c], envs[c], avoiding[c]
+            node, s, a, env_id, n_avoiding = frames[c]
             side = None
             if c < len(path):
                 # The last path goes on below depth c, so the node there may
                 # be stale: rebuild it from the last step's subterm up.
-                child = nodes[-1]
+                child = frames[-1][0]
                 for i in range(len(path) - 1, c, -1):
-                    child = plug(nodes[i], path[i], child)
+                    child = plug(frames[i][0], path[i], child)
                 node = plug(node, path[c], child)
                 if c < k:
                     # The new path parts from the last one here, passing the
                     # child the last path took: read its width off the text
                     # rather than render the rebuilt child again.
-                    side = child, len(text) - afters[c + 1] - starts[c + 1]
+                    _, child_start, child_after, _, _ = frames[c + 1]
+                    side = child, len(text) - child_after - child_start
             binders = pos[:c].count(BODY)
             for name in env[binders:]:
                 in_scope.discard(name)
-            del env[binders:], nodes[c:], starts[c:], afters[c:], envs[c:], avoiding[c:]
+            del env[binders:], frames[c:]
             for i in range(c, k):
-                nodes.append(node)
-                starts.append(s)
-                afters.append(a)
-                envs.append(env_id)
-                avoiding.append(n_avoiding)
+                frames.append((node, s, a, env_id, n_avoiding))
                 tag = pos[i]
                 if tag == BODY:
                     name = node.hint or "x"
@@ -856,19 +850,15 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
                     node = node.body
                 elif tag == LEFT:
                     arg, w = side or (node.arg, width(node.arg, env_id))
-                    kind = type(arg)
-                    a += w + (3 if kind is Lam or kind is App else 1)
-                    if type(node.fun) is Lam:
-                        s += 1
-                        a += 1
+                    p = _in_parens(node.fun, LEFT)
+                    s += p
+                    a += p + 1 + w + 2 * _in_parens(arg, RIGHT)
                     node = node.fun
                 else:
                     fun, w = side or (node.fun, width(node.fun, env_id))
-                    s += w + (3 if type(fun) is Lam else 1)
-                    kind = type(node.arg)
-                    if kind is Lam or kind is App:
-                        s += 1
-                        a += 1
+                    p = _in_parens(node.arg, RIGHT)
+                    s += 2 * _in_parens(fun, LEFT) + w + 1 + p
+                    a += p
                     node = node.arg
                 side = None
             old = node
@@ -877,25 +867,18 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
             tag = pos[-1] if pos else BODY  # the root, like a body, takes no parentheses
             was, now = _in_parens(old, tag), _in_parens(new, tag)
             lo, hi = s - was, len(text) - a + was
+            # a contracted redex's argument keeps its old text where the
+            # reduct holds the same object in the same environment; with no
+            # argument (None) no subterm is shared
+            arg = old.arg if type(old) is App else None
+            end = hi - was - _in_parens(arg, RIGHT)
             out = ["("] if now else []
-            if type(old) is App:
-                # a contracted redex's argument keeps its old text where the
-                # reduct holds the same object in the same environment
-                arg = old.arg
-                kind = type(arg)
-                end = hi - was - (kind is Lam or kind is App)
-                _emitter(out, env, in_scope, tracked, arg,
-                         lambda: text[end - width(arg, env_id):end])(new)
-            else:
-                _emitter(out, env, in_scope, tracked)(new)
+            _emitter(out, env, in_scope, tracked, arg,
+                     lambda: text[end - width(arg, env_id):end])(new)
             if now:
                 out.append(")")
             text = text[:lo] + "".join(out) + text[hi:]
-            nodes.append(new)
-            starts.append(lo + now)
-            afters.append(a - was + now)
-            envs.append(env_id)
-            avoiding.append(n_avoiding)
+            frames.append((new, lo + now, a - was + now, env_id, n_avoiding))
             path = pos
             # more widths than characters: most are of nodes the term lost
             if len(widths) > len(text):

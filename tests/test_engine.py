@@ -610,7 +610,7 @@ class TestSpliceCost:
     """`show_spliced` renders the first term and each step's reduct, and
     nothing else: the siblings it passes are measured, not rendered."""
 
-    @pytest.mark.parametrize("system_id", [HEAD, LO, LL])
+    @pytest.mark.parametrize("system_id", [HEAD, LO, LL, WCBV])
     def test_one_render_per_step(self, monkeypatch, system_id):
         calls = [0]
         emitter = terms._emitter
@@ -620,7 +620,10 @@ class TestSpliceCost:
             return emitter(*args)
 
         monkeypatch.setattr(terms, "_emitter", counting_emitter)
-        t = p(f"{_church(6)} {_church(2)}")
+        # c6 c2 takes one weak CbV step; applied to two identities, as in the
+        # reduce-church ladders, it takes 135
+        tail = r" (\z.z) (\z.z)" if system_id is WCBV else ""
+        t = p(f"{_church(6)} {_church(2)}{tail}")
         stream = SYSTEMS[system_id].walk.steps(t, 100_000)
         texts = list(show_spliced(t, stream, stream.root))
         assert not stream.exhausted and len(texts) > 1
@@ -1047,6 +1050,33 @@ class TestCheckProperty:
         with pytest.raises(ValueError, match="workers must be positive"):
             check_property("persistence", LO, size_bound=2, workers=workers)
 
+    # the pool forks all its processes at once, so it starts no more than
+    # there are CPUs; a serial stand-in records how many it was asked for
+    @pytest.mark.parametrize("cpus, workers, started", [(3, 5000, 3), (None, 8, 1), (4, 2, 2)],
+                             ids=["capped", "cpu-count-unknown", "below-cpus"])
+    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch, cpus, workers, started):
+        import concurrent.futures
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        report = check_property("persistence", LO, size_bound=5, workers=workers)
+        assert sizes == [started]
+        assert report.to_json() == check_property("persistence", LO, size_bound=5).to_json()
+
     # one loop reads every verdict, whether the checks ran here or in workers
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("texts, result, checked, reason", [
@@ -1160,7 +1190,7 @@ class TestCheckNormalization:
         assert (report.result, report.counterexample) == ("FAIL", failure)
 
     # a base-normal term skips its graph: the rule read off the graph must
-    # say the same, and budgets `explore` rejects are still rejected
+    # give the same verdict, and budgets `explore` rejects are still rejected
     @pytest.mark.parametrize("system", [HEAD, LO, LL, WCBV])
     def test_base_normal_terms_agree_with_their_graphs(self, system):
         row = SYSTEMS[system]
@@ -1170,14 +1200,24 @@ class TestCheckNormalization:
         for r in (row, rejecting):
             for t in normal:
                 for budgets in ((1000, 20000, 64), (1, 1, 1)):
-                    assert (engine._check_normalization_one(r, t, *budgets)
+                    assert (engine._normalization_verdict(r, *budgets, t)
                             == engine._check_normalization_on_graph(r, t, *budgets))
-        bad = engine._check_normalization_one(rejecting, normal[0], 1000, 20000, 64)
-        assert bad == (True, f"{row.name} reduction from {show(normal[0])} halts at the "
-                             f"bad term {show(normal[0])}")
-        for budgets in ((1000, 0, 64), (1000, 20000, 0)):
+        bad = engine._normalization_verdict(rejecting, 1000, 20000, 64, normal[0])
+        assert bad == (f"{row.name} reduction from {show(normal[0])} halts at the "
+                       f"bad term {show(normal[0])}")
+        for budgets in ({"node_budget": 0}, {"depth_budget": 0}):
             with pytest.raises(ValueError, match="budgets must be positive"):
-                engine._check_normalization_one(row, normal[0], *budgets)
+                check_normalization(system, **budgets)
+
+    @pytest.mark.parametrize("budgets", [{"node_budget": 0}, {"depth_budget": -1}],
+                             ids=["nodes", "depth"])
+    def test_bad_budget_rejected_before_any_term(self, monkeypatch, budgets):
+        def enumerate_terms(spec):
+            raise AssertionError("a term was enumerated")
+
+        monkeypatch.setattr(engine, "enumerate_terms", enumerate_terms)
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            check_normalization(LO, **budgets)
 
     def test_one_inconclusive_term(self, monkeypatch):
         term = p(r"(\x.x) ((\x.x) x)")
