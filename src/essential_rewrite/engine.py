@@ -20,10 +20,11 @@ about such systems executable:
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, partial
@@ -36,6 +37,7 @@ from .parallel import (
     FlavorMismatchError,
     InvalidSelectionError,
     ParDerivation,
+    _derivation_table,
     _derive,
     _node_at,
     all_parallel_steps,
@@ -385,6 +387,21 @@ def merge(d: ParDerivation, e: tuple[Step, Term], sys) -> ParDerivation:
 # Factorization
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for the block, then restore the
+    caller's setting.  Term nodes never form cycles, so the collections a
+    long run of allocations triggers would find nothing to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def factorize(trace: Trace, sys) -> Factorization:
     """Rearrange a base-step sequence into essential then inessential steps.
 
@@ -392,7 +409,8 @@ def factorize(trace: Trace, sys) -> Factorization:
     pushed to the right over the essential steps after it: merging with the
     next essential step and splitting the result moves essential work to the
     front while leaving a smaller inessential remainder.  The remainders are
-    finally expanded back into single inessential steps.
+    finally expanded back into single inessential steps.  The cyclic garbage
+    collector is paused while it runs.
     """
     system = get_system(sys)
     items = _lift(trace, system)
@@ -474,12 +492,14 @@ def trace_from_positions(start: Term, positions: list[Position], sys) -> Trace:
 # Normalization
 
 
+@_collector_paused()
 def normalize(t: Term, sys, fuel: int = 1000) -> tuple[Trace, Outcome]:
     """Run the essential strategy until it halts or the fuel runs out.
 
     Head and leftmost-outermost are deterministic; for the other systems the
     first step in traversal order is taken (the diamond property makes the
-    choice irrelevant for termination and length).
+    choice irrelevant for termination and length).  The cyclic garbage
+    collector is paused while it runs: the trace keeps every step's term.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -667,7 +687,9 @@ def _sweep(prop: str, system: EssentialSystem, spec: EnumSpec, check, workers: i
     """Report on `check(t)` for every term `spec` enumerates: None passes
     `t`, a message fails it, False skips it as irrelevant and an
     `_Inconclusive` counts it as cut off.  With `workers > 1` a process pool
-    runs the checks, so `check` and its verdicts must pickle."""
+    runs the checks, so `check` and its verdicts must pickle.  The loop runs
+    in a derivation table (see `parallel`), so the parallel steps of a
+    subterm that terms share are built once; it is gone on every exit."""
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     terms = list(enumerate_terms(spec))
@@ -682,7 +704,7 @@ def _sweep(prop: str, system: EssentialSystem, spec: EnumSpec, check, workers: i
         pool = ProcessPoolExecutor(workers)
         run = partial(pool.map, chunksize=max(1, len(terms) // (workers * 8)))
     checked, inconclusive, reason = 0, 0, None
-    with pool:
+    with pool, _derivation_table():
         # only this loop holds the verdicts: leaving it at a failure drops
         # them, which cancels the chunks no worker has started
         for t, verdict in zip(terms, run(check, terms)):

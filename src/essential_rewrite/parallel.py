@@ -12,10 +12,24 @@ Three flavours share the tree shape and differ in the index decoration:
   steps, the argument steps once per surviving binder occurrence, plus one.
 * LEVELED: the index is the least level among the contracted redexes
   (infinite when nothing is contracted).
+
+A sweep (`engine._sweep`) opens a derivation table for its length, so that
+a subterm the enumerator shares between terms has its parallel steps built
+once per sweep rather than once per term holding it.  Entries are keyed by
+the subterm's id: each holds derivations whose source is that subterm, so
+the subterm stays alive while the table does and no id is reused, and no
+term is hashed or compared.  `all_parallel_steps` reads and fills it;
+`_derive` reads identity derivations from it.  Only application children
+get entries (the argument, the function side, and a redex's body): the
+enumerator builds applications as products of shared lists, but gives each
+other body exactly one abstraction, whose entry would never be read again.
+Outside a sweep there is no table.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from enum import Enum
 from itertools import islice
 from typing import Iterable, Iterator
@@ -148,6 +162,27 @@ def _beta(flavor: Flavor, t: App, body: ParDerivation, arg: ParDerivation) -> Pa
                          instantiate(body.target, arg.target), index)
 
 
+# The sweep's derivation tables, one per (flavour, cap), each a dict from a
+# subterm's id to the first `cap` steps from it; None outside a sweep.
+_TABLES: ContextVar[dict | None] = ContextVar("_TABLES", default=None)
+_STEP_CAP = 2 ** 14
+
+
+@contextmanager
+def _derivation_table():
+    """Share the parallel steps of shared subterms until the block exits."""
+    token = _TABLES.set({})
+    try:
+        yield
+    finally:
+        _TABLES.reset(token)
+
+
+def _table(flavor: Flavor, cap: int) -> dict[int, list[ParDerivation]] | None:
+    tables = _TABLES.get()
+    return None if tables is None else tables.setdefault((flavor, cap), {})
+
+
 def derive(t: Term, selection: Iterable[Position], flavor: Flavor) -> ParDerivation:
     """The unique derivation from `t` contracting exactly `selection`.
 
@@ -181,11 +216,17 @@ def _derive(t: Term, sel: Iterable[Position], flavor: Flavor) -> ParDerivation:
     # side, a body) and `pending` holds each second child with its trie.
     # Taken in reverse, the nodes come after their children, whose
     # derivations are then the last ones built, the first child's on top.
-    nodes: list[Term | None] = []
+    # In a sweep, an unselected subterm with steps in the table stands in
+    # the list as its identity derivation, the first of those steps.
+    shared = _table(flavor, _STEP_CAP)
+    nodes: list[Term | ParDerivation | None] = []
     pending = [(t, trie)]
     while pending:
         u, trie = pending.pop()
         while True:
+            if shared is not None and trie is None and id(u) in shared:
+                nodes.append(shared[id(u)][0])
+                break
             nodes.append(u)
             kind = type(u)
             if trie is not None and None in trie:
@@ -214,7 +255,7 @@ def _derive(t: Term, sel: Iterable[Position], flavor: Flavor) -> ParDerivation:
         elif u is None:
             contracted = True
         else:
-            built.append(_var(flavor, u))
+            built.append(u if kind is ParDerivation else _var(flavor, u))
     return built[0]
 
 
@@ -249,14 +290,15 @@ def _node_at(d: ParDerivation, pos: Position) -> ParDerivation:
     return d
 
 
-def all_parallel_steps(t: Term, flavor: Flavor, cap: int = 2 ** 14) -> Iterator[ParDerivation]:
+def all_parallel_steps(t: Term, flavor: Flavor, cap: int = _STEP_CAP) -> Iterator[ParDerivation]:
     """Every parallel step from t, as derivations, capped at `cap` of them.
 
     Selections come in the order of bit masks over the redex list in
     traversal order, so the identity derivation comes first: the root
     redex's bit varies fastest, then the body's or the function's bits, then
     the argument's.  Each subterm's derivations are built once and shared by
-    every step that contains them.
+    every step that contains them, and in a sweep by every term that
+    contains the subterm's object.
     """
     return islice(_combine(t, flavor, cap), cap)
 
@@ -265,24 +307,35 @@ def _combine(t: Term, flavor: Flavor, cap: int) -> Iterator[ParDerivation]:
     # The first `cap` steps of each subterm below `t` that its steps are
     # made of, listed children first (the reverse of a preorder) in
     # `steps`, by the subterm's id: a subterm object met twice is listed once.
-    order: list[Term] = []
-    pending = [t]
+    # In a sweep, the steps of each application child (an argument, a
+    # function side, a redex's body) come from the table if they are there,
+    # and the child is not walked, else they go into it.  Other bodies do
+    # not: the enumerator gives each body one abstraction, so their entries
+    # would not be read again.
+    shared = _table(flavor, cap)
+    steps: dict[int, list[ParDerivation]] = {}
+    order: list[tuple[Term, bool]] = []
+    pending = [(t, False)]
     while pending:
-        u = pending.pop()
-        order.append(u)
+        u, child = pending.pop()
+        if child and shared is not None and id(u) in shared:
+            steps[id(u)] = shared[id(u)]
+            continue
+        order.append((u, child))
         kind = type(u)
         if kind is Lam:
-            pending.append(u.body)
+            pending.append((u.body, False))
         elif kind is App:
             fun = u.fun
             # an abstraction in function position is built from its body's
             # steps, as the redex needs them
-            pending.append(fun.body if type(fun) is Lam else fun)
-            pending.append(u.arg)
-    steps: dict[int, list[ParDerivation]] = {}
-    for u in reversed(order[1:]):
+            pending.append((fun.body if type(fun) is Lam else fun, True))
+            pending.append((u.arg, True))
+    for u, child in reversed(order[1:]):
         if id(u) not in steps:
             steps[id(u)] = list(islice(_steps_over(u, flavor, steps), cap))
+        if child and shared is not None:
+            shared[id(u)] = steps[id(u)]
     yield from _steps_over(t, flavor, steps)
 
 
@@ -317,7 +370,11 @@ def _steps_over(t: Term, flavor: Flavor, steps) -> Iterator[ParDerivation]:
 
 
 def sequential_index(d: ParDerivation) -> int:
-    """The CBN/CBV-style index of any derivation tree, whatever its flavour."""
+    """The CBN/CBV-style index of any derivation tree, whatever its flavour:
+    a CBN or CBV tree's own index, which its builders sum bottom-up, and
+    for a LEVELED tree the same sum, counted by a walk."""
+    if d.flavor is not _LEVELED:
+        return d.index
     # Each contracted redex counts once per copy of it the sequentialization
     # makes: its weight, the product of the binder occurrences of the bodies
     # whose arguments hold it.  `pending` holds the second children still to

@@ -2,10 +2,12 @@
 
 import contextlib
 import dataclasses
+import gc
 import json
 import pickle
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,7 +44,7 @@ from essential_rewrite import (
     split,
     trace_from_positions,
 )
-from essential_rewrite import engine, reductions, terms
+from essential_rewrite import engine, parallel, reductions, terms
 from essential_rewrite.engine import (
     NotComposableError,
     NotInessentialError,
@@ -1091,6 +1093,138 @@ class TestCheckProperty:
         report = engine._sweep("probe", SYSTEMS[HEAD], EnumSpec(1), _verdict_by_text, workers)
         assert (report.result, report.checked_count, report.counterexample) == (
             result, checked, reason)
+
+
+def _application_children(t):
+    """The ids of the subterms of `t` that a derivation table keeps: each
+    application's argument, and its function side or, for a redex, the
+    abstraction's body."""
+    kept, pending = set(), [t]
+    while pending:
+        u = pending.pop()
+        if isinstance(u, Lam):
+            pending.append(u.body)
+        elif isinstance(u, App):
+            fun = u.fun.body if isinstance(u.fun, Lam) else u.fun
+            kept.update((id(fun), id(u.arg)))
+            pending += [fun, u.arg]
+    return kept
+
+
+class TestDerivationTable:
+    """A sweep builds the steps of each application child once, in a table
+    that is open for the sweep's loop and gone after it, however it ends."""
+
+    @pytest.mark.parametrize("texts, result", [
+        (["y", "x"], "PASS"), (["y", "x", "w", "z"], "FAIL"), (["x", "z"], "INCONCLUSIVE"),
+    ], ids=["pass", "fail", "inconclusive"])
+    def test_open_for_the_loop_only(self, monkeypatch, texts, result):
+        monkeypatch.setattr(engine, "enumerate_terms", lambda spec: iter(map(p, texts)))
+        tables = []
+
+        def check(t):
+            list(all_parallel_steps(t, Flavor.CBN))
+            tables.append(parallel._TABLES.get())
+            return _verdict_by_text(t)
+
+        report = engine._sweep("probe", SYSTEMS[HEAD], EnumSpec(1), check)
+        assert report.result == result
+        # one table for the whole sweep
+        assert tables and tables[0] and all(table is tables[0] for table in tables)
+        assert parallel._TABLES.get() is None
+
+    def test_gone_after_a_broken_row_fails(self):
+        system = dataclasses.replace(SYSTEMS[HEAD], positions=_no_positions)
+        assert check_property("decomposition", system, size_bound=5).result == "FAIL"
+        assert parallel._TABLES.get() is None
+
+    def test_gone_after_a_check_raises(self, monkeypatch):
+        def raising(system, t):
+            list(all_parallel_steps(t, system.flavor))
+            raise RuntimeError("check broke")
+
+        monkeypatch.setitem(engine.PROPERTY_CHECKS, "split", (raising, tuple(SystemId)))
+        with pytest.raises(RuntimeError, match="check broke"):
+            check_property("split", LO, size_bound=3)
+        assert parallel._TABLES.get() is None
+
+    def test_gone_after_workers(self):
+        multi = check_property("split", LO, size_bound=5, workers=2)
+        assert parallel._TABLES.get() is None
+        assert multi.to_json() == check_property("split", LO, size_bound=5).to_json()
+
+    def test_nested_sweep_restores_the_outer_table(self):
+        with parallel._derivation_table():
+            outer = parallel._TABLES.get()
+            check_property("merge", WCBV, size_bound=4)
+            assert parallel._TABLES.get() is outer
+        assert parallel._TABLES.get() is None
+
+    @pytest.mark.parametrize("system", list(SystemId))
+    def test_each_application_child_built_once(self, monkeypatch, system):
+        roots, calls = [], []
+        combine, steps_over = parallel._combine, parallel._steps_over
+
+        def counting_combine(t, flavor, cap):
+            roots.append(t)
+            yield from combine(t, flavor, cap)
+
+        def counting_steps_over(t, flavor, steps):
+            calls.append((roots[-1], t))
+            return steps_over(t, flavor, steps)
+
+        monkeypatch.setattr(parallel, "_combine", counting_combine)
+        monkeypatch.setattr(parallel, "_steps_over", counting_steps_over)
+        assert check_property("split", system, size_bound=6).result == "PASS"
+        # `calls` keeps every subterm alive, so no id is reused
+        builds = Counter(id(u) for root, u in calls
+                         if u is not root and id(u) in _application_children(root))
+        assert len(builds) > 50 and max(builds.values()) == 1
+
+
+class TestCollectorPaused:
+    """`normalize` and `factorize` pause the cyclic garbage collector and
+    give the caller back its setting on every exit."""
+
+    @pytest.fixture(autouse=True)
+    def restore(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("run", ["normalize", "factorize"])
+    @pytest.mark.parametrize("caller", [True, False], ids=["enabled", "disabled"])
+    def test_paused_while_running(self, monkeypatch, run, caller):
+        t = p(r"(\x.x x) ((\z.z) y)")
+        trace = trace_from_positions(t, [("R",), ()], LO)
+        (gc.enable if caller else gc.disable)()
+        seen = []
+        get = engine.get_system
+        monkeypatch.setattr(engine, "get_system", lambda sys: seen.append(gc.isenabled()) or get(sys))
+        if run == "normalize":
+            normalize(t, LO)
+        else:
+            factorize(trace, LO)
+        assert seen and not any(seen)
+        assert gc.isenabled() is caller
+
+    @pytest.mark.parametrize("caller", [True, False], ids=["enabled", "disabled"])
+    def test_restored_after_a_raise(self, caller):
+        (gc.enable if caller else gc.disable)()
+        with pytest.raises(ValueError, match="fuel"):
+            normalize(p("x"), LO, fuel=0)
+        assert gc.isenabled() is caller
+        with pytest.raises(engine.InvalidTraceError):
+            factorize(Trace(p("x"), [(Step((), StepKind.ESSENTIAL, 0), p("y"))]), LO)
+        assert gc.isenabled() is caller
+
+    def test_nested(self):
+        gc.enable()
+        with engine._collector_paused():
+            with engine._collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
 
 
 class TestCheckNormalization:

@@ -1,7 +1,8 @@
 """Every loop that replaced a recursion on depth agrees with its recursive
 original, kept in `recursive.py`: on all terms up to size 8, on the random
-samples, and on every parallel step of those terms in each flavour.  So does
-every node's `normal` flag, whichever builder made the node."""
+samples, and on every parallel step of those terms in each flavour, within a
+sweep's derivation table too.  So does every node's `normal` flag, whichever
+builder made the node."""
 
 import json
 import pickle
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 import recursive
+from essential_rewrite import parallel
 from essential_rewrite.engine import SYSTEMS
 from essential_rewrite.enumeration import EnumSpec, _exact, enumerate_terms, random_term
 from essential_rewrite.parallel import (
@@ -191,10 +193,33 @@ class TestParallelLoops:
                 sel = selection_of(d)
                 assert same_derivation(derive(t, sel, flavor), recursive.derive(t, sel, flavor))
 
+    def test_steps_in_a_derivation_table(self, steps):
+        # as in a sweep: the first pass fills the table, the second reads it
+        flavor, expected = steps
+        expected = [(t, want) for t, want in expected if size(t) <= 7]
+        with parallel._derivation_table():
+            for _ in range(2):
+                for t, want in expected:
+                    got = list(all_parallel_steps(t, flavor))
+                    assert len(got) == len(want) and all(map(same_derivation, got, want))
+                    assert same_derivation(identity_derivation(t, flavor),
+                                           recursive.identity_derivation(t, flavor))
+                    for d in got:
+                        sel = selection_of(d)
+                        assert same_derivation(derive(t, sel, flavor),
+                                               recursive.derive(t, sel, flavor))
+            (table,) = parallel._TABLES.get().values()
+            # an entry's first step is the identity, which `_derive` reads
+            for key, entry in table.items():
+                assert key == id(entry[0].source)
+                assert identity_derivation(entry[0].source, flavor) is entry[0]
+        assert parallel._TABLES.get() is None
+
     def test_index_positions_and_json(self, steps):
         flavor, expected = steps
         for _, derivations in expected:
             for d in derivations:
+                # the oracle walks the tree, where CBN and CBV read the index
                 assert sequential_index(d) == recursive.sequential_index(d)
                 assert realize(d) == recursive.realize(d)
                 assert sequentialize(d) == recursive.sequentialize(d)
