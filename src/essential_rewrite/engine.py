@@ -534,8 +534,8 @@ class Report:
         return {key: value for key, value in asdict(self).items() if value is not None}
 
 
-class _Inconclusive(Exception):
-    pass
+class _Inconclusive(str):
+    """A verdict of `_sweep`: why a term was cut off before it was decided."""
 
 
 # Determinism, fullness, decomposition and the emptiness tests of persistence
@@ -621,7 +621,10 @@ def _check_merge(system: EssentialSystem, t: Term) -> Optional[str]:
 
 def _check_split(system: EssentialSystem, t: Term) -> Optional[str]:
     for d in all_parallel_steps(t, system.flavor):
-        prefix, rest = split(d, system)
+        try:
+            prefix, rest = split(d, system)
+        except AssertionError as overrun:  # raised by `_peel`, the only assertion
+            return f"{overrun} on {show(t)}"
         if not alpha_eq(prefix.start, t):
             return f"split moved the start of {show(t)}"
         current = t
@@ -686,10 +689,13 @@ def check_property(prop: str, sys, size_bound: int = 8,
 def _sweep(prop: str, system: EssentialSystem, spec: EnumSpec, check, workers: int = 1) -> Report:
     """Report on `check(t)` for every term `spec` enumerates: None passes
     `t`, a message fails it, False skips it as irrelevant and an
-    `_Inconclusive` counts it as cut off.  With `workers > 1` a process pool
-    runs the checks, so `check` and its verdicts must pickle.  The loop runs
-    in a derivation table (see `parallel`), so the parallel steps of a
-    subterm that terms share are built once; it is gone on every exit."""
+    `_Inconclusive` counts it as cut off.  Each check returns the first
+    verdict it meets, so a counterexample found before a budget is hit is a
+    failure, and so is a split that overruns its index bound.  With
+    `workers > 1` a process pool runs the checks, so `check` and its
+    verdicts must pickle.  The loop runs in a derivation table (see
+    `parallel`), so the parallel steps of a subterm that terms share are
+    built once; it is gone on every exit."""
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     terms = list(enumerate_terms(spec))
@@ -753,30 +759,27 @@ def _normalization_verdict(system: EssentialSystem, fuel: int, node_budget: int,
     """`_check_normalization_on_graph` as a verdict of `_sweep`, with no
     graph for a base-normal `t`: that is its own whole graph, so it is
     relevant and its one maximal sequence is empty."""
-    try:
-        # the walk stops at the first redex rather than list them all
-        if system.base_normal(t):
-            return None if system.terminal(t) else _halts_badly(system.name, t, t)
-        return _check_normalization_on_graph(system, t, fuel, node_budget, depth_budget)
-    except _Inconclusive as stop:
-        return stop
+    # the walk stops at the first redex rather than list them all
+    if system.base_normal(t):
+        return None if system.terminal(t) else _halts_badly(system.name, t, t)
+    return _check_normalization_on_graph(system, t, fuel, node_budget, depth_budget)
 
 
 def _check_normalization_on_graph(system: EssentialSystem, t: Term, fuel: int,
                                   node_budget: int, depth_budget: int):
     """The rule of `check_normalization` for `t`, read off its explored base
-    graph, as a verdict of `_sweep`: False when `t` is not relevant, else a
-    failure message or None.  A cut-off search raises `_Inconclusive`."""
+    graph, as a verdict of `_sweep`: False when `t` is not relevant, an
+    `_Inconclusive` when the graph is cut off before its relevance is
+    decided, else the verdict of `_uniform_terminal`: a counterexample it
+    finds before a budget is hit is a failure."""
     graph = explore(t, system.base, node_budget=node_budget, depth_budget=depth_budget)
     # on a whole graph a node without out-edges is normal, so essential-normal
     whole = not graph.truncated
     if not (whole and any(not out for out in graph.edges.values())
             or any(not system.positions(n) for n in graph.nodes)):
-        if not whole:
-            # an essential-normal term may lie beyond the cut
-            raise _Inconclusive(f"{system.base.value} graph search hit a budget "
-                                "before an essential-normal term")
-        return False
+        # an essential-normal term may lie beyond the cut
+        return False if whole else _Inconclusive(
+            f"{system.base.value} graph search hit a budget before an essential-normal term")
 
     def successors(u: Term) -> list[Term]:
         # a whole graph's edges hold every base step of u in preorder, the
@@ -790,58 +793,52 @@ def _check_normalization_on_graph(system: EssentialSystem, t: Term, fuel: int,
 
 def _uniform_terminal(t: Term, successors, terminal_ok, fuel: int, budget: int, what: str):
     """All maximal essential sequences from t are finite, of one length of at
-    most `fuel` steps, and end in a term `terminal_ok` accepts.  Returns a
-    failure message or None; raises `_Inconclusive` when a sequence outgrows
-    `fuel` or the search outgrows `budget` terms.
+    most `fuel` steps, and end in a term `terminal_ok` accepts.  A verdict of
+    `_sweep`, returned where the search meets it: a failure message at the
+    first bad end, loop or term whose successors' lengths differ, an
+    `_Inconclusive` at the first sequence longer than `fuel` or search
+    larger than `budget` terms, else None.  So a counterexample met before
+    a bound is hit is a failure.
 
     A post-order walk over an explicit stack, like every walk of the
     package: the sequences can run as long as `fuel` allows.
     """
-    memo: dict[Term, object] = {}
+    lengths: dict[Term, int] = {}
     children: dict[Term, list[Term]] = {}
     on_path: set[Term] = set()
     stack: list[tuple[Term, bool]] = [(t, False)]
     while stack:
         u, expanded = stack.pop()
-        if not expanded:
-            if u in memo or u in on_path:
-                continue
-            if len(memo) + len(on_path) >= budget:
-                raise _Inconclusive(f"{what} graph search hit the node budget")
-            nexts = successors(u)
-            children[u] = nexts
-            if not nexts:
-                memo[u] = 0 if terminal_ok(u) else _halts_badly(what, t, u)
-                continue
-            # on_path is the sequence from t to u; the first sequence walked
-            # is walked whole, so a length shared by all is bounded here
-            if len(on_path) >= fuel:
-                raise _Inconclusive(f"{what} reduction hit the fuel bound")
-            on_path.add(u)
-            stack.append((u, True))
-            for v in nexts:
-                if v in on_path:
-                    return f"{what} reduction loops below {show(t)}"
-                if v not in memo:
-                    stack.append((v, False))
-        else:
+        if expanded:
             on_path.discard(u)
-            lengths = set()
-            result = None
-            for v in children.pop(u):
-                sub = memo[v]
-                if isinstance(sub, str):
-                    result = sub
-                    break
-                lengths.add(sub)
-            if result is None:
-                if len(lengths) != 1:
-                    result = f"{what} sequences from {show(t)} have different lengths"
-                else:
-                    result = lengths.pop() + 1
-            memo[u] = result
-    outcome = memo[t]
-    return outcome if isinstance(outcome, str) else None
+            below = {lengths[v] for v in children.pop(u)}
+            if len(below) != 1:
+                return f"{what} sequences from {show(t)} have different lengths"
+            lengths[u] = below.pop() + 1
+            continue
+        if u in lengths:
+            continue
+        if len(lengths) + len(on_path) >= budget:
+            return _Inconclusive(f"{what} graph search hit the node budget")
+        nexts = successors(u)
+        if not nexts:
+            if not terminal_ok(u):
+                return _halts_badly(what, t, u)
+            lengths[u] = 0
+            continue
+        # on_path is the sequence from t to u; the first sequence walked
+        # is walked whole, so a length shared by all is bounded here
+        if len(on_path) >= fuel:
+            return _Inconclusive(f"{what} reduction hit the fuel bound")
+        on_path.add(u)
+        children[u] = nexts
+        stack.append((u, True))
+        for v in nexts:
+            if v in on_path:
+                return f"{what} reduction loops below {show(t)}"
+            if v not in lengths:
+                stack.append((v, False))
+    return None
 
 
 def _halts_badly(what: str, t: Term, u: Term) -> str:

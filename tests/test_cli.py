@@ -363,6 +363,20 @@ class TestFactorize:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("lines, message", [
+        ([], "sequence file is empty"),
+        (["# only a comment", ""], "sequence file is empty"),
+        (["(x y", "pos"], "line 1: expected ')' at byte 4"),
+        (["# start", "x y", "pos R extra"], "line 3: expected 'pos <path>'"),
+        (["x y", "step R"], "line 2: expected 'pos <path>'"),
+    ], ids=["empty", "comments-only", "unparsable-term", "pos-with-two-paths", "not-pos"])
+    def test_malformed_sequence_file_exits_1(self, capsys, tmp_path, lines, message):
+        path = tmp_path / "seq.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        code, out, err = run(capsys, "factorize", str(path), "--system", "head")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_file_that_is_not_utf8_exits_1(self, capsys, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_bytes(b"x y\npos \xff\xfe\n")

@@ -66,7 +66,15 @@ from essential_rewrite.parallel import (
     sequentialize,
     subst_parallel,
 )
-from essential_rewrite.reductions import Step, Walk, _ll_positions, reducts, redexes, step_at
+from essential_rewrite.reductions import (
+    Step,
+    Walk,
+    _leftmost_positions,
+    _ll_positions,
+    reducts,
+    redexes,
+    step_at,
+)
 from essential_rewrite.terms import (
     bound_positions,
     count_bound,
@@ -359,6 +367,13 @@ class TestFactorize:
         assert [( ".".join(s.position) or "root", show(u)) for s, u in f.inessential.steps] == \
             [("R", r"x (\z.z)")]
         f.validate()
+
+    def test_wrong_recorded_reduct_names_its_step(self):
+        trace = Trace(p(r"(\x.x) y"), [(Step((), StepKind.ESSENTIAL, None), p("x"))])
+        with pytest.raises(engine.InvalidTraceError,
+                           match="^step 1: recorded reduct does not match$") as caught:
+            factorize(trace, LO)
+        assert caught.value.index == 0
 
     def test_empty_trace(self):
         t = p("x y")
@@ -947,6 +962,24 @@ def _no_positions(t):
     return []
 
 
+def _reversed_redexes(t):
+    """Every beta redex, innermost first: a split over them fires redexes
+    that a later one erases, steps the sequential index does not count, so
+    it outruns its index bound."""
+    return list(reversed(beta_redexes(t)))
+
+
+def _all_but_first_redex(t):
+    return beta_redexes(t)[1:]
+
+
+def _fire_every_selected_redex(d, sys):
+    """A broken `split` that fires the selected redexes whether essential or
+    not."""
+    return trace_from_positions(d.source, sorted(realize(d)), sys), identity_derivation(
+        d.target, d.flavor)
+
+
 def _verdict_by_text(t):
     """A sweep check that passes x, skips y and cuts z off, and fails the rest."""
     return {"x": None, "y": False, "z": engine._Inconclusive("cut off")}.get(show(t), "broken")
@@ -977,6 +1010,10 @@ class TestCheckProperty:
     def test_unknown_property_rejected(self):
         with pytest.raises(UnsupportedPropertyError):
             check_property("confluence", HEAD)
+
+    def test_not_a_system_rejected(self):
+        with pytest.raises(TypeError, match="^not a system: 42$"):
+            engine.get_system(42)
 
     def test_unclaimed_pairing_rejected(self):
         with pytest.raises(UnsupportedPropertyError):
@@ -1015,6 +1052,70 @@ class TestCheckProperty:
         report = check_property("ll-invariant", system, size_bound=7)
         assert report.result == "FAIL"
         assert "changed the least level" in report.counterexample
+
+    # each property's failure messages, on a row that breaks it or, where the
+    # row's definitions cannot, with a library function the check calls
+    # broken; the sweep meets only the given term
+    @pytest.mark.parametrize("prop, system, change, term, failure", [
+        ("determinism", HEAD, {"positions": beta_redexes}, r"(\x.x) ((\x.x) x)",
+         r"(\x.x) ((\x.x) x) has several essential steps"),
+        ("diamond", LL, {"positions": beta_redexes}, r"(\x.y) ((\x.x) x)",
+         r"(\x.y) ((\x.x) x) diverges to y / (\x.y) x without closing"),
+        ("persistence", LO, {"neg_positions": beta_redexes}, r"(\x.x) x",
+         r"the essential step of (\x.x) x is lost by passing to x"),
+        ("fullness", LO, {"positions": _no_positions}, r"(\x.x) x",
+         r"fullness fails on (\x.x) x"),
+        ("merge", LO, {"positions": _all_but_first_redex}, r"(\x.x x) ((\z.z) y)",
+         r"merge failed on (\x.x x) ((\z.z) y): merged derivation misses the essential target"),
+        ("split", HEAD, {"positions": _reversed_redexes}, r"(\x.y) ((\x.x) x)",
+         r"split did not terminate within its index bound on (\x.y) ((\x.x) x)"),
+        ("indexed-split", HEAD, {"positions": _reversed_redexes}, r"(\x.y) ((\x.x) x)",
+         r"peeling the essential redex of (\x.y) ((\x.x) x) changed the index by 0"),
+    ], ids=["determinism", "diamond", "persistence", "fullness", "merge", "split-overrun",
+            "indexed-split"])
+    def test_broken_row_fails(self, monkeypatch, prop, system, change, term, failure):
+        monkeypatch.setattr(engine, "enumerate_terms", lambda spec: iter([p(term)]))
+        report = check_property(prop, dataclasses.replace(SYSTEMS[system], **change))
+        assert (report.result, report.checked_count, report.counterexample) == (
+            "FAIL", 1, failure)
+
+    @pytest.mark.parametrize("prop, system, name, broken, term, failure", [
+        ("ll-monotone", LL, "least_level", size, r"(\x.x) x",
+         r"step from (\x.x) x to x lowered the least level"),
+        ("merge", HEAD, "merge", lambda d, e, sys: d, r"(\x.x) x",
+         r"merge produced wrong endpoints on (\x.x) x"),
+        ("split", HEAD, "split", lambda d, sys: (Trace(d.target, []), d), r"(\x.x) x",
+         r"split moved the start of (\x.x) x"),
+        ("split", HEAD, "split", _fire_every_selected_redex, r"x ((\x.x) x)",
+         r"split emitted a non-essential step on x ((\x.x) x)"),
+        ("split", HEAD, "split",
+         lambda d, sys: (Trace(d.source, []), identity_derivation(d.target, d.flavor)),
+         r"(\x.x) x", r"split prefix and residual do not meet on (\x.x) x"),
+        ("split", HEAD, "split", lambda d, sys: (Trace(d.source, []), d), r"(\x.x) x",
+         r"split residual is not inessential on (\x.x) x"),
+        ("split", HEAD, "split",
+         lambda d, sys: (Trace(d.source, []), identity_derivation(d.source, d.flavor)),
+         r"(\x.x) x", r"split changed the target of (\x.x) x"),
+    ], ids=["ll-monotone", "merge-endpoints", "split-start", "split-non-essential",
+            "split-meet", "split-residual", "split-target"])
+    def test_broken_library_function_fails(self, monkeypatch, prop, system, name, broken,
+                                           term, failure):
+        monkeypatch.setattr(engine, "enumerate_terms", lambda spec: iter([p(term)]))
+        monkeypatch.setattr(engine, name, broken)
+        report = check_property(prop, system)
+        assert (report.result, report.checked_count, report.counterexample) == (
+            "FAIL", 1, failure)
+
+    # the sweep reports the overrun as a failure; a library caller of `split`
+    # still gets the assertion
+    def test_split_overrun_fails_the_sweep(self):
+        row = dataclasses.replace(SYSTEMS[HEAD], positions=_reversed_redexes)
+        report = check_property("split", row, size_bound=7)
+        assert (report.result, report.counterexample) == (
+            "FAIL", r"split did not terminate within its index bound on (\x'.x) ((\x.x) x)")
+        t = p(r"(\x.y) ((\x.x) x)")
+        with pytest.raises(AssertionError, match="index bound"):
+            split(derive(t, beta_redexes(t), Flavor.CBN), row)
 
     def test_parallel_workers_agree(self):
         solo = check_property("persistence", LO, size_bound=5)
@@ -1227,6 +1328,20 @@ class TestCollectorPaused:
         assert gc.isenabled()
 
 
+_OMEGA3 = r"(\x.x x x)"
+_MASKED = p(rf"({_OMEGA3} {_OMEGA3}) ((\z.z) w)")
+_STUCK = p(rf"({_OMEGA3} {_OMEGA3}) w")
+
+
+def _masking_positions(t):
+    """Leftmost-outermost positions, except that `_MASKED` lists both its
+    redexes and `_STUCK`, one of its reducts, none: a bad end beside a
+    sequence that never ends."""
+    if t == _MASKED:
+        return beta_redexes(t)
+    return [] if t == _STUCK else _leftmost_positions(t)
+
+
 class TestCheckNormalization:
     @pytest.mark.parametrize("system", [HEAD, LO, LL])
     def test_open_systems_pass(self, system):
@@ -1316,12 +1431,41 @@ class TestCheckNormalization:
          r"least-level sequences from (\x.y) ((\x.x) y) have different lengths"),
         (LL, beta_redexes, rf"(\x.y) ({OMEGA})",
          rf"least-level reduction loops below (\x.y) ({OMEGA})"),
-    ], ids=["stops-short", "different-lengths", "loop"])
+        (LO, SYSTEMS[HEAD].positions, r"(\x.x) (y ((\x.x) y))",
+         r"leftmost-outermost reduction from (\x.x) (y ((\x.x) y)) halts at the bad term"
+         r" y ((\x.x) y)"),
+        # the search meets the bad end before the other sequence runs out of
+        # fuel: a failure found before a bound is hit is a failure
+        (LO, _masking_positions, show(_MASKED),
+         f"leftmost-outermost reduction from {show(_MASKED)} halts at the bad term"
+         f" {show(_STUCK)}"),
+    ], ids=["stops-short", "different-lengths", "loop", "bad-end-below-the-root",
+            "bad-end-beside-divergence"])
     def test_broken_strategy_fails(self, system, positions, term, failure, monkeypatch):
         monkeypatch.setattr(engine, "enumerate_terms", lambda spec: iter([p(term)]))
         broken = dataclasses.replace(SYSTEMS[system], positions=positions)
         report = check_normalization(broken)
         assert (report.result, report.counterexample) == ("FAIL", failure)
+
+    # a synthetic graph over free variables drives the search itself: it
+    # returns the first verdict it meets, so a failure met before a bound is
+    # hit is a failure
+    @pytest.mark.parametrize("edges, bad, fuel, budget, verdict", [
+        ({"a": "bc", "b": "", "c": ""}, "", 5, 5, None),
+        ({"a": "bc", "b": "", "c": ""}, "", 5, 2,
+         engine._Inconclusive("w graph search hit the node budget")),
+        ({"a": "b", "b": "c", "c": ""}, "", 1, 5,
+         engine._Inconclusive("w reduction hit the fuel bound")),
+        ({"a": "bc", "b": "", "c": ""}, "c", 5, 2,
+         "w reduction from a halts at the bad term c"),
+        ({"a": "bc", "b": "c", "c": ""}, "", 5, 5, "w sequences from a have different lengths"),
+        ({"a": "b", "b": "a"}, "", 5, 5, "w reduction loops below a"),
+    ], ids=["pass", "node-budget", "fuel", "bad-end-before-the-budget", "different-lengths",
+            "loop"])
+    def test_search_returns_the_first_verdict_it_meets(self, edges, bad, fuel, budget, verdict):
+        got = engine._uniform_terminal(Free("a"), lambda u: [Free(v) for v in edges[u.name]],
+                                       lambda u: u.name not in bad, fuel, budget, "w")
+        assert (type(got), got) == (type(verdict), verdict)
 
     # a base-normal term skips its graph: the rule read off the graph must
     # give the same verdict, and budgets `explore` rejects are still rejected

@@ -79,6 +79,11 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="free name 'x' is given twice"):
             EnumSpec(2, free_names=names)
 
+    @pytest.mark.parametrize("max_size", [0, -1])
+    def test_size_below_one_rejected(self, max_size):
+        with pytest.raises(ValueError, match="max_size must be >= 1"):
+            list(enumerate_terms(EnumSpec(max_size)))
+
     def test_closed_terms_are_closed(self):
         assert all(is_closed(t) for t in enumerate_terms(EnumSpec(6, closed_only=True)))
 
@@ -93,6 +98,14 @@ class TestRandomTerm:
         for seed in range(30):
             t = random_term(seed, 10, EnumSpec(10, closed_only=True))
             assert is_closed(t)
+
+    def test_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="target_size must be >= 1"):
+            random_term(7, 0)
+
+    def test_closed_size_one_rejected(self):
+        with pytest.raises(ValueError, match="no closed term has size 1"):
+            random_term(7, 1, EnumSpec(1, closed_only=True))
 
     def test_size_sweep(self):
         for seed in range(1000):
@@ -123,6 +136,12 @@ class TestExplore:
         assert len(list(g.nodes)) == 3
         assert p(r"\z.z") in g.nodes
         assert len(g.edges[t]) == 2
+
+    @pytest.mark.parametrize("budgets", [{"node_budget": 0}, {"depth_budget": 0}],
+                             ids=["nodes", "depth"])
+    def test_budget_below_one_rejected(self, budgets):
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            explore(p(r"(\x.x) y"), **budgets)
 
     def test_truncation_flags(self):
         t = p(r"(\x.x x) (\x.x x x)")  # grows forever

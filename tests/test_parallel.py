@@ -275,6 +275,13 @@ class TestSubstParallel:
         with pytest.raises(NonValueError):
             subst_parallel(d1, "x", derive(bad, [], Flavor.CBV), Flavor.CBV)
 
+    def test_mismatched_flavours_rejected(self):
+        d1 = identity_derivation(p("x"), Flavor.CBN)
+        d2 = identity_derivation(p(r"\z.z"), Flavor.CBV)
+        with pytest.raises(FlavorMismatchError,
+                           match="^derivation flavours cbn/cbv do not match cbn$"):
+            subst_parallel(d1, "x", d2, Flavor.CBN)
+
     def test_leveled_flavor_rejected(self):
         d = identity_derivation(p("x"), Flavor.LEVELED)
         with pytest.raises(FlavorMismatchError):
