@@ -60,33 +60,30 @@ from .terms import (
 
 CONFIG_ENV = "ESSENTIAL_REWRITE_CONFIG"
 
-DEFAULTS = {
-    "fuel": 1000,
-    "size": 8,
-    "budget": 20000,
-    "depth": 64,
-    "output": "text",
-    "seed": 0,
-    "parallel": 1,
-    "samples": 500,
-}
-
-# smallest accepted value of each numeric option the library bounds
-_MINIMUM = {"fuel": 1, "size": 1, "budget": 1, "depth": 1, "samples": 0, "parallel": 1}
-
+_STRATEGIES = ("head", "lo", "weak-cbv", "ll")
 _BASE_ONLY = {"beta": Base.BETA, "betav": Base.BETAV}
+# the kinds of check: "exhaustive" stands for each property of PROPERTY_CHECKS
+_CHECKS = {"exhaustive", "normalization", "subst-index"}
 
-# The options of `check` that only some properties read, and which each one
-# reads; the exhaustive properties read those of _EXHAUSTIVE_READS.  Every
-# property takes those of _ALWAYS_READ (a rerun may pass the seed it used,
-# whether or not the property draws samples).
-_SELECTIVE = ("system", "flavor", "samples", "fuel", "budget", "depth", "parallel")
-_CHECK_READS = {
-    "subst-index": {"flavor", "samples"},
-    "normalization": {"system", "fuel", "budget", "depth"},
+# Each option: its default (None: none, or the command's own), its least
+# accepted value (None: any), its readers (subcommands and, for `check`, kinds
+# of check) and, for a text option, its choices.  `check` names the options a
+# property does not take, and `main` the first value below its floor, in this
+# order.  Every check reads the seed, so that a rerun may pass the seed it
+# used whether or not it draws samples.
+_OPTIONS = {
+    "size": (8, 1, _CHECKS, None),
+    "system": (None, None, {"reduce", "factorize", "exhaustive", "normalization"}, _STRATEGIES),
+    "flavor": (None, None, {"subst-index"}, ("cbn", "cbv")),
+    "samples": (500, 0, {"subst-index"}, None),
+    "fuel": (1000, 1, {"reduce", "normalization"}, None),
+    "budget": (20000, 1, {"normalization"}, None),
+    "depth": (64, 1, {"normalization"}, None),
+    "parallel": (1, 1, {"exhaustive"}, None),
+    "seed": (0, None, _CHECKS, None),
+    "output": ("text", None, {"reduce", "factorize", "level", *_CHECKS}, ("text", "json")),
 }
-_EXHAUSTIVE_READS = {"system", "parallel"}
-_ALWAYS_READ = {"size", "output", "seed"}
+DEFAULTS = {name: default for name, (default, *_) in _OPTIONS.items() if default is not None}
 
 
 class UsageError(ValueError):
@@ -104,16 +101,21 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        reads = _check_reads(args) if args.command == "check" else vars(args)
+        reader = getattr(args, "property", args.command)
+        reader = "exhaustive" if reader in PROPERTY_CHECKS else reader
+        reads = [name for name, (_, _, readers, _) in _OPTIONS.items() if reader in readers]
+        # every subcommand but `check` takes only the options it reads
+        unread = [f"--{name}" for name in _OPTIONS
+                  if name not in reads and getattr(args, name, None) is not None]
+        if unread:
+            raise UsageError(f"check {args.property} does not take {', '.join(unread)}")
         config = _load_config()
-        for key, fallback in DEFAULTS.items():
-            if key not in reads:
-                continue
-            if getattr(args, key) is None:
-                setattr(args, key, config.get(key, fallback))
-            minimum = _MINIMUM.get(key)
-            if minimum is not None and getattr(args, key) < minimum:
-                raise UsageError(f"{key} must be at least {minimum}, got {getattr(args, key)}")
+        for name in reads:
+            default, floor, _, _ = _OPTIONS[name]
+            if getattr(args, name) is None:
+                setattr(args, name, config.get(name, default))
+            if floor is not None and getattr(args, name) < floor:
+                raise UsageError(f"{name} must be at least {floor}, got {getattr(args, name)}")
         # looked up at call time, so that a handler replaced on the module
         # runs; it runs on the calling thread, as no term operation recurses
         # on the depth of a term
@@ -125,18 +127,6 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _check_reads(args) -> set[str]:
-    """The options `check` reads for its property, which `main` fills in and
-    range-checks.  One given on the command line that the property does not
-    read is a usage error; the config file's are skipped."""
-    reads = _CHECK_READS.get(args.property, _EXHAUSTIVE_READS)
-    unread = [f"--{name}" for name in _SELECTIVE
-              if name not in reads and getattr(args, name) is not None]
-    if unread:
-        raise UsageError(f"check {args.property} does not take {', '.join(unread)}")
-    return reads | _ALWAYS_READ
 
 
 def _read_lines(path: str) -> list[str]:
@@ -166,9 +156,8 @@ def _load_config() -> dict:
                 raise UsageError(
                     f"{CONFIG_ENV}: {key} must be an integer, got {value!r}") from None
         elif key == "output":
-            if value not in ("text", "json"):
-                raise UsageError(
-                    f"{CONFIG_ENV}: output must be text or json, got {value!r}")
+            if value not in _OPTIONS["output"][3]:
+                raise UsageError(f"{CONFIG_ENV}: output must be text or json, got {value!r}")
             config[key] = value
     return config
 
@@ -187,38 +176,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
     reduce_p = sub.add_parser("reduce", help="reduce a term with a strategy")
     reduce_p.add_argument("term")
-    reduce_p.add_argument("--system", required=True,
-                          choices=["head", "lo", "weak-cbv", "ll", "beta", "betav"])
-    _add_options(reduce_p, "fuel", "output")
+    _add_options(reduce_p, "reduce")
 
     fact_p = sub.add_parser("factorize", help="factorize a reduction sequence file")
     fact_p.add_argument("file")
-    fact_p.add_argument("--system", required=True,
-                        choices=["head", "lo", "weak-cbv", "ll"])
-    _add_options(fact_p, "output")
+    _add_options(fact_p, "factorize")
 
     level_p = sub.add_parser("level", help="least level and per-redex levels")
     level_p.add_argument("term")
-    _add_options(level_p, "output")
+    _add_options(level_p, "level")
 
     check_p = sub.add_parser("check", help="run a property suite")
     check_p.add_argument("property",
                          choices=sorted([*PROPERTY_CHECKS, "normalization", "subst-index"]))
-    check_p.add_argument("--system", choices=["head", "lo", "weak-cbv", "ll"])
-    check_p.add_argument("--flavor", choices=["cbn", "cbv"], help="default cbn")
-    _add_options(check_p, *DEFAULTS)
+    _add_options(check_p, "check")
 
     return parser
 
 
-def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
-    """Give a subcommand the options of DEFAULTS it reads; `main` fills in
-    those not given from the config file or DEFAULTS."""
-    for name in names:
-        if name == "output":
-            p.add_argument("--output", choices=["text", "json"])
-        else:
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    """Give a subcommand each option that it or one of its kinds of check
+    reads; `main` fills in those not given from the config file or DEFAULTS."""
+    kinds = _CHECKS if command == "check" else {command}
+    for name, (_, _, readers, choices) in _OPTIONS.items():
+        if kinds.isdisjoint(readers):
+            continue
+        if choices is None:
             p.add_argument(f"--{name}", type=int, metavar="N" if name == "parallel" else None)
+        elif name == "system" and command != "check":
+            p.add_argument("--system", required=True,
+                           choices=[*choices, *_BASE_ONLY] if command == "reduce" else choices)
+        else:
+            p.add_argument(f"--{name}", choices=choices,
+                           help="default cbn" if name == "flavor" else None)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:

@@ -85,7 +85,7 @@ def random_term(seed: int, target_size: int, spec: EnumSpec | None = None) -> Te
         spec = EnumSpec(max_size=target_size)
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
-    if spec.closed_only and target_size < 2:
+    if not spec.pool() and target_size < 2:
         raise ValueError("no closed term has size 1")
     rng = random.Random(seed)
     return _random(rng, target_size, 0, spec.pool())

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output formats, reproducibility."""
 
+import argparse
 import io
 import json
 import os
@@ -808,6 +809,21 @@ class TestBadOptionValues:
                              "--parallel", "-3")
         assert (code, out) == (1, "")
         assert err == "error: parallel must be at least 1, got -3\n"
+
+
+@pytest.mark.parametrize("command, options", [
+    ("reduce", {"--system", "--fuel", "--output"}),
+    ("factorize", {"--system", "--output"}),
+    ("level", {"--output"}),
+    ("check", {"--system", "--flavor", "--size", "--seed", "--output", "--parallel", "--fuel",
+               "--budget", "--depth", "--samples"}),
+])
+def test_each_subcommand_takes_exactly_its_options(command, options):
+    """The options README lists for each subcommand, and no others."""
+    sub, = (action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    taken = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+    assert taken - {"-h", "--help"} == options
 
 
 def test_runs_as_a_module_from_a_checkout():

@@ -103,9 +103,11 @@ class TestRandomTerm:
         with pytest.raises(ValueError, match="target_size must be >= 1"):
             random_term(7, 0)
 
-    def test_closed_size_one_rejected(self):
+    @pytest.mark.parametrize("spec", [EnumSpec(1, closed_only=True), EnumSpec(1, free_names=())],
+                             ids=["closed-only", "no-free-names"])
+    def test_closed_size_one_rejected(self, spec):
         with pytest.raises(ValueError, match="no closed term has size 1"):
-            random_term(7, 1, EnumSpec(1, closed_only=True))
+            random_term(7, 1, spec)
 
     def test_size_sweep(self):
         for seed in range(1000):

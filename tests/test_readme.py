@@ -1,4 +1,4 @@
-"""README's code blocks run as written."""
+"""README's code blocks run as written, and its CLI defaults are the CLI's."""
 
 import pathlib
 import re
@@ -40,3 +40,13 @@ def test_cli_examples(capsys, monkeypatch, tmp_path):
         expected = re.search(r"#\s*exit (\d+)", line)
         assert cli.main(argv) == (int(expected.group(1)) if expected else 0), line
         capsys.readouterr()
+
+
+def test_cli_defaults():
+    """README's "Defaults (fuel 1000, size 8, …)" names every default of
+    the CLI, each with its value."""
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"Defaults \(([^)]*)\)", text).group(1)
+    pairs = [item.split() for item in listed.split(", ")]
+    assert dict(pairs) == {key: str(value) for key, value in cli.DEFAULTS.items()}
+    assert len(pairs) == len(cli.DEFAULTS)
