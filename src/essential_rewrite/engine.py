@@ -551,13 +551,20 @@ def _check_determinism(system: EssentialSystem, t: Term) -> Optional[str]:
 
 def _check_diamond(system: EssentialSystem, t: Term) -> Optional[str]:
     targets = [u for _, u in system.essential_steps(t)]
+    closures: list[set[Term] | None] = [None] * len(targets)
+
+    def closure(i: int) -> set[Term]:
+        # each target's one-step closure, listed on its first need only
+        if closures[i] is None:
+            closures[i] = {v for _, v in system.essential_steps(targets[i])}
+        return closures[i]
+
     for i, s in enumerate(targets):
-        for u in targets[i + 1:]:
+        for j in range(i + 1, len(targets)):
+            u = targets[j]
             if alpha_eq(s, u):
                 continue
-            close_s = {v for _, v in system.essential_steps(s)}
-            close_u = {v for _, v in system.essential_steps(u)}
-            if not close_s & close_u:
+            if not closure(i) & closure(j):
                 return f"{show(t)} diverges to {show(s)} / {show(u)} without closing"
     return None
 

@@ -44,6 +44,8 @@ def enumerate_terms(spec: EnumSpec) -> Iterator[Term]:
 
 def count_terms(spec: EnumSpec) -> dict[int, int]:
     """Term counts by exact size, from the same lists as the enumerator."""
+    if spec.max_size < 1:
+        raise ValueError("max_size must be >= 1")
     memo: dict[tuple[int, int], list[Term]] = {}
     return {n: len(_exact(n, 0, spec.pool(), memo)) for n in range(1, spec.max_size + 1)}
 

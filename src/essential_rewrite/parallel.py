@@ -5,11 +5,13 @@ simultaneously.  Steps are driven by explicit redex selections (any subset of
 the source's redex positions), which makes enumeration, equality and index
 recomputation deterministic.
 
-Three flavours share the tree shape and differ in the index decoration:
+Every node carries its sequential count, the length of a canonical
+sequentialization of the step: 0 is the identity, 1 is exactly one base
+step, and a redex node costs the body steps, the argument steps once per
+surviving binder occurrence, plus one.  Three flavours share the tree shape
+and differ in the index decoration:
 
-* CBN / CBV: the index counts a canonical sequentialization of the step, so 0
-  is the identity, 1 is exactly one base step, and a redex node costs the body
-  steps, the argument steps once per surviving binder occurrence, plus one.
+* CBN / CBV: the index is the count.
 * LEVELED: the index is the least level among the contracted redexes
   (infinite when nothing is contracted).
 
@@ -97,9 +99,12 @@ class ParDerivation:
     `children` is () for VAR, (body,) for ABS, (left, right) for APP and
     (body, argument) for BETA.  Sources and targets of inner nodes may carry
     dangling indices pointing at binders crossed higher in the tree.
+
+    `count` is the node's sequential count, summed from its children's here.
+    `index` is the given one, or the count where it is given as None.
     """
 
-    __slots__ = ("flavor", "rule", "children", "source", "target", "index")
+    __slots__ = ("flavor", "rule", "children", "source", "target", "index", "count")
 
     def __init__(self, flavor: Flavor, rule: Rule, children: tuple,
                  source: Term, target: Term, index):
@@ -108,7 +113,15 @@ class ParDerivation:
         self.children = children
         self.source = source
         self.target = target
-        self.index = index
+        if rule is _APP_RULE:
+            count = children[0].count + children[1].count
+        elif rule is _BETA_RULE:
+            body, arg = children
+            count = body.count + count_bound(body.target) * arg.count + 1
+        else:
+            count = children[0].count if children else 0
+        self.count = count
+        self.index = count if index is None else index
 
     def __repr__(self):
         return f"<{self.rule.value} {self.source!r} => {self.target!r} @ {self.index}>"
@@ -127,39 +140,34 @@ class ParDerivation:
 
 # The node builders take the node's source term.  When every child's target
 # is the child's source, the node's target is its source, so an identity
-# derivation allocates no term.
+# derivation allocates no term.  They give a LEVELED node its least level and
+# a CBN/CBV node None, which makes its index its count.
 
 
 def _var(flavor: Flavor, t: Term) -> ParDerivation:
-    return ParDerivation(flavor, _VAR_RULE, (), t, t, INFINITY if flavor is _LEVELED else 0)
+    return ParDerivation(flavor, _VAR_RULE, (), t, t, INFINITY if flavor is _LEVELED else None)
 
 
 def _abs(flavor: Flavor, t: Lam, child: ParDerivation) -> ParDerivation:
     target = t if child.target is t.body else Lam(child.target, t.hint)
-    return ParDerivation(flavor, _ABS_RULE, (child,), t, target, child.index)
+    return ParDerivation(flavor, _ABS_RULE, (child,), t, target,
+                         child.index if flavor is _LEVELED else None)
 
 
 def _app(flavor: Flavor, t: App, left: ParDerivation, right: ParDerivation) -> ParDerivation:
-    if flavor is _LEVELED:
-        index = min(left.index, right.index + 1)
-    else:
-        index = left.index + right.index
     if left.target is t.fun and right.target is t.arg:
         target = t
     else:
         target = App(left.target, right.target)
-    return ParDerivation(flavor, _APP_RULE, (left, right), t, target, index)
+    return ParDerivation(flavor, _APP_RULE, (left, right), t, target,
+                         min(left.index, right.index + 1) if flavor is _LEVELED else None)
 
 
 def _beta(flavor: Flavor, t: App, body: ParDerivation, arg: ParDerivation) -> ParDerivation:
     if flavor is _CBV and not is_value(t.arg):
         raise NonValueError("selected redex has a non-value argument")
-    if flavor is _LEVELED:
-        index = 0
-    else:
-        index = body.index + count_bound(body.target) * arg.index + 1
     return ParDerivation(flavor, _BETA_RULE, (body, arg), t,
-                         instantiate(body.target, arg.target), index)
+                         instantiate(body.target, arg.target), 0 if flavor is _LEVELED else None)
 
 
 # The sweep's derivation tables, one per (flavour, cap), each a dict from a
@@ -371,33 +379,9 @@ def _steps_over(t: Term, flavor: Flavor, steps) -> Iterator[ParDerivation]:
 
 def sequential_index(d: ParDerivation) -> int:
     """The CBN/CBV-style index of any derivation tree, whatever its flavour:
-    a CBN or CBV tree's own index, which its builders sum bottom-up, and
-    for a LEVELED tree the same sum, counted by a walk."""
-    if d.flavor is not _LEVELED:
-        return d.index
-    # Each contracted redex counts once per copy of it the sequentialization
-    # makes: its weight, the product of the binder occurrences of the bodies
-    # whose arguments hold it.  `pending` holds the second children still to
-    # visit with their weights.
-    index, weight = 0, 1
-    pending: list[tuple[ParDerivation, int]] = []
-    while True:
-        rule = d.rule
-        if rule is _VAR_RULE:
-            if not pending:
-                return index
-            d, weight = pending.pop()
-        elif rule is _ABS_RULE:
-            d = d.children[0]
-        elif rule is _APP_RULE:
-            d, second = d.children
-            pending.append((second, weight))
-        else:
-            index += weight
-            d, arg = d.children
-            copies = count_bound(d.target)
-            if copies:
-                pending.append((arg, weight * copies))
+    the sequential count its root carries, which is a CBN or CBV tree's own
+    index."""
+    return d.count
 
 
 def parallel_level(d: ParDerivation) -> int | float:

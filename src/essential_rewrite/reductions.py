@@ -262,8 +262,9 @@ class Walk:
 
 class StepStream:
     """The steps of a walk from a term, fired one at a time as the stream is
-    iterated (once).  Each step is `(position, reduct)`: the reduct
-    replaces the redex at that position.
+    iterated, once: a second iteration raises RuntimeError, as the stream
+    holds only the state its first one left.  Each step is
+    `(position, reduct)`: the reduct replaces the redex at that position.
 
     Between steps the path to the last reduct is a zipper with stale
     parents (see `Walk`), and no whole term is built; `root()` builds the
@@ -274,6 +275,7 @@ class StepStream:
     def __init__(self, walk: Walk, t: Term, fuel: int):
         self.walk, self.fuel = walk, fuel
         self.exhausted = False
+        self._iterated = False
         # the zipper: the live node at the end of `path`, whose first
         # `dirty` entries are stale
         self._node: Term = t
@@ -281,6 +283,12 @@ class StepStream:
         self._dirty = 0
 
     def __iter__(self) -> Iterator[tuple[Position, Term]]:
+        if self._iterated:
+            raise RuntimeError("a step stream can be iterated only once")
+        self._iterated = True
+        return self._fire()
+
+    def _fire(self) -> Iterator[tuple[Position, Term]]:
         walk = self.walk
         node, path, level, dirty = walk.find(self._node, [])
         for _ in range(self.fuel):

@@ -808,7 +808,6 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
                 while c < common and pos[c] == path[c]:
                     c += 1
             node, s, a, env_id, n_avoiding = frames[c]
-            side = None
             if c < len(path):
                 # The last path goes on below depth c, so the node there may
                 # be stale: rebuild it from the last step's subterm up.
@@ -816,12 +815,6 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
                 for i in range(len(path) - 1, c, -1):
                     child = plug(frames[i][0], path[i], child)
                 node = plug(node, path[c], child)
-                if c < k:
-                    # The new path parts from the last one here, passing the
-                    # child the last path took: read its width off the text
-                    # rather than render the rebuilt child again.
-                    _, child_start, child_after, _, _ = frames[c + 1]
-                    side = child, len(text) - child_after - child_start
             binders = pos[:c].count(BODY)
             for name in env[binders:]:
                 in_scope.discard(name)
@@ -849,18 +842,17 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
                     env_id = env_ids.get(key) or env_ids.setdefault(key, next(new_ids))
                     node = node.body
                 elif tag == LEFT:
-                    arg, w = side or (node.arg, width(node.arg, env_id))
+                    w = width(node.arg, env_id)
                     p = _in_parens(node.fun, LEFT)
                     s += p
-                    a += p + 1 + w + 2 * _in_parens(arg, RIGHT)
+                    a += p + 1 + w + 2 * _in_parens(node.arg, RIGHT)
                     node = node.fun
                 else:
-                    fun, w = side or (node.fun, width(node.fun, env_id))
+                    w = width(node.fun, env_id)
                     p = _in_parens(node.arg, RIGHT)
-                    s += 2 * _in_parens(fun, LEFT) + w + 1 + p
+                    s += 2 * _in_parens(node.fun, LEFT) + w + 1 + p
                     a += p
                     node = node.arg
-                side = None
             old = node
             if n_avoiding and free_names(old) != free_names(new):
                 raise _Redraw  # a binder on the path may gain or lose a prime

@@ -578,6 +578,15 @@ class TestStepStream:
         for walk, row in _REDUCE_RUNS:
             assert not self.assert_agrees(t, walk, row, 10_000).exhausted
 
+    def test_second_iteration_raises(self):
+        # a second pass over a stream cut by fuel would restart from the last
+        # redex as if it were the root
+        stream = SYSTEMS[LO].walk.steps(p(r"(\x.x x) ((\y.y) z)"), 1)
+        assert [pos for pos, _ in stream] == [()]
+        with pytest.raises(RuntimeError, match="iterated only once"):
+            iter(stream)
+        assert stream.root() == p(r"(\y.y) z ((\y.y) z)") and stream.exhausted
+
 
 class TestStreamCost:
     """A run rebuilds a stale parent only when its walk climbs out of it,

@@ -83,6 +83,8 @@ class TestEnumeration:
     def test_size_below_one_rejected(self, max_size):
         with pytest.raises(ValueError, match="max_size must be >= 1"):
             list(enumerate_terms(EnumSpec(max_size)))
+        with pytest.raises(ValueError, match="max_size must be >= 1"):
+            count_terms(EnumSpec(max_size))
 
     def test_closed_terms_are_closed(self):
         assert all(is_closed(t) for t in enumerate_terms(EnumSpec(6, closed_only=True)))

@@ -1,6 +1,7 @@
 """Parallel steps as derivation trees: indices, substitutivity, recognizers."""
 
 import json
+import pickle
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from essential_rewrite.parallel import (
     Rule,
     base_of,
     contracts,
+    sequential_index,
 )
 from essential_rewrite.reductions import (
     betav_redexes,
@@ -495,10 +497,11 @@ class TestRealize:
         # the constructive witness: a base path of length exactly the index
         from essential_rewrite.parallel import sequentialize
         for t in small_terms[::4]:
-            for flavor in (Flavor.CBN, Flavor.CBV):
+            for flavor in Flavor:
                 for d in all_parallel_steps(t, flavor):
                     path = sequentialize(d)
-                    assert len(path) == d.index
+                    assert len(path) == sequential_index(d)
+                    assert flavor is Flavor.LEVELED or len(path) == d.index
                     current = t
                     for pos in path:
                         current = step_at(current, pos, base_of(flavor))
@@ -550,3 +553,10 @@ class TestSerialization:
     def test_leveled_infinite_index_serializes(self):
         d = identity_derivation(p("x"), Flavor.LEVELED)
         assert d.to_json()["index"] == "inf"
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_pickled_tree_keeps_its_count(self, flavor):
+        d = derive(p(r"(\x.x x) (\z.(\y.y) z)"), [(), ("R", "B")], flavor)
+        back = pickle.loads(pickle.dumps(d))
+        assert sequential_index(back) == sequential_index(d) == 3
+        assert back.index == d.index and back.to_json() == d.to_json()
