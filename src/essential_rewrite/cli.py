@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .engine import (
     InvalidTraceError,
@@ -31,17 +32,16 @@ from .engine import (
     check_subst_index,
     factorize,
     get_system,
-    normalize,  # unused here; bench/tracing.py binds it
+    normalize,
     steps_to_json,
     trace_from_positions,
 )
 from .parallel import Flavor
 from .reductions import (
     Base,
-    Step,
+    INFINITY,
     StepKind,
     SystemId,
-    Walk,
     least_level,
     level_json,
     redexes,  # unused here; bench/tracing.py binds it
@@ -55,7 +55,6 @@ from .terms import (
     parse,
     parse_position,
     show,
-    show_spliced,
 )
 
 CONFIG_ENV = "ESSENTIAL_REWRITE_CONFIG"
@@ -225,35 +224,16 @@ def _step_line(step, text: str) -> str:
 
 
 def cmd_reduce(args) -> int:
-    term = parse(args.term)
-    base = _BASE_ONLY.get(args.system)
-    system = None if base else get_system(args.system)
     # plain beta / beta-value reduction fires the first redex in preorder
-    stream = (Walk(base) if base else system.walk).steps(term, args.fuel)
-    positions: list[Position] = []
-
-    def fired():
-        for pos, reduct in stream:
-            positions.append(pos)
-            yield pos, reduct
-
-    start, *texts = show_spliced(term, fired(), stream.root)
-    if base:
-        kind = StepKind.PLAIN
-        levels = [None] * len(positions)
-        outcome = Outcome.FUEL_EXHAUSTED if stream.exhausted else Outcome.NORMAL_FORM
-    else:
-        kind = StepKind.ESSENTIAL
-        levels = [system.level_of(pos) for pos in positions]
-        outcome = system.outcome(stream.root(), stream.exhausted)
+    trace, outcome = normalize(parse(args.term),
+                               _BASE_ONLY.get(args.system) or get_system(args.system), args.fuel)
+    start, *texts = trace.texts()
     if args.output == "json":
-        _write_reduce_json(sys.stdout.write, start, args.system, kind,
-                           zip(positions, levels, texts), outcome)
+        run = trace.steps
+        _write_reduce_json(sys.stdout.write, start, args.system, run.kind,
+                           zip((pos for pos, _ in run.fired), run.levels(), texts), outcome)
     else:
-        lines = [start]
-        lines += [_step_line(Step(pos, kind, level), text)
-                  for pos, level, text in zip(positions, levels, texts)]
-        lines.append(f"outcome: {outcome.value}")
+        lines = [start, *map(_step_line, trace.records(), texts), f"outcome: {outcome.value}"]
         print("\n".join(lines))
     return 2 if outcome is Outcome.FUEL_EXHAUSTED else 0
 
@@ -263,21 +243,25 @@ def _write_reduce_json(write, start: str, system: str, kind: StepKind, steps,
     """Write the `reduce` payload as `print(json.dumps(payload, indent=2))`
     does: start, system, steps and outcome, each step (position, level,
     reduct text) with the keys of `Step.to_json` and then "term".  The
-    layout is written out here and only the scalars go through `json.dumps`,
-    whose string encoder is C code; with `indent` it runs the pure-Python
-    one.  Each step is written as it is encoded, so no copy of the whole
-    trace is built."""
-    dumps = json.dumps
-    kind_line = f',\n      "kind": {dumps(kind.value)},\n'
-    write(f'{{\n  "start": {dumps(start)},\n  "system": {dumps(system)},\n  "steps": [')
+    layout is written out here, and no scalar goes through `json.dumps`,
+    which with `indent` runs its pure-Python encoder.  A position is tags
+    joined by dots and a level an int or "inf", which need no escaping,
+    and every other string is quoted by `encode_basestring_ascii`, the C
+    function `json.dumps` calls for a string.  Each step is written as it
+    is encoded, so no copy of the whole trace is built."""
+    quote = encode_basestring_ascii
+    inf = quote(level_json(INFINITY))
+    kind_line = f',\n      "kind": {quote(kind.value)},\n'
+    write(f'{{\n  "start": {quote(start)},\n  "system": {quote(system)},\n  "steps": [')
     sep = "\n"
     for pos, level, text in steps:
-        level_line = "" if level is None else f'      "level": {dumps(level_json(level))},\n'
-        write(f'{sep}    {{\n      "position": {dumps(".".join(pos))}{kind_line}{level_line}'
-              f'      "term": {dumps(text)}\n    }}')
+        level_line = ("" if level is None
+                      else f'      "level": {inf if level == INFINITY else level},\n')
+        write(f'{sep}    {{\n      "position": "{".".join(pos)}"{kind_line}{level_line}'
+              f'      "term": {quote(text)}\n    }}')
         sep = ",\n"
     write("]" if sep == "\n" else "\n  ]")
-    write(f',\n  "outcome": {dumps(outcome.value)}\n}}\n')
+    write(f',\n  "outcome": {quote(outcome.value)}\n}}\n')
 
 
 def _read_sequence_file(path: str) -> tuple:
@@ -342,7 +326,7 @@ def cmd_level(args) -> int:
     payload = {
         "term": text,
         "least_level": level_json(level),
-        "steps": steps_to_json(steps, texts),
+        "steps": steps_to_json([s for s, _ in steps], texts),
     }
     lines = [f"least level of {text}: {level}"]
     for (s, _), reduct in zip(steps, texts):

@@ -11,7 +11,8 @@ about such systems executable:
   into a single parallel step,
 * `factorize` rewrites an arbitrary reduction sequence into essential steps
   followed by inessential ones by iterating merge and split,
-* `normalize` runs a strategy to its (essential) normal form,
+* `normalize` runs a strategy to its (essential) normal form and records
+  the run, each step's position and reduct, without its whole terms,
 * `check_property` / `check_normalization` sweep every term up to a size
   bound through one loop (`check_property` serial or over a process pool)
   and report the first counterexample, if any; a sweep that met no
@@ -24,10 +25,13 @@ import gc
 import os
 import random
 from collections import deque
+from collections.abc import Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, partial
+from itertools import repeat
+from operator import length_hint
 from typing import Callable, Iterable, Iterator, Optional
 
 from .enumeration import EnumSpec, enumerate_terms, random_term
@@ -84,6 +88,7 @@ from .terms import (
     is_normal,
     is_value,
     show,
+    show_spliced,
     show_steps,
     substitute,
 )
@@ -241,10 +246,14 @@ def get_system(sys) -> EssentialSystem:
 
 @dataclass
 class Trace:
-    """A recorded reduction sequence; each step stores its reduct."""
+    """A recorded reduction sequence: each step with the whole term after it.
+
+    `split`, `factorize` and `trace_from_positions` build one from a list of
+    `(Step, term)` pairs; `normalize` returns a `RecordedTrace`, whose steps
+    build those terms only when they are read."""
 
     start: Term
-    steps: list[tuple[Step, Term]]
+    steps: Sequence[tuple[Step, Term]]
 
     @property
     def end(self) -> Term:
@@ -252,6 +261,10 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    def records(self) -> Iterator[Step]:
+        """Each step, without the term after it."""
+        return (step for step, _ in self.steps)
 
     def texts(self) -> Iterator[str]:
         """`show` of the start, then of each step's reduct, each printed by
@@ -261,7 +274,107 @@ class Trace:
 
     def to_json(self) -> dict:
         start, *texts = self.texts()
-        return {"start": start, "steps": steps_to_json(self.steps, texts)}
+        return {"start": start, "steps": steps_to_json(self.records(), texts)}
+
+
+class Recording(Sequence):
+    """A walk's run from `start`, fired to its end and kept as its step
+    stream yields it: each step's position and reduct (`fired`), plus the
+    finished stream, whose `root()` is the last term (`end`).
+
+    As a sequence it reads as the steps of an eager trace, `(Step, root)`
+    pairs, but it holds no whole term between the start and the end.
+    Iterating it replays the run on a fresh stream and yields each root as
+    that stream builds it; indexing it replays a fresh walk from the last
+    root it built (or from the start) up to the step asked for.
+    """
+
+    def __init__(self, walk: Walk, start: Term, fuel: int, kind: StepKind, leveled: bool):
+        self.start, self.kind, self._leveled = start, kind, leveled
+        self._stream = walk.steps(start, fuel)
+        self.fired: list[tuple[Position, Term]] = list(self._stream)
+        self._built = (0, start)  # the last root replayed, and its number of steps
+
+    @property
+    def exhausted(self) -> bool:
+        """Was a redex left when the fuel ran out?"""
+        return self._stream.exhausted
+
+    @cached_property
+    def end(self) -> Term:
+        """The last term, built by the stream on the first read."""
+        return self._stream.root()
+
+    def __len__(self) -> int:
+        return len(self.fired)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self.fired)))]
+        k = i + len(self.fired) if i < 0 else i
+        if not 0 <= k < len(self.fired):
+            raise IndexError("trace step index out of range")
+        return self._step(self.fired[k][0]), self.root_after(k + 1)
+
+    def __iter__(self) -> Iterator[tuple[Step, Term]]:
+        stream = self._stream.walk.steps(self.start, len(self.fired))
+        for pos, _ in stream:
+            yield self._step(pos), stream.root()
+
+    def _step(self, pos: Position) -> Step:
+        return Step(pos, self.kind, position_level(pos) if self._leveled else None)
+
+    def levels(self) -> Iterator[int | None]:
+        """The level of each step's redex: None unless the walk is leveled."""
+        if not self._leveled:
+            return repeat(None, len(self.fired))
+        return (position_level(pos) for pos, _ in self.fired)
+
+    def records(self) -> Iterator[Step]:
+        """Each step, without the term after it."""
+        return (self._step(pos) for pos, _ in self.fired)
+
+    def root_after(self, i: int) -> Term:
+        """The whole term after the first `i` steps."""
+        if i == len(self.fired):
+            return self.end
+        j, root = self._built
+        if j > i:
+            j, root = 0, self.start
+        if j < i:
+            replay = self._stream.walk.steps(root, i - j)
+            for _ in replay:
+                pass
+            root = replay.root()
+            self._built = (i, root)
+        return root
+
+    def texts(self) -> Iterator[str]:
+        """`show` of the start and of each term after it, printed from the
+        recorded steps by `show_spliced`.  A step it cannot splice is printed
+        from the root after that step: the steps taken so far are those the
+        iterator over `fired` no longer holds."""
+        fired = iter(self.fired)
+        return show_spliced(self.start, fired,
+                            lambda: self.root_after(len(self.fired) - length_hint(fired)))
+
+
+class RecordedTrace(Trace):
+    """The trace of a walk's run, as `normalize` records it: its `steps` are
+    a `Recording`.  Its length, end, texts and JSON build no term between
+    the start and the end."""
+
+    steps: Recording
+
+    @property
+    def end(self) -> Term:
+        return self.steps.end
+
+    def records(self) -> Iterator[Step]:
+        return self.steps.records()
+
+    def texts(self) -> Iterator[str]:
+        return self.steps.texts()
 
 
 @dataclass
@@ -286,9 +399,9 @@ class Factorization:
                 "inessential": self.inessential.to_json()}
 
 
-def steps_to_json(steps: list[tuple[Step, Term]], texts: list[str]) -> list[dict]:
+def steps_to_json(steps: Iterable[Step], texts: list[str]) -> list[dict]:
     """Each step's JSON with its reduct's text, `texts` in the order of `steps`."""
-    return [dict(step.to_json(), term=text) for (step, _), text in zip(steps, texts)]
+    return [dict(step.to_json(), term=text) for step, text in zip(steps, texts)]
 
 
 # ---------------------------------------------------------------------------
@@ -493,22 +606,31 @@ def trace_from_positions(start: Term, positions: list[Position], sys) -> Trace:
 
 
 @_collector_paused()
-def normalize(t: Term, sys, fuel: int = 1000) -> tuple[Trace, Outcome]:
+def normalize(t: Term, sys, fuel: int = 1000) -> tuple[RecordedTrace, Outcome]:
     """Run the essential strategy until it halts or the fuel runs out.
 
     Head and leftmost-outermost are deterministic; for the other systems the
     first step in traversal order is taken (the diamond property makes the
-    choice irrelevant for termination and length).  The cyclic garbage
-    collector is paused while it runs: the trace keeps every step's term.
+    choice irrelevant for termination and length).  `sys` may also be a
+    `Base`: the run is then plain beta or beta-value reduction, which fires
+    the first redex in preorder, its steps are PLAIN, and it ends in a
+    normal form or with its fuel exhausted.
+
+    The run is recorded as its step stream fires it (`Recording`): the trace
+    keeps each step's position and reduct and the last term, and builds the
+    terms in between only when its steps are read.  The cyclic garbage
+    collector is paused while the run is fired.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    if isinstance(sys, Base):
+        run = Recording(Walk(sys), t, fuel, StepKind.PLAIN, leveled=False)
+        return RecordedTrace(t, run), (Outcome.FUEL_EXHAUSTED if run.exhausted
+                                       else Outcome.NORMAL_FORM)
     system = get_system(sys)
     # each step fires the least essential position, found by the system's walk
-    fired, exhausted = system.walk.run(t, fuel)
-    trace = Trace(t, [(Step(pos, _ESSENTIAL, system.level_of(pos)), u)
-                      for pos, u in fired])
-    return trace, system.outcome(trace.end, exhausted)
+    run = Recording(system.walk, t, fuel, _ESSENTIAL, system.flavor is _LEVELED)
+    return RecordedTrace(t, run), system.outcome(run.end, run.exhausted)
 
 
 # ---------------------------------------------------------------------------

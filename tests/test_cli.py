@@ -14,7 +14,14 @@ import pytest
 from conftest import OMEGA, terms_up_to
 from essential_rewrite import cli, engine, reductions, terms
 from essential_rewrite.cli import main
-from essential_rewrite.engine import SYSTEMS, Outcome, factorize, trace_from_positions
+from essential_rewrite.engine import (
+    SYSTEMS,
+    Outcome,
+    Trace,
+    factorize,
+    normalize,
+    trace_from_positions,
+)
 from essential_rewrite.reductions import INFINITY, Base, Step, StepKind, SystemId, Walk
 from essential_rewrite.terms import is_closed, is_locally_closed, parse, show
 from test_terms import HINT_COLLISIONS
@@ -177,6 +184,32 @@ class TestReduceSplices:
                 assert code == 0 and texts == [show(t)] + [show(u) for _, u in fired]
         assert redraws > 0
 
+    @pytest.mark.parametrize("system", ["lo", "ll", "beta", "betav"])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_mid_run_redraw_prints_the_term_after_its_step(self, capsys, monkeypatch, system,
+                                                           output):
+        # step 1 erases the free w below \x, whose name was chosen against
+        # the free x of the term, so it is printed from the whole term after
+        # step 1: one call to `root()`, besides a strategy's outcome.  The
+        # last term would print x (\x.x) v.
+        asked = []
+        root = reductions.StepStream.root
+        monkeypatch.setattr(reductions.StepStream, "root",
+                            lambda stream: asked.append(stream) or root(stream))
+        code, out, _ = run(capsys, "reduce", MID_RUN, "--system", system, "--output", output)
+        if output == "json":
+            data = json.loads(out)
+            texts = [data["start"]] + [step["term"] for step in data["steps"]]
+        else:
+            lines = out.splitlines()
+            texts = [lines[0]] + [line.split(" -> ", 1)[1] for line in lines[1:-1]]
+        assert code == 0 and texts == [MID_RUN, r"x (\x.x) ((\z.z) v)", r"x (\x.x) v"]
+        assert len(asked) == 1 + (system in ("lo", "ll"))
+
+
+# a run whose first step redraws the whole term, and whose second splices
+MID_RUN = r"x (\x.(\y.x) w) ((\z.z) v)"
+
 
 def _church(k: int) -> str:
     return r"(\f.\x." + "f (" * k + "x" + ")" * k + ")"
@@ -240,6 +273,41 @@ class TestReduceJson:
         out = io.StringIO()
         cli._write_reduce_json(out.write, "\u03bbx.x", "ll", kind, steps, Outcome.FUEL_EXHAUSTED)
         assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+class TestRecordedTrace:
+    """`normalize` records its run, and its trace reads as the eager trace of
+    `Walk.run`, which builds every step's whole term: iterated, indexed and
+    printed."""
+
+    @pytest.mark.parametrize("system", ["head", "weak-cbv", "lo", "ll", "beta", "betav"])
+    def test_reads_as_the_eager_trace_of_the_walk(self, system):
+        plain = system in ("beta", "betav")
+        walk = Walk(Base(system)) if plain else SYSTEMS[SystemId(system)].walk
+        row = None if plain else SYSTEMS[SystemId(system)]
+        for text, fuel in TestReduceJson.CASES:
+            t = parse(text)
+            fired, _ = walk.run(t, fuel)
+            eager = [(Step(pos, StepKind.PLAIN) if plain else
+                      Step(pos, StepKind.ESSENTIAL, row.level_of(pos)), u) for pos, u in fired]
+            trace, _ = normalize(t, Base(system) if plain else row, fuel)
+            steps = trace.steps
+            assert len(steps) == len(eager) and trace.end == (eager[-1][1] if eager else t)
+            n = len(eager)
+            # out of order, so that some replays start again from the start
+            for i in ([n // 2, 0, -1, n // 2, n - 1] if n else []):
+                step, u = steps[i]
+                assert (step, u, show(u)) == (eager[i][0], eager[i][1], show(eager[i][1]))
+            assert steps[1:3] == eager[1:3]
+            assert [(s, u, show(u)) for s, u in steps] == [(s, u, show(u)) for s, u in eager]
+            assert trace.to_json() == Trace(t, eager).to_json()
+
+    def test_index_out_of_range(self):
+        trace, _ = normalize(parse(r"(\x.x) y"), SystemId.LO)
+        assert len(trace.steps) == 1
+        for i in (1, -2):
+            with pytest.raises(IndexError):
+                trace.steps[i]
 
 
 class TestParserReuse:

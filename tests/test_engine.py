@@ -99,6 +99,8 @@ from conftest import OMEGA, p, terms_up_to
 
 HEAD, LO, WCBV, LL = (SystemId.HEAD, SystemId.LO, SystemId.WEAK_CBV,
                       SystemId.LEAST_LEVEL)
+# a run whose first step redraws the whole term, and whose second splices
+MID_RUN = r"x (\x.(\y.x) w) ((\z.z) v)"
 
 
 class TestSplit:
@@ -438,6 +440,26 @@ class TestNormalize:
         seq = trace_from_positions(t, [("R", "R"), ()], HEAD)
         assert alpha_eq(seq.end, beta_end)
 
+    @pytest.mark.parametrize("sys", [LO, LL, Base.BETA, Base.BETAV])
+    def test_mid_run_redraw_prints_the_term_after_its_step(self, sys):
+        # step 1 erases the free w below \x, whose name was chosen against
+        # the free x of the term: its text is printed from the whole term
+        # after step 1, not from the last term, x (\x.x) v
+        trace, outcome = normalize(p(MID_RUN), sys)
+        assert outcome is Outcome.NORMAL_FORM
+        assert list(trace.texts()) == [MID_RUN, r"x (\x.x) ((\z.z) v)", r"x (\x.x) v"]
+
+    @pytest.mark.parametrize("base, positions", [(Base.BETA, [(), ()]),
+                                                 (Base.BETAV, [("R",), ()])])
+    def test_plain_run_fires_the_first_redex(self, base, positions):
+        # beta-value reduction waits for the argument to become a value
+        t = p(r"(\x.x) ((\y.y) z)")
+        trace, outcome = normalize(t, base)
+        assert outcome is Outcome.NORMAL_FORM and trace.end == p("z")
+        assert list(trace.records()) == [Step(pos, StepKind.PLAIN) for pos in positions]
+        trace, outcome = normalize(t, base, fuel=1)
+        assert outcome is Outcome.FUEL_EXHAUSTED and len(trace) == 1
+
 
 def oracle_normalize(t, system_id, fuel):
     """The strategy loop `normalize` must reproduce: build every essential
@@ -630,6 +652,18 @@ class TestStreamCost:
         for k in ladder:
             self.fire(system_id, k, r" (\z.z) (\z.z)")
         assert rebuilds[0] == 0
+
+    @pytest.mark.parametrize("system_id", [LO, LL])
+    def test_normalize_rebuilds_what_its_stream_does(self, rebuilds, system_id):
+        # its length and end read the record and the stream's last root, 256
+        # parents for LO and 16,512 for LL; building every step's whole term
+        # rebuilt 64,503 on both
+        fired = self.fire(system_id, 8)
+        stream, rebuilds[0] = rebuilds[0], 0
+        trace, outcome = normalize(p(f"{_church(8)} {_church(2)}"), system_id, fuel=100_000)
+        assert len(trace) == len(trace.steps) == fired and outcome is Outcome.NORMAL_FORM
+        assert trace.end == p(_church(256))
+        assert rebuilds[0] <= stream
 
 
 class TestSpliceCost:
