@@ -39,7 +39,6 @@ from .engine import (
 from .parallel import Flavor
 from .reductions import (
     Base,
-    INFINITY,
     StepKind,
     SystemId,
     least_level,
@@ -229,9 +228,8 @@ def cmd_reduce(args) -> int:
                                _BASE_ONLY.get(args.system) or get_system(args.system), args.fuel)
     start, *texts = trace.texts()
     if args.output == "json":
-        run = trace.steps
-        _write_reduce_json(sys.stdout.write, start, args.system, run.kind,
-                           zip((pos for pos, _ in run.fired), run.levels(), texts), outcome)
+        _write_reduce_json(sys.stdout.write, start, args.system, trace.kind,
+                           zip((pos for pos, _ in trace.fired), trace.levels(), texts), outcome)
     else:
         lines = [start, *map(_step_line, trace.records(), texts), f"outcome: {outcome.value}"]
         print("\n".join(lines))
@@ -250,13 +248,11 @@ def _write_reduce_json(write, start: str, system: str, kind: StepKind, steps,
     function `json.dumps` calls for a string.  Each step is written as it
     is encoded, so no copy of the whole trace is built."""
     quote = encode_basestring_ascii
-    inf = quote(level_json(INFINITY))
     kind_line = f',\n      "kind": {quote(kind.value)},\n'
     write(f'{{\n  "start": {quote(start)},\n  "system": {quote(system)},\n  "steps": [')
     sep = "\n"
     for pos, level, text in steps:
-        level_line = ("" if level is None
-                      else f'      "level": {inf if level == INFINITY else level},\n')
+        level_line = "" if level is None else f'      "level": {level},\n'
         write(f'{sep}    {{\n      "position": "{".".join(pos)}"{kind_line}{level_line}'
               f'      "term": {quote(text)}\n    }}')
         sep = ",\n"

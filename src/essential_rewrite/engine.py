@@ -30,8 +30,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, partial
-from itertools import repeat
-from operator import length_hint
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .enumeration import EnumSpec, enumerate_terms, random_term
@@ -246,11 +245,11 @@ def get_system(sys) -> EssentialSystem:
 
 @dataclass
 class Trace:
-    """A recorded reduction sequence: each step with the whole term after it.
+    """A reduction sequence: each step with the whole term after it.
 
     `split`, `factorize` and `trace_from_positions` build one from a list of
-    `(Step, term)` pairs; `normalize` returns a `RecordedTrace`, whose steps
-    build those terms only when they are read."""
+    `(Step, term)` pairs.  `normalize` returns a `RecordedTrace` instead,
+    which reads the same and builds those terms only when they are read."""
 
     start: Term
     steps: Sequence[tuple[Step, Term]]
@@ -277,23 +276,29 @@ class Trace:
         return {"start": start, "steps": steps_to_json(self.records(), texts)}
 
 
-class Recording(Sequence):
-    """A walk's run from `start`, fired to its end and kept as its step
-    stream yields it: each step's position and reduct (`fired`), plus the
-    finished stream, whose `root()` is the last term (`end`).
+class RecordedTrace(Sequence):
+    """The trace of a walk's run from `start`, as `normalize` records it:
+    fired to its end and kept as its step stream yields it, each step's
+    position and reduct (`fired`), plus the finished stream, whose `root()`
+    is the last term (`end`).
 
-    As a sequence it reads as the steps of an eager trace, `(Step, root)`
-    pairs, but it holds no whole term between the start and the end.
-    Iterating it replays the run on a fresh stream and yields each root as
-    that stream builds it; indexing it replays a fresh walk from the last
-    root it built (or from the start) up to the step asked for.
+    It is its own `steps`: a read-only sequence of `(Step, root)` pairs, as
+    in an eager `Trace`, that holds no whole term between the start and the
+    end.  Its length, end, texts and JSON build none.  Every other root is
+    built by one replay of the run, which goes on from the last step read
+    and starts again from `start` only when an earlier step is asked for.
     """
 
     def __init__(self, walk: Walk, start: Term, fuel: int, kind: StepKind, leveled: bool):
         self.start, self.kind, self._leveled = start, kind, leveled
         self._stream = walk.steps(start, fuel)
         self.fired: list[tuple[Position, Term]] = list(self._stream)
-        self._built = (0, start)  # the last root replayed, and its number of steps
+        self._replay = None  # a stream replaying the run, and its iterator
+        self._taken = 0  # the number of steps the replay has fired
+
+    @property
+    def steps(self) -> RecordedTrace:
+        return self
 
     @property
     def exhausted(self) -> bool:
@@ -316,11 +321,6 @@ class Recording(Sequence):
             raise IndexError("trace step index out of range")
         return self._step(self.fired[k][0]), self.root_after(k + 1)
 
-    def __iter__(self) -> Iterator[tuple[Step, Term]]:
-        stream = self._stream.walk.steps(self.start, len(self.fired))
-        for pos, _ in stream:
-            yield self._step(pos), stream.root()
-
     def _step(self, pos: Position) -> Step:
         return Step(pos, self.kind, position_level(pos) if self._leveled else None)
 
@@ -334,47 +334,25 @@ class Recording(Sequence):
         """Each step, without the term after it."""
         return (self._step(pos) for pos, _ in self.fired)
 
-    def root_after(self, i: int) -> Term:
-        """The whole term after the first `i` steps."""
-        if i == len(self.fired):
+    def root_after(self, taken: int) -> Term:
+        """The whole term after the first `taken` steps."""
+        if taken == len(self.fired):
             return self.end
-        j, root = self._built
-        if j > i:
-            j, root = 0, self.start
-        if j < i:
-            replay = self._stream.walk.steps(root, i - j)
-            for _ in replay:
-                pass
-            root = replay.root()
-            self._built = (i, root)
-        return root
+        if self._replay is None or self._taken > taken:
+            replay = self._stream.walk.steps(self.start, len(self.fired))
+            self._replay, self._taken = (replay, iter(replay)), 0
+        replay, steps = self._replay
+        deque(islice(steps, taken - self._taken), maxlen=0)  # fire them unread
+        self._taken = taken
+        return replay.root()
 
     def texts(self) -> Iterator[str]:
         """`show` of the start and of each term after it, printed from the
-        recorded steps by `show_spliced`.  A step it cannot splice is printed
-        from the root after that step: the steps taken so far are those the
-        iterator over `fired` no longer holds."""
-        fired = iter(self.fired)
-        return show_spliced(self.start, fired,
-                            lambda: self.root_after(len(self.fired) - length_hint(fired)))
+        recorded steps by `show_spliced`; a step it cannot splice is printed
+        from the root after it."""
+        return show_spliced(self.start, self.fired, self.root_after)
 
-
-class RecordedTrace(Trace):
-    """The trace of a walk's run, as `normalize` records it: its `steps` are
-    a `Recording`.  Its length, end, texts and JSON build no term between
-    the start and the end."""
-
-    steps: Recording
-
-    @property
-    def end(self) -> Term:
-        return self.steps.end
-
-    def records(self) -> Iterator[Step]:
-        return self.steps.records()
-
-    def texts(self) -> Iterator[str]:
-        return self.steps.texts()
+    to_json = Trace.to_json
 
 
 @dataclass
@@ -616,21 +594,21 @@ def normalize(t: Term, sys, fuel: int = 1000) -> tuple[RecordedTrace, Outcome]:
     the first redex in preorder, its steps are PLAIN, and it ends in a
     normal form or with its fuel exhausted.
 
-    The run is recorded as its step stream fires it (`Recording`): the trace
-    keeps each step's position and reduct and the last term, and builds the
-    terms in between only when its steps are read.  The cyclic garbage
-    collector is paused while the run is fired.
+    The run is recorded as its step stream fires it (`RecordedTrace`): the
+    trace keeps each step's position and reduct and the last term, and
+    builds the terms in between, on one replay of the run, only when its
+    steps are read.  The cyclic garbage collector is paused while the run
+    is fired.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     if isinstance(sys, Base):
-        run = Recording(Walk(sys), t, fuel, StepKind.PLAIN, leveled=False)
-        return RecordedTrace(t, run), (Outcome.FUEL_EXHAUSTED if run.exhausted
-                                       else Outcome.NORMAL_FORM)
+        trace = RecordedTrace(Walk(sys), t, fuel, StepKind.PLAIN, leveled=False)
+        return trace, Outcome.FUEL_EXHAUSTED if trace.exhausted else Outcome.NORMAL_FORM
     system = get_system(sys)
     # each step fires the least essential position, found by the system's walk
-    run = Recording(system.walk, t, fuel, _ESSENTIAL, system.flavor is _LEVELED)
-    return RecordedTrace(t, run), system.outcome(run.end, run.exhausted)
+    trace = RecordedTrace(system.walk, t, fuel, _ESSENTIAL, system.flavor is _LEVELED)
+    return trace, system.outcome(trace.end, trace.exhausted)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .terms import (
     App,
@@ -222,22 +222,9 @@ class Walk:
                     level += 1
                     break
 
-    def first(self, t: Term) -> Optional[Position]:
-        """Position of the redex this walk fires first in `t`, if any."""
-        _, path, level, _ = self.find(t, [])
-        return None if level == INFINITY else _position(path)
-
     def steps(self, t: Term, fuel: int) -> StepStream:
         """The run of up to `fuel` steps from `t`, fired as it is iterated."""
         return StepStream(self, t, fuel)
-
-    def run(self, t: Term, fuel: int) -> tuple[list[tuple[Position, Term]], bool]:
-        """Fire up to `fuel` steps from `t`.  Returns each step's position
-        and whole term after it, and whether a redex is left when the fuel
-        runs out."""
-        stream = self.steps(t, fuel)
-        fired = [(pos, stream.root()) for pos, _ in stream]
-        return fired, stream.exhausted
 
     def _resume(self, reduct: Term, path: Path, level: int,
                 dirty: int) -> tuple[Term, Path, int | float, int]:

@@ -723,7 +723,7 @@ def show_steps(start: Term, steps: Iterable[tuple[Position, Term]]) -> Iterator[
             last = root
             yield (pos, new) if new is not None else (None, root)
 
-    return show_spliced(start, replacements(), lambda: last)
+    return show_spliced(start, replacements(), lambda taken: last)
 
 
 def _replaced_at(old: Term, new: Term, pos: Position) -> Term | None:
@@ -745,21 +745,21 @@ def _replaced_at(old: Term, new: Term, pos: Position) -> Term | None:
 
 
 def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
-                 root: Callable[[], Term]) -> Iterator[str]:
+                 root: Callable[[int], Term]) -> Iterator[str]:
     """`show(start)`, then the text of each term after it, given by the step
     `(position, new)` that leads to it: the term before with its subterm at
     `position` replaced by `new`, or any term where `position` is None.
-    `root()` returns the whole term after the last step taken from `steps`.
+    `root(n)` returns the whole term after the first `n` steps.
 
     Only `new` is rendered and spliced into the old text.  The offsets found
     along one step's path serve the next step down to where the two paths
     part; below that, the walk adds up the widths of the siblings it passes.
     Each width is measured from the widths of the node's children, never
     rendered, and a memo keeps it per node and environment.  The whole
-    term, `root()`, is rendered for a step with no position, a step that
-    erases or adds a free name below a binder whose name was chosen against
-    the free names of its body (the binder may gain or lose a prime), or a
-    free name that was not in the term before.
+    term, `root(n)` after step `n`, is rendered for a step with no
+    position, a step that erases or adds a free name below a binder whose
+    name was chosen against the free names of its body (the binder may gain
+    or lose a prime), or a free name that was not in the term before.
     """
     env: list[str] = []  # names of the binders on the path, innermost last
     in_scope = _Scope()
@@ -795,7 +795,7 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
     text = redraw(start)
     path: Position = ()
     yield text
-    for pos, new in steps:
+    for taken, (pos, new) in enumerate(steps, 1):
         try:
             if pos is None:
                 raise _Redraw
@@ -877,7 +877,7 @@ def show_spliced(start: Term, steps: Iterable[tuple[Position | None, Term]],
                 widths.clear()
                 env_ids.clear()
         except _Redraw:
-            text, path = redraw(root()), ()
+            text, path = redraw(root(taken)), ()
         yield text
 
 

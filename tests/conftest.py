@@ -5,6 +5,7 @@ import random
 import pytest
 
 from essential_rewrite import SYSTEMS, App, EnumSpec, Lam, enumerate_terms, parse, random_term
+from essential_rewrite.reductions import Base, Step, StepKind, redexes, step_at
 
 # the identity combinator, spelled out since the grammar has no constants
 I = r"(\z.z)"
@@ -27,6 +28,25 @@ def row_steps(system_id, t):
     row = SYSTEMS[system_id]
     return sorted(row.essential_steps(t) + row.inessential_steps(t),
                   key=lambda step: step[0].position)
+
+
+def eager_run(t, system, fuel: int):
+    """The run `normalize(t, system, fuel)` records, built on whole terms
+    with no walk: each step is the first of the row's `essential_steps`, or
+    for a `Base` the first of `redexes(t, base)` fired by `step_at`.
+    Returns the `(Step, term)` pairs and whether a redex is left when the
+    fuel runs out."""
+    steps = []
+    while True:
+        if isinstance(system, Base):
+            available = [(Step(pos, StepKind.PLAIN), step_at(t, pos, system))
+                         for pos in redexes(t, system)[:1]]
+        else:
+            available = system.essential_steps(t)
+        if not available or len(steps) == fuel:
+            return steps, bool(available)
+        steps.append(available[0])
+        t = available[0][1]
 
 
 def terms_up_to(size: int, closed_only: bool = False):

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from conftest import OMEGA, terms_up_to
+from conftest import OMEGA, eager_run, terms_up_to
 from essential_rewrite import cli, engine, reductions, terms
 from essential_rewrite.cli import main
 from essential_rewrite.engine import (
@@ -22,7 +22,7 @@ from essential_rewrite.engine import (
     normalize,
     trace_from_positions,
 )
-from essential_rewrite.reductions import INFINITY, Base, Step, StepKind, SystemId, Walk
+from essential_rewrite.reductions import Base, Step, StepKind, SystemId
 from essential_rewrite.terms import is_closed, is_locally_closed, parse, show
 from test_terms import HINT_COLLISIONS
 
@@ -163,7 +163,7 @@ class TestReduceSplices:
         redraws = 0
         for system in ["head", "weak-cbv", "lo", "ll", "beta", "betav"]:
             plain = system in ("beta", "betav")
-            walk = Walk(Base(system)) if plain else SYSTEMS[SystemId(system)].walk
+            ref = Base(system) if plain else SYSTEMS[SystemId(system)]
             for text in self.TERMS:
                 asked.clear()
                 code, out, _ = run(capsys, "reduce", text, "--system", system,
@@ -174,7 +174,7 @@ class TestReduceSplices:
                 redrawn = len(asked) - (not plain)
                 assert redrawn == 0 or not is_closed(t)
                 redraws += redrawn
-                fired, _ = walk.run(t, 1000)
+                fired, _ = eager_run(t, ref, 1000)
                 if output == "json":
                     data = json.loads(out)
                     texts = [data["start"]] + [step["term"] for step in data["steps"]]
@@ -236,17 +236,15 @@ class TestReduceJson:
 
         monkeypatch.setattr(json, "dumps", flat_dumps)
         plain = system in ("beta", "betav")
-        walk = Walk(Base(system)) if plain else SYSTEMS[SystemId(system)].walk
-        row = None if plain else SYSTEMS[SystemId(system)]
+        ref = Base(system) if plain else SYSTEMS[SystemId(system)]
         empty = exhausted = 0
         for text, fuel in self.CASES:
             code, out, _ = run(capsys, "reduce", text, "--system", system, "--output", "json",
                                "--fuel", str(fuel))
             assert out == dumps(json.loads(out), indent=2) + "\n"
-            fired, cut = walk.run(parse(text), fuel)
+            fired, cut = eager_run(parse(text), ref, fuel)
             assert code == (2 if cut else 0)
-            expected = [Step(pos, StepKind.PLAIN) if plain else
-                        Step(pos, StepKind.ESSENTIAL, row.level_of(pos)) for pos, _ in fired]
+            expected = [step for step, _ in fired]
             steps = json.loads(out)["steps"]
             assert [list(step) for step in steps] == [[*s.to_json(), "term"] for s in expected]
             assert ([{key: value for key, value in step.items() if key != "term"}
@@ -259,7 +257,7 @@ class TestReduceJson:
         (StepKind.PLAIN, []),
         (StepKind.PLAIN, [((), None, "\"quoted\" \\x.x\tx")]),
         (StepKind.ESSENTIAL, [(("L", "B"), 0, "caf\u00e9 \u2028 \U0001d706"),
-                              (("R",), INFINITY, "\x00\x1f")]),
+                              (("R",), 3, "\x00\x1f")]),
     ])
     def test_writer_escapes_as_json_dumps(self, kind, steps):
         # text the parser never reads, to pin the escaping to json.dumps's
@@ -276,21 +274,17 @@ class TestReduceJson:
 
 
 class TestRecordedTrace:
-    """`normalize` records its run, and its trace reads as the eager trace of
-    `Walk.run`, which builds every step's whole term: iterated, indexed and
-    printed."""
+    """`normalize` records its run, and its trace reads as the eager trace
+    built on whole terms from the row's steps (`eager_run`): iterated,
+    indexed and printed."""
 
     @pytest.mark.parametrize("system", ["head", "weak-cbv", "lo", "ll", "beta", "betav"])
     def test_reads_as_the_eager_trace_of_the_walk(self, system):
-        plain = system in ("beta", "betav")
-        walk = Walk(Base(system)) if plain else SYSTEMS[SystemId(system)].walk
-        row = None if plain else SYSTEMS[SystemId(system)]
+        ref = Base(system) if system in ("beta", "betav") else SYSTEMS[SystemId(system)]
         for text, fuel in TestReduceJson.CASES:
             t = parse(text)
-            fired, _ = walk.run(t, fuel)
-            eager = [(Step(pos, StepKind.PLAIN) if plain else
-                      Step(pos, StepKind.ESSENTIAL, row.level_of(pos)), u) for pos, u in fired]
-            trace, _ = normalize(t, Base(system) if plain else row, fuel)
+            eager, _ = eager_run(t, ref, fuel)
+            trace, _ = normalize(t, ref, fuel)
             steps = trace.steps
             assert len(steps) == len(eager) and trace.end == (eager[-1][1] if eager else t)
             n = len(eager)
@@ -308,6 +302,43 @@ class TestRecordedTrace:
         for i in (1, -2):
             with pytest.raises(IndexError):
                 trace.steps[i]
+
+    @pytest.mark.parametrize("system", ["head", "weak-cbv", "lo", "ll", "beta", "betav"])
+    def test_forward_reads_share_one_replay(self, monkeypatch, system):
+        made = []
+        init = reductions.StepStream.__init__
+
+        def counting_init(stream, *args):
+            made.append(stream)
+            init(stream, *args)
+
+        monkeypatch.setattr(reductions.StepStream, "__init__", counting_init)
+        ref = Base(system) if system in ("beta", "betav") else SYSTEMS[SystemId(system)]
+        # applied to two identities, as in the reduce-church ladders, so
+        # that head and weak CbV run too
+        t = parse(rf"{_church(3)} {_church(2)} (\z.z) (\z.z)")
+        eager, _ = eager_run(t, ref, 1000)
+        assert len(eager) >= 10
+        for read in (lambda trace: [trace.steps[k] for k in range(len(trace))],
+                     lambda trace: list(trace.steps)):
+            trace, _ = normalize(t, ref)
+            made.clear()
+            assert read(trace) == eager
+            # one replay, and the last term is the recorded stream's
+            assert len(made) == 1
+
+    @pytest.mark.parametrize("system", ["head", "weak-cbv", "lo", "ll"])
+    def test_feeds_factorize(self, system):
+        # a run of essential steps is its own factorization
+        row = SYSTEMS[SystemId(system)]
+        for text, fuel in TestReduceJson.CASES:
+            trace, _ = normalize(parse(text), row, fuel)
+            result = factorize(trace, row)
+            result.validate()
+            assert len(trace.steps) == len(trace)
+            assert result.essential.steps == list(trace.steps)
+            assert result.essential.start is trace.start
+            assert result.inessential.steps == [] and result.inessential.start == trace.end
 
 
 class TestParserReuse:

@@ -94,7 +94,7 @@ from essential_rewrite.terms import (
     substitute,
     subterm_at,
 )
-from conftest import OMEGA, p, terms_up_to
+from conftest import OMEGA, eager_run, p, terms_up_to
 
 
 HEAD, LO, WCBV, LL = (SystemId.HEAD, SystemId.LO, SystemId.WEAK_CBV,
@@ -465,14 +465,9 @@ def oracle_normalize(t, system_id, fuel):
     """The strategy loop `normalize` must reproduce: build every essential
     step and fire the first."""
     system = SYSTEMS[system_id]
-    steps, current = [], t
-    for _ in range(fuel):
-        available = system.essential_steps(current)
-        if not available:
-            break
-        steps.append(available[0])
-        current = available[0][1]
-    if system.essential_steps(current):
+    steps, exhausted = eager_run(t, system, fuel)
+    current = steps[-1][1] if steps else t
+    if exhausted:
         return steps, Outcome.FUEL_EXHAUSTED
     if system.base_normal(current):
         return steps, Outcome.NORMAL_FORM
@@ -512,18 +507,23 @@ class TestWalk:
     def terms8(self):
         return terms_up_to(8)
 
+    @staticmethod
+    def first(walk, t):
+        """The position of the walk's first step from `t`, if any."""
+        return next((pos for pos, _ in walk.steps(t, 1)), None)
+
     @pytest.mark.parametrize("system_id", list(SystemId))
     def test_first_is_least_essential_position(self, terms8, system_id):
         system = SYSTEMS[system_id]
         for t in terms8:
             positions = system.positions(t)
-            assert system.walk.first(t) == (min(positions) if positions else None), show(t)
+            assert self.first(system.walk, t) == (min(positions) if positions else None), show(t)
 
     @pytest.mark.parametrize("base", list(Base))
     def test_base_walk_finds_first_redex(self, terms8, base):
         for t in terms8:
             found = redexes(t, base)
-            assert Walk(base).first(t) == (found[0] if found else None), show(t)
+            assert self.first(Walk(base), t) == (found[0] if found else None), show(t)
 
     @pytest.mark.parametrize("text, second", [
         (r"y (z ((\a.a) c)) ((\b.b) d)", "L.R.R"),
@@ -685,10 +685,21 @@ class TestSpliceCost:
         tail = r" (\z.z) (\z.z)" if system_id is WCBV else ""
         t = p(f"{_church(6)} {_church(2)}{tail}")
         stream = SYSTEMS[system_id].walk.steps(t, 100_000)
-        texts = list(show_spliced(t, stream, stream.root))
+        texts = list(show_spliced(t, stream, lambda taken: stream.root()))
         assert not stream.exhausted and len(texts) > 1
         # a closed term never renders whole after its first text
         assert calls[0] == len(texts)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_redraw_asks_for_the_root_after_its_step(self, k):
+        # k - 1 identities at the root splice; step k erases the free w below
+        # \x, whose name was chosen against the free x, so it redraws
+        t = p(r"(\a.a) (" * (k - 1) + r"x (\x.(\y.x) w)" + ")" * (k - 1))
+        stream = SYSTEMS[LO].walk.steps(t, 100)
+        asked = []
+        texts = list(show_spliced(t, stream, lambda taken: asked.append(taken) or stream.root()))
+        assert asked == [k]
+        assert texts == [show(t)] + [show(u) for _, u in eager_run(t, SYSTEMS[LO], 100)[0]]
 
 
 # (\y.y) z, at the bottom of a tower of binders or of a right spine x (x (...))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from essential_rewrite import EnumSpec, enumerate_terms, random_term, terms
 from essential_rewrite.engine import SYSTEMS
-from essential_rewrite.reductions import Base, Walk, step_at
+from essential_rewrite.reductions import Base, step_at
 from essential_rewrite.terms import (
     App,
     BODY,
@@ -40,7 +40,7 @@ from essential_rewrite.terms import (
     subterm_at,
 )
 import recursive
-from conftest import OMEGA, p, random_samples, subterms, terms_up_to
+from conftest import OMEGA, eager_run, p, random_samples, subterms, terms_up_to
 
 
 class TestParse:
@@ -499,10 +499,16 @@ class TestSharing:
         assert result.arg is body.arg
 
 
-# the walks of the six `reduce` systems: the four strategies, then plain
-# beta and beta-value reduction
-_STRATEGY_WALKS = [row.walk for row in SYSTEMS.values()]
-_REDUCE_WALKS = _STRATEGY_WALKS + [Walk(Base.BETA), Walk(Base.BETAV)]
+# the six `reduce` systems: the four strategies' rows, then plain beta and
+# beta-value reduction
+_STRATEGIES = list(SYSTEMS.values())
+_REDUCE_SYSTEMS = _STRATEGIES + [Base.BETA, Base.BETAV]
+
+
+def _run(t, system, fuel):
+    """Each step's position and whole term after it, in the run of
+    `system` from `t` built on whole terms (`eager_run`)."""
+    return [(step.position, u) for step, u in eager_run(t, system, fuel)[0]]
 
 
 @pytest.fixture
@@ -538,8 +544,8 @@ class TestShowSteps:
     """`show_steps` prints each term of a reduction exactly as `show` and
     the oracle do, splicing where it can."""
 
-    def check(self, t, walk, read=None):
-        fired, _ = walk.run(t, 20)
+    def check(self, t, system, read=None):
+        fired = _run(t, system, 20)
         want = [show(t)] + [show(u) for _, u in fired]
         assert want == [oracle_show(t)] + [oracle_show(u) for _, u in fired]
         if read is not None:
@@ -550,8 +556,8 @@ class TestShowSteps:
     @pytest.mark.parametrize("pool", [("x", "y"), ("x",), ()])
     def test_every_small_term_under_every_system(self, pool, redraws):
         for t in enumerate_terms(EnumSpec(max_size=7, free_names=pool)):
-            for walk in _REDUCE_WALKS:
-                fired = self.check(t, walk, redraws)
+            for system in _REDUCE_SYSTEMS:
+                fired = self.check(t, system, redraws)
                 if not pool:
                     # no free name, so no step of a closed term renders it whole
                     assert _rendered_whole(redraws, fired) == []
@@ -562,12 +568,12 @@ class TestShowSteps:
             t = random_term(rng.randrange(2 ** 30), rng.randint(8, 25),
                             EnumSpec(max_size=25))
             t = _rehint(t, rng)
-            for walk in _STRATEGY_WALKS:
-                self.check(t, walk)
+            for system in _STRATEGIES:
+                self.check(t, system)
 
     def test_erased_free_name_renames_a_binder_on_the_path(self):
         t = Lam(App(Lam(Var(1)), Free("x")), "x")
-        fired, _ = Walk(Base.BETA).run(t, 5)
+        fired = _run(t, Base.BETA, 5)
         assert list(show_steps(t, fired)) == ["\\x'.(\\x.x') x", "\\x.x"]
 
     @pytest.mark.parametrize("t, whole", [
@@ -579,7 +585,7 @@ class TestShowSteps:
         (Lam(App(Free("a.b"), App(Lam(Var(0), "y"), Var(0))), "a.b"), True),
     ])
     def test_names_chosen_against_free_names(self, t, whole, redraws):
-        fired, _ = Walk(Base.BETA).run(t, 5)
+        fired = _run(t, Base.BETA, 5)
         want = [show(t)] + [show(u) for _, u in fired]
         redraws.clear()
         assert list(show_steps(t, fired)) == want
@@ -593,7 +599,7 @@ class TestShowSteps:
     ])
     def test_parentheses_follow_the_parent(self, text, expected, redraws):
         t = p(text)
-        fired, _ = Walk(Base.BETA).run(t, 5)
+        fired = _run(t, Base.BETA, 5)
         redraws.clear()
         assert list(show_steps(t, fired)) == expected
         assert _rendered_whole(redraws, fired) == []
