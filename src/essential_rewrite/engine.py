@@ -289,8 +289,8 @@ class RecordedTrace(Sequence):
     and starts again from `start` only when an earlier step is asked for.
     """
 
-    def __init__(self, walk: Walk, start: Term, fuel: int, kind: StepKind, leveled: bool):
-        self.start, self.kind, self._leveled = start, kind, leveled
+    def __init__(self, walk: Walk, start: Term, fuel: int, kind: StepKind):
+        self.start, self.kind, self._leveled = start, kind, walk.leveled
         self._stream = walk.steps(start, fuel)
         self.fired: list[tuple[Position, Term]] = list(self._stream)
         self._replay = None  # a stream replaying the run, and its iterator
@@ -315,7 +315,10 @@ class RecordedTrace(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self.fired)))]
+            # read in ascending order, on one replay, whatever the slice's step
+            ks = range(*i.indices(len(self.fired)))
+            steps = [self[k] for k in sorted(ks)]
+            return steps[::-1] if ks.step < 0 else steps
         k = i + len(self.fired) if i < 0 else i
         if not 0 <= k < len(self.fired):
             raise IndexError("trace step index out of range")
@@ -603,11 +606,11 @@ def normalize(t: Term, sys, fuel: int = 1000) -> tuple[RecordedTrace, Outcome]:
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     if isinstance(sys, Base):
-        trace = RecordedTrace(Walk(sys), t, fuel, StepKind.PLAIN, leveled=False)
+        trace = RecordedTrace(Walk(sys), t, fuel, StepKind.PLAIN)
         return trace, Outcome.FUEL_EXHAUSTED if trace.exhausted else Outcome.NORMAL_FORM
     system = get_system(sys)
     # each step fires the least essential position, found by the system's walk
-    trace = RecordedTrace(system.walk, t, fuel, _ESSENTIAL, system.flavor is _LEVELED)
+    trace = RecordedTrace(system.walk, t, fuel, _ESSENTIAL)
     return trace, system.outcome(trace.end, trace.exhausted)
 
 

@@ -170,8 +170,8 @@ def _beta(flavor: Flavor, t: App, body: ParDerivation, arg: ParDerivation) -> Pa
                          instantiate(body.target, arg.target), 0 if flavor is _LEVELED else None)
 
 
-# The sweep's derivation tables, one per (flavour, cap), each a dict from a
-# subterm's id to the first `cap` steps from it; None outside a sweep.
+# The sweep's derivation tables, one per flavour, each a dict from a
+# subterm's id to the first `_STEP_CAP` steps from it; None outside a sweep.
 _TABLES: ContextVar[dict | None] = ContextVar("_TABLES", default=None)
 _STEP_CAP = 2 ** 14
 
@@ -186,9 +186,9 @@ def _derivation_table():
         _TABLES.reset(token)
 
 
-def _table(flavor: Flavor, cap: int) -> dict[int, list[ParDerivation]] | None:
+def _table(flavor: Flavor) -> dict[int, list[ParDerivation]] | None:
     tables = _TABLES.get()
-    return None if tables is None else tables.setdefault((flavor, cap), {})
+    return None if tables is None else tables.setdefault(flavor, {})
 
 
 def derive(t: Term, selection: Iterable[Position], flavor: Flavor) -> ParDerivation:
@@ -226,7 +226,7 @@ def _derive(t: Term, sel: Iterable[Position], flavor: Flavor) -> ParDerivation:
     # derivations are then the last ones built, the first child's on top.
     # In a sweep, an unselected subterm with steps in the table stands in
     # the list as its identity derivation, the first of those steps.
-    shared = _table(flavor, _STEP_CAP)
+    shared = _table(flavor)
     nodes: list[Term | ParDerivation | None] = []
     pending = [(t, trie)]
     while pending:
@@ -298,8 +298,8 @@ def _node_at(d: ParDerivation, pos: Position) -> ParDerivation:
     return d
 
 
-def all_parallel_steps(t: Term, flavor: Flavor, cap: int = _STEP_CAP) -> Iterator[ParDerivation]:
-    """Every parallel step from t, as derivations, capped at `cap` of them.
+def all_parallel_steps(t: Term, flavor: Flavor) -> Iterator[ParDerivation]:
+    """Every parallel step from t, as derivations, capped at `_STEP_CAP` of them.
 
     Selections come in the order of bit masks over the redex list in
     traversal order, so the identity derivation comes first: the root
@@ -308,11 +308,11 @@ def all_parallel_steps(t: Term, flavor: Flavor, cap: int = _STEP_CAP) -> Iterato
     every step that contains them, and in a sweep by every term that
     contains the subterm's object.
     """
-    return islice(_combine(t, flavor, cap), cap)
+    return islice(_combine(t, flavor), _STEP_CAP)
 
 
-def _combine(t: Term, flavor: Flavor, cap: int) -> Iterator[ParDerivation]:
-    # The first `cap` steps of each subterm below `t` that its steps are
+def _combine(t: Term, flavor: Flavor) -> Iterator[ParDerivation]:
+    # The first `_STEP_CAP` steps of each subterm below `t` that its steps are
     # made of, listed children first (the reverse of a preorder) in
     # `steps`, by the subterm's id: a subterm object met twice is listed once.
     # In a sweep, the steps of each application child (an argument, a
@@ -320,7 +320,7 @@ def _combine(t: Term, flavor: Flavor, cap: int) -> Iterator[ParDerivation]:
     # and the child is not walked, else they go into it.  Other bodies do
     # not: the enumerator gives each body one abstraction, so their entries
     # would not be read again.
-    shared = _table(flavor, cap)
+    shared = _table(flavor)
     steps: dict[int, list[ParDerivation]] = {}
     order: list[tuple[Term, bool]] = []
     pending = [(t, False)]
@@ -341,7 +341,7 @@ def _combine(t: Term, flavor: Flavor, cap: int) -> Iterator[ParDerivation]:
             pending.append((u.arg, True))
     for u, child in reversed(order[1:]):
         if id(u) not in steps:
-            steps[id(u)] = list(islice(_steps_over(u, flavor, steps), cap))
+            steps[id(u)] = list(islice(_steps_over(u, flavor, steps), _STEP_CAP))
         if child and shared is not None:
             shared[id(u)] = steps[id(u)]
     yield from _steps_over(t, flavor, steps)
@@ -351,7 +351,7 @@ def _steps_over(t: Term, flavor: Flavor, steps) -> Iterator[ParDerivation]:
     """The steps from `t` in the order of `all_parallel_steps`, made from
     those of its children in `steps` (keyed by id).  The combined order is a
     mixed radix with the argument's steps as the most significant digit, so
-    the first `cap` outputs use only the first `cap` steps of each child."""
+    the first n outputs use only the first n steps of each child."""
     kind = type(t)
     if kind is Lam:
         for child in steps[id(t.body)]:

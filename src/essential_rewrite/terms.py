@@ -180,10 +180,9 @@ def free_names(t: Term) -> frozenset[str]:
     return frozenset(u.name for u in _nodes(t) if type(u) is Free)
 
 
-def is_locally_closed(t: Term, depth: int = 0) -> bool:
-    """True iff every de Bruijn index points at an enclosing binder, `depth`
-    binders counted as enclosing `t`."""
-    return t.loose <= depth
+def is_locally_closed(t: Term) -> bool:
+    """True iff every de Bruijn index points at a binder of `t`."""
+    return t.loose == 0
 
 
 def is_closed(t: Term) -> bool:
@@ -210,13 +209,13 @@ def count_occurrences(t: Term, name: str) -> int:
     return sum(type(u) is Free and u.name == name for u in _nodes(t))
 
 
-def count_bound(t: Term, index: int = 0) -> int:
-    """Occurrences in `t` of the dangling de Bruijn index `index`."""
+def count_bound(t: Term) -> int:
+    """Occurrences in `t` of the dangling de Bruijn index 0."""
     n = 0
-    pending = [(t, index)]
+    pending = [(t, 0)]
     while pending:
         u, i = pending.pop()
-        # a subterm under d binders holds index + d only if its bound is past it
+        # a subterm under d binders holds index d only if its bound is past it
         while u.loose > i:
             kind = type(u)
             if kind is App:
@@ -269,10 +268,10 @@ def _map_open(t: Term, depth: int | float, leaf: Callable[[Term, int], Term]) ->
             return node
 
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Add `by` to every dangling index >= cutoff; a subterm with no such
-    index is returned as it is."""
-    return _map_open(t, cutoff, lambda u, depth: Var(u.index + by))
+def shift(t: Term, by: int) -> Term:
+    """Add `by` to every dangling index; a subterm with no such index is
+    returned as it is."""
+    return _map_open(t, 0, lambda u, depth: Var(u.index + by))
 
 
 def instantiate(body: Term, arg: Term) -> Term:
@@ -368,12 +367,12 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
     return rebuild(new, path_to(t, pos)[1])
 
 
-def bound_positions(t: Term, index: int = 0, prefix: Position = ()) -> Iterator[Position]:
-    """Positions of the dangling index `index`, in preorder."""
+def bound_positions(t: Term) -> Iterator[Position]:
+    """Positions of the dangling index 0, in preorder."""
     # `tags` is the position of `u`, and `pending` holds each argument still
     # to visit with the index it may hold and the depth of its application
-    tags, pending = list(prefix), []
-    u, i = t, index
+    tags, pending = [], []
+    u, i = t, 0
     while True:
         if u.loose > i:
             kind = type(u)

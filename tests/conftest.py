@@ -62,6 +62,13 @@ def random_samples():
             for _ in range(300)]
 
 
+def under_binders(t, k: int):
+    """`t` under k abstractions: its index k is their term's dangling index 0."""
+    for _ in range(k):
+        t = Lam(t)
+    return t
+
+
 def subterms(terms):
     """Every distinct subterm object of `terms`; most have dangling indices."""
     seen, pending = {}, list(terms)

@@ -320,7 +320,8 @@ class TestRecordedTrace:
         eager, _ = eager_run(t, ref, 1000)
         assert len(eager) >= 10
         for read in (lambda trace: [trace.steps[k] for k in range(len(trace))],
-                     lambda trace: list(trace.steps)):
+                     lambda trace: list(trace.steps),
+                     lambda trace: trace.steps[::-1][::-1]):
             trace, _ = normalize(t, ref)
             made.clear()
             assert read(trace) == eager

@@ -51,7 +51,7 @@ from essential_rewrite.terms import (
     size,
     substitute,
 )
-from conftest import random_samples, subterms, terms_up_to
+from conftest import random_samples, subterms, terms_up_to, under_binders
 
 TERMS = terms_up_to(8) + random_samples()
 SUBTERMS = subterms(TERMS)
@@ -91,10 +91,12 @@ class TestTermLoops:
         for t in SUBTERMS:
             for name in ("x", "y", "z"):
                 assert count_occurrences(t, name) == recursive.count_occurrences(t, name)
+            # index k of `t` is the dangling index 0 of `t` under k binders
             for index in range(3):
-                assert count_bound(t, index) == recursive.count_bound(t, index)
-                assert (list(bound_positions(t, index, ("R",)))
-                        == list(recursive.bound_positions(t, index, ("R",))))
+                u = under_binders(t, index)
+                assert count_bound(u) == recursive.count_bound(t, index)
+                assert (list(bound_positions(u))
+                        == list(recursive.bound_positions(t, index, (BODY,) * index)))
 
     def test_equality(self):
         # each term against its neighbours, and against an equal copy that
@@ -123,9 +125,12 @@ class TestTermLoops:
     def test_shift_and_instantiate(self):
         args = subterms(terms_up_to(4))
         for t in SUBTERMS:
+            # under k binders, `t` is shifted from the cutoff k
             for cutoff in range(3):
-                got, want = shift(t, 2, cutoff), recursive.shift(t, 2, cutoff)
-                assert recursive.equal(got, want) and (got is t) == (want is t)
+                u = under_binders(t, cutoff)
+                got, want = shift(u, 2), recursive.shift(t, 2, cutoff)
+                assert recursive.equal(got, under_binders(want, cutoff))
+                assert (got is u) == (want is t)
         for t in SUBTERMS[::5]:
             for arg in args[::3]:
                 got, want = instantiate(t, arg), recursive.instantiate(t, arg)
@@ -173,14 +178,15 @@ def _outcome(parser, text):
 
 
 class TestParallelLoops:
-    def test_all_parallel_steps(self, steps):
+    def test_all_parallel_steps(self, steps, monkeypatch):
         flavor, expected = steps
         for t, want in expected:
             got = list(all_parallel_steps(t, flavor))
             assert len(got) == len(want) and all(map(same_derivation, got, want))
         # the cap takes the first steps of every subterm
+        monkeypatch.setattr(parallel, "_STEP_CAP", 3)
         for t, want in expected[::17]:
-            got = list(all_parallel_steps(t, flavor, cap=3))
+            got = list(all_parallel_steps(t, flavor))
             capped = list(recursive.all_parallel_steps(t, flavor, cap=3))
             assert len(got) == len(capped) and all(map(same_derivation, got, capped))
 
@@ -307,7 +313,7 @@ class TestNormalFlag:
         args = subterms(terms_up_to(4))[::9] + [redex]
         built = [parse(show(t)) for t in TERMS]
         for t in SUBTERMS[::7]:
-            built += [shift(t, 2, cutoff) for cutoff in range(3)]
+            built += [shift(under_binders(t, cutoff), 2) for cutoff in range(3)]
             built += [substitute(t, name, new) for name in ("x", "y") for new in news]
             built += [instantiate(t, arg) for arg in args]
             for pos in positions(t):

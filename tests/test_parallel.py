@@ -26,6 +26,7 @@ from essential_rewrite import (
     subst_parallel,
     substitute,
 )
+from essential_rewrite import parallel
 from essential_rewrite.engine import SYSTEMS, split
 from essential_rewrite.enumeration import EnumSpec, random_term
 from essential_rewrite.parallel import (
@@ -139,9 +140,10 @@ class TestAllParallelSteps:
         selections = [selection_of(d) for d in all_parallel_steps(t, Flavor.CBV)]
         assert all(() not in sel for sel in selections)
 
-    def test_cap_limits_enumeration(self):
+    def test_cap_limits_enumeration(self, monkeypatch):
         t = p(r"((\z.z) (\z.z)) ((\z.z) (\z.z)) ((\z.z) (\z.z))")
-        assert len(list(all_parallel_steps(t, Flavor.CBN, cap=5))) == 5
+        monkeypatch.setattr(parallel, "_STEP_CAP", 5)
+        assert len(list(all_parallel_steps(t, Flavor.CBN))) == 5
 
     def test_one_step_parallel_equals_base(self, small_terms):
         # index-1 derivations are exactly the single base steps
@@ -204,10 +206,11 @@ def _same_tree(d, e) -> bool:
             and all(_same_tree(c, f) for c, f in zip(d.children, e.children)))
 
 
-def _agrees_with_mask_oracle(t, flavor):
+def _agrees_with_mask_oracle(t, flavor, monkeypatch):
     r = len(redexes(t, base_of(flavor)))
     for cap in sorted({1, 3, 5, 2 ** r, 2 ** r + 1}):
-        got = list(all_parallel_steps(t, flavor, cap))
+        monkeypatch.setattr(parallel, "_STEP_CAP", cap)
+        got = list(all_parallel_steps(t, flavor))
         want = list(oracle_all_parallel_steps(t, flavor, cap))
         assert len(got) == len(want), (show(t), cap)
         for d, (sel, e) in zip(got, want):
@@ -219,21 +222,21 @@ def _agrees_with_mask_oracle(t, flavor):
 
 class TestAgainstMaskOracle:
     @pytest.mark.parametrize("flavor", list(Flavor))
-    def test_same_steps_in_the_same_order(self, flavor):
+    def test_same_steps_in_the_same_order(self, flavor, monkeypatch):
         for t in terms_up_to(7):
-            _agrees_with_mask_oracle(t, flavor)
+            _agrees_with_mask_oracle(t, flavor, monkeypatch)
 
     @pytest.mark.parametrize("flavor", list(Flavor))
-    def test_same_order_with_redexes_on_both_sides(self, flavor):
+    def test_same_order_with_redexes_on_both_sides(self, flavor, monkeypatch):
         # an application with redexes on both sides has size 9 or more, so
         # only larger terms tell the argument's bits from the function's
         rng = random.Random(11)
         spec = EnumSpec(max_size=13)
         for _ in range(300):
             t = random_term(rng.randrange(2 ** 30), rng.randint(9, 13), spec)
-            _agrees_with_mask_oracle(t, flavor)
+            _agrees_with_mask_oracle(t, flavor, monkeypatch)
         for text in (r"(\x.(\z.z) x) ((\z.z) y)", r"((\z.z) x) ((\z.z) (\z.z))"):
-            _agrees_with_mask_oracle(p(text), flavor)
+            _agrees_with_mask_oracle(p(text), flavor, monkeypatch)
 
     def test_derive_matches_oracle(self, small_terms):
         for t in small_terms[::3]:

@@ -40,7 +40,7 @@ from essential_rewrite.terms import (
     subterm_at,
 )
 import recursive
-from conftest import OMEGA, eager_run, p, random_samples, subterms, terms_up_to
+from conftest import OMEGA, eager_run, p, random_samples, subterms, terms_up_to, under_binders
 
 
 class TestParse:
@@ -426,13 +426,15 @@ class TestLooseBound:
         for u in subterms(enumerate_terms(EnumSpec(max_size=7, free_names=pool))):
             assert u.loose == oracle_loose(u)
             for depth in range(3):
-                assert is_locally_closed(u, depth) == oracle_is_locally_closed(u, depth)
+                closed = is_locally_closed(under_binders(u, depth))
+                assert closed == oracle_is_locally_closed(u, depth)
 
     def test_random_terms_against_the_oracle(self):
         for u in subterms(random_samples()):
             assert u.loose == oracle_loose(u)
             for depth in range(3):
-                assert is_locally_closed(u, depth) == oracle_is_locally_closed(u, depth)
+                closed = is_locally_closed(under_binders(u, depth))
+                assert closed == oracle_is_locally_closed(u, depth)
 
     def test_constructors(self):
         assert [Var(2).loose, Free("x").loose] == [3, 0]
@@ -453,12 +455,14 @@ class TestSharing:
     @pytest.mark.parametrize("terms", [_BODIES, _SAMPLES], ids=["small", "random"])
     def test_shift(self, terms):
         for t in terms:
+            # under k binders, `t` is shifted from the cutoff k
             for cutoff in range(3):
+                u = under_binders(t, cutoff)
                 for by in (1, 2):
-                    shifted = shift(t, by, cutoff)
-                    assert shifted == oracle_shift(t, by, cutoff)
+                    shifted = shift(u, by)
+                    assert shifted == under_binders(oracle_shift(t, by, cutoff), cutoff)
                     if t.loose <= cutoff:
-                        assert shifted is t
+                        assert shifted is u
 
     def test_instantiate_small_terms(self):
         for body in _BODIES:
