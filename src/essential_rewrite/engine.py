@@ -27,11 +27,10 @@ import random
 from collections import deque
 from collections.abc import Sequence
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property, partial
 from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .enumeration import EnumSpec, enumerate_terms, random_term
 from .graphs import explore
@@ -119,8 +118,18 @@ class Outcome(Enum):
     FUEL_EXHAUSTED = "fuel-exhausted"
 
 
-@dataclass(frozen=True)
-class EssentialSystem:
+class _Row(NamedTuple):
+    id: SystemId
+    flavor: Flavor
+    positions: Callable[[Term], list[Position]]
+    neg_positions: Callable[[Term], Iterable[Position]]
+    name: str
+    terminal: Callable[[Term], bool]
+    spine_only: bool = False
+    closed_only: bool = False
+
+
+class EssentialSystem(_Row):
     """A base reduction split into essential and inessential steps.
 
     `positions(t)` lists t's essential redexes in traversal order; everything
@@ -131,17 +140,8 @@ class EssentialSystem:
     `walk`.  The normalization theorem is read from the row too: a maximal
     essential sequence must end in a term `terminal` accepts, `name` names
     the strategy in messages, and `closed_only` restricts the sweep to
-    closed terms.
+    closed terms.  A subclass of its fields' named tuple, it caches walks.
     """
-
-    id: SystemId
-    flavor: Flavor
-    positions: Callable[[Term], list[Position]]
-    neg_positions: Callable[[Term], Iterable[Position]]
-    name: str
-    terminal: Callable[[Term], bool]
-    spine_only: bool = False
-    closed_only: bool = False
 
     @cached_property
     def base(self) -> Base:
@@ -243,7 +243,6 @@ def get_system(sys) -> EssentialSystem:
 # Traces
 
 
-@dataclass
 class Trace:
     """A reduction sequence: each step with the whole term after it.
 
@@ -251,8 +250,10 @@ class Trace:
     `(Step, term)` pairs.  `normalize` returns a `RecordedTrace` instead,
     which reads the same and builds those terms only when they are read."""
 
-    start: Term
-    steps: Sequence[tuple[Step, Term]]
+    __slots__ = ("start", "steps")
+
+    def __init__(self, start: Term, steps: Sequence[tuple[Step, Term]]):
+        self.start, self.steps = start, steps
 
     @property
     def end(self) -> Term:
@@ -324,6 +325,12 @@ class RecordedTrace(Sequence):
             raise IndexError("trace step index out of range")
         return self._step(self.fired[k][0]), self.root_after(k + 1)
 
+    def __reversed__(self) -> Iterator[tuple[Step, Term]]:
+        # blocks of about √n steps from the end, each read on one replay
+        size = int(len(self.fired) ** 0.5) + 1
+        for stop in range(len(self.fired), 0, -size):
+            yield from reversed(self[max(0, stop - size):stop])
+
     def _step(self, pos: Position) -> Step:
         return Step(pos, self.kind, position_level(pos) if self._leveled else None)
 
@@ -358,8 +365,7 @@ class RecordedTrace(Sequence):
     to_json = Trace.to_json
 
 
-@dataclass
-class Factorization:
+class Factorization(NamedTuple):
     """Essential prefix then inessential suffix, same endpoints as the input."""
 
     essential: Trace
@@ -376,8 +382,7 @@ class Factorization:
                 raise InvalidTraceError("suffix contains a non-inessential step")
 
     def to_json(self) -> dict:
-        return {"essential": self.essential.to_json(),
-                "inessential": self.inessential.to_json()}
+        return {part: trace.to_json() for part, trace in self._asdict().items()}
 
 
 def steps_to_json(steps: Iterable[Step], texts: list[str]) -> list[dict]:
@@ -618,8 +623,7 @@ def normalize(t: Term, sys, fuel: int = 1000) -> tuple[RecordedTrace, Outcome]:
 # Property harness
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """The verdict of one sweep.  `checked_count` counts the relevant terms
     examined, a counterexample included: every term for a property, those
     the theorem's hypothesis holds for in a normalization check, and never
@@ -634,7 +638,7 @@ class Report:
     counterexample: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {key: value for key, value in asdict(self).items() if value is not None}
+        return {key: value for key, value in self._asdict().items() if value is not None}
 
 
 class _Inconclusive(str):
@@ -796,6 +800,7 @@ def check_property(prop: str, sys, size_bound: int = 8,
                   partial(checker, system), workers)
 
 
+@_collector_paused()
 def _sweep(prop: str, system: EssentialSystem, spec: EnumSpec, check, workers: int = 1) -> Report:
     """Report on `check(t)` for every term `spec` enumerates: None passes
     `t`, a message fails it, False skips it as irrelevant and an

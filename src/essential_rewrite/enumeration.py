@@ -9,22 +9,22 @@ used by the property checkers cheap.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .terms import App, Free, Lam, Term, Var
 
 
-@dataclass(frozen=True)
-class EnumSpec:
-    """What to enumerate: size bound, allowed free names (each given once,
-    or terms would repeat), closedness."""
-
+class _Spec(NamedTuple):
     max_size: int
     free_names: tuple[str, ...] = ("x", "y")
     closed_only: bool = False
 
-    def __post_init__(self):
+
+class EnumSpec(_Spec):
+    """What to enumerate: size bound, allowed free names (each given once,
+    or terms would repeat), closedness."""
+
+    def __init__(self, *fields, **named):  # the tuple is built by now
         for i, name in enumerate(self.free_names):
             if name in self.free_names[:i]:
                 raise ValueError(f"free name {name!r} is given twice")

@@ -8,7 +8,6 @@ is whole only when exploration finished inside its budgets.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .reductions import (
     Base,
@@ -21,13 +20,13 @@ from .reductions import (
 from .terms import Term, show
 
 
-@dataclass
 class ReductionGraph:
-    root: Term
-    base: Base
-    # alpha-canonical nodes; the nameless term is its own canonical form
-    edges: dict[Term, list[tuple[Step, Term]]] = field(default_factory=dict)
-    truncated: bool = False
+    __slots__ = ("root", "base", "edges", "truncated")
+
+    def __init__(self, root: Term, base: Base):
+        self.root, self.base, self.truncated = root, base, False
+        # alpha-canonical nodes; the nameless term is its own canonical form
+        self.edges: dict[Term, list[tuple[Step, Term]]] = {root: []}
 
     @property
     def nodes(self):
@@ -50,9 +49,8 @@ def explore(t: Term, base: Base = Base.BETA, node_budget: int = 20000,
     """BFS over reducts with alpha-deduplication, stopping at the budgets."""
     if node_budget <= 0 or depth_budget <= 0:
         raise ValueError("budgets must be positive")
-    g = ReductionGraph(root=t, base=base)
+    g = ReductionGraph(t, base)
     queue: deque[tuple[Term, int]] = deque([(t, 0)])
-    g.edges[t] = []
     while queue:
         term, depth = queue.popleft()
         if depth >= depth_budget:

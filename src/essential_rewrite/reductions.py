@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .terms import (
     App,
@@ -90,8 +89,7 @@ def level_json(level: int | float) -> int | str:
     return "inf" if level == INFINITY else level
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One reduction step: where it fired, how it is classified, and (for the
     least-level system) the level of the contracted redex."""
 
@@ -134,8 +132,7 @@ def admits(t: Term, base: Base) -> bool:
     return type(t) is App and type(t.fun) is Lam and (base is _BETA or is_value(t.arg))
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple):
     """Which redex a strategy fires next, found by one preorder walk.
 
     The redex found is the least position the strategy would list: a walk

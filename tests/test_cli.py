@@ -3,11 +3,13 @@
 import argparse
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -327,6 +329,43 @@ class TestRecordedTrace:
             assert read(trace) == eager
             # one replay, and the last term is the recorded stream's
             assert len(made) == 1
+
+    @pytest.mark.parametrize("system", ["head", "weak-cbv", "lo", "ll", "beta", "betav"])
+    def test_reversed_replays_once_per_block(self, monkeypatch, system):
+        made = []
+        init = reductions.StepStream.__init__
+
+        def counting_init(stream, *args):
+            made.append(stream)
+            init(stream, *args)
+
+        monkeypatch.setattr(reductions.StepStream, "__init__", counting_init)
+        ref = Base(system) if system in ("beta", "betav") else SYSTEMS[SystemId(system)]
+        trace, _ = normalize(parse(rf"{_church(3)} {_church(2)} (\z.z) (\z.z)"), ref)
+        n = len(trace)
+        assert n >= 10
+        made.clear()
+        backwards = list(reversed(trace.steps))
+        # one replay per block of about √n steps, not one per step
+        assert len(made) <= math.isqrt(n - 1) + 2
+        assert backwards == trace.steps[::-1]
+
+    def test_reversed_costs_about_a_slice(self):
+        # read one step at a time from the end, the replay would restart at
+        # every step: about 20 times the slice on this run of 510 steps
+        trace, _ = normalize(parse(f"{_church(8)} {_church(2)}"), SystemId.LO)
+        assert len(trace) == 510
+
+        def best(read):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                read()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        sliced = best(lambda: trace.steps[::-1])
+        assert best(lambda: list(reversed(trace.steps))) <= 3 * sliced
 
     @pytest.mark.parametrize("system", ["head", "weak-cbv", "lo", "ll"])
     def test_feeds_factorize(self, system):

@@ -1,7 +1,6 @@
 """Split, merge, factorization, normalization and the report harness."""
 
 import contextlib
-import dataclasses
 import gc
 import json
 import pickle
@@ -205,7 +204,7 @@ def _counting(row):
     def positions(t):
         calls.append(t)
         return row.positions(t)
-    return dataclasses.replace(row, positions=positions), calls
+    return row._replace(positions=positions), calls
 
 
 class TestSplitCost:
@@ -1091,7 +1090,7 @@ class TestCheckProperty:
                 return positions + list(row.positions(t))[:1]
             return positions + ([] if () in redexes(t, row.base) else [()])
 
-        system = dataclasses.replace(row, neg_positions=broken)
+        system = row._replace(neg_positions=broken)
         # size 7 is the least size with an inessential lo or ll redex, as in
         # (\z.z) ((\z.z) y); nothing can be dropped from smaller terms
         report = check_property("decomposition", system, size_bound=7)
@@ -1101,7 +1100,7 @@ class TestCheckProperty:
     def test_ll_invariant_sweeps_the_row_given(self):
         # a least-level row listing its essential redexes as inessential
         # breaks the invariant at (\x.x) x -> x
-        system = dataclasses.replace(SYSTEMS[LL], neg_positions=_ll_positions)
+        system = SYSTEMS[LL]._replace(neg_positions=_ll_positions)
         report = check_property("ll-invariant", system, size_bound=7)
         assert report.result == "FAIL"
         assert "changed the least level" in report.counterexample
@@ -1128,7 +1127,7 @@ class TestCheckProperty:
             "indexed-split"])
     def test_broken_row_fails(self, monkeypatch, prop, system, change, term, failure):
         monkeypatch.setattr(engine, "enumerate_terms", lambda spec: iter([p(term)]))
-        report = check_property(prop, dataclasses.replace(SYSTEMS[system], **change))
+        report = check_property(prop, SYSTEMS[system]._replace(**change))
         assert (report.result, report.checked_count, report.counterexample) == (
             "FAIL", 1, failure)
 
@@ -1162,7 +1161,7 @@ class TestCheckProperty:
     # the sweep reports the overrun as a failure; a library caller of `split`
     # still gets the assertion
     def test_split_overrun_fails_the_sweep(self):
-        row = dataclasses.replace(SYSTEMS[HEAD], positions=_reversed_redexes)
+        row = SYSTEMS[HEAD]._replace(positions=_reversed_redexes)
         report = check_property("split", row, size_bound=7)
         assert (report.result, report.counterexample) == (
             "FAIL", r"split did not terminate within its index bound on (\x'.x) ((\x.x) x)")
@@ -1178,14 +1177,14 @@ class TestCheckProperty:
     def test_parallel_workers_sweep_the_row_given(self):
         # a head row without essential redexes breaks decomposition; the
         # workers must sweep that row, not the stock head row
-        system = dataclasses.replace(SYSTEMS[HEAD], positions=_no_positions)
+        system = SYSTEMS[HEAD]._replace(positions=_no_positions)
         solo = check_property("decomposition", system, size_bound=5)
         multi = check_property("decomposition", system, size_bound=5, workers=2)
         assert (solo.result, solo.checked_count) == ("FAIL", 34)
         assert multi.to_json() == solo.to_json()
 
     def test_parallel_workers_reject_a_row_they_cannot_receive(self):
-        system = dataclasses.replace(SYSTEMS[HEAD], positions=lambda t: [])
+        system = SYSTEMS[HEAD]._replace(positions=lambda t: [])
         with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
             check_property("decomposition", system, size_bound=5, workers=2)
 
@@ -1288,7 +1287,7 @@ class TestDerivationTable:
         assert parallel._TABLES.get() is None
 
     def test_gone_after_a_broken_row_fails(self):
-        system = dataclasses.replace(SYSTEMS[HEAD], positions=_no_positions)
+        system = SYSTEMS[HEAD]._replace(positions=_no_positions)
         assert check_property("decomposition", system, size_bound=5).result == "FAIL"
         assert parallel._TABLES.get() is None
 
@@ -1337,8 +1336,8 @@ class TestDerivationTable:
 
 
 class TestCollectorPaused:
-    """`normalize` and `factorize` pause the cyclic garbage collector and
-    give the caller back its setting on every exit."""
+    """`normalize`, `factorize` and the sweeps pause the cyclic garbage
+    collector and give the caller back its setting on every exit."""
 
     @pytest.fixture(autouse=True)
     def restore(self):
@@ -1363,6 +1362,18 @@ class TestCollectorPaused:
         assert gc.isenabled() is caller
 
     @pytest.mark.parametrize("caller", [True, False], ids=["enabled", "disabled"])
+    def test_paused_while_sweeping(self, monkeypatch, caller):
+        (gc.enable if caller else gc.disable)()
+        seen = []
+        enumerate_ = engine.enumerate_terms
+        monkeypatch.setattr(engine, "enumerate_terms",
+                            lambda spec: seen.append(gc.isenabled()) or enumerate_(spec))
+        assert check_property("determinism", LO, size_bound=3).result == "PASS"
+        assert check_normalization(LO, size_bound=3).result == "PASS"
+        assert seen == [False, False]
+        assert gc.isenabled() is caller
+
+    @pytest.mark.parametrize("caller", [True, False], ids=["enabled", "disabled"])
     def test_restored_after_a_raise(self, caller):
         (gc.enable if caller else gc.disable)()
         with pytest.raises(ValueError, match="fuel"):
@@ -1379,6 +1390,34 @@ class TestCollectorPaused:
                 assert not gc.isenabled()
             assert not gc.isenabled()
         assert gc.isenabled()
+
+
+class TestRecords:
+    """What callers rely on of the package's records, which are named
+    tuples or slotted classes rather than dataclasses."""
+
+    def test_what_callers_rely_on(self):
+        step = Step((), StepKind.ESSENTIAL)
+        assert repr(step) == "Step(position=(), kind=<StepKind.ESSENTIAL: 'essential'>, level=None)"
+        # equal and hashed by value, and immutable
+        assert step == Step((), StepKind.ESSENTIAL, None) != Step((), StepKind.ESSENTIAL, 0)
+        assert len({step, Step((), StepKind.ESSENTIAL, None)}) == 1
+        assert Walk() == SYSTEMS[LO].walk and len({Walk(), SYSTEMS[LO].walk}) == 1
+        assert Walk(Base.BETAV, weak=True) == SYSTEMS[WCBV].walk != Walk(Base.BETAV)
+        with pytest.raises(AttributeError):
+            step.kind = StepKind.INESSENTIAL
+        with pytest.raises(ValueError, match="given twice"):
+            EnumSpec(3, ("x", "x"))
+        report = engine.Report("split", "lo", 7, 3, "FAIL", "x")
+        assert list(report.to_json()) == ["property", "system", "size_bound",
+                                          "checked_count", "result", "counterexample"]
+        assert "counterexample" not in report._replace(counterexample=None).to_json()
+        # a row pickles for the sweep's workers with its walk, and a changed
+        # row derives its walk afresh
+        row = SYSTEMS[LL]
+        back = pickle.loads(pickle.dumps(row))
+        assert (back.id, back.flavor, back.walk) == (row.id, row.flavor, row.walk)
+        assert SYSTEMS[LO]._replace(spine_only=True).walk == SYSTEMS[HEAD].walk
 
 
 _OMEGA3 = r"(\x.x x x)"
@@ -1496,7 +1535,7 @@ class TestCheckNormalization:
             "bad-end-beside-divergence"])
     def test_broken_strategy_fails(self, system, positions, term, failure, monkeypatch):
         monkeypatch.setattr(engine, "enumerate_terms", lambda spec: iter([p(term)]))
-        broken = dataclasses.replace(SYSTEMS[system], positions=positions)
+        broken = SYSTEMS[system]._replace(positions=positions)
         report = check_normalization(broken)
         assert (report.result, report.counterexample) == ("FAIL", failure)
 
@@ -1525,7 +1564,7 @@ class TestCheckNormalization:
     @pytest.mark.parametrize("system", [HEAD, LO, LL, WCBV])
     def test_base_normal_terms_agree_with_their_graphs(self, system):
         row = SYSTEMS[system]
-        rejecting = dataclasses.replace(row, terminal=lambda t: False)
+        rejecting = row._replace(terminal=lambda t: False)
         normal = [t for t in terms_up_to(8) if not redexes(t, row.base)]
         assert normal
         for r in (row, rejecting):
